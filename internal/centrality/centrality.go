@@ -5,7 +5,7 @@ package centrality
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
@@ -13,19 +13,23 @@ import (
 
 // Result is the outcome of a demand-based centrality computation.
 type Result struct {
-	// Scores maps every node to its centrality c_d(v).
-	Scores map[graph.NodeID]float64
-	// Contributions[v] is C(v): the set of demand pairs whose shortest-path
-	// set traverses v (and therefore contributed to its score).
-	Contributions map[graph.NodeID]map[demand.PairID]bool
+	// Scores holds the centrality c_d(v) of every node, indexed by NodeID.
+	Scores []float64
 	// PathSets[h] is the estimated shortest-path set P̂*(s_h, t_h) used for
-	// pair h, exposed so that ISP's split decision can reuse it without
-	// recomputation.
-	PathSets map[demand.PairID][]graph.WeightedPath
+	// pair h, indexed by PairID up to the largest ID among the demands (nil
+	// for pairs that had none), exposed so that ISP's split decision can
+	// reuse it without recomputation. The pairs whose path set traverses v
+	// are C(v), the contributors to v's score.
+	PathSets [][]graph.WeightedPath
 }
 
 // Score returns the centrality of v (0 when unknown).
-func (r Result) Score(v graph.NodeID) float64 { return r.Scores[v] }
+func (r Result) Score(v graph.NodeID) float64 {
+	if int(v) >= len(r.Scores) {
+		return 0
+	}
+	return r.Scores[v]
+}
 
 // TopNode returns the node with the highest centrality, breaking ties by the
 // smallest node ID for determinism. ok is false when no node has positive
@@ -33,14 +37,9 @@ func (r Result) Score(v graph.NodeID) float64 { return r.Scores[v] }
 func (r Result) TopNode() (graph.NodeID, bool) {
 	best := graph.InvalidNode
 	bestScore := 0.0
-	ids := make([]graph.NodeID, 0, len(r.Scores))
-	for v := range r.Scores {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, v := range ids {
-		if s := r.Scores[v]; s > bestScore+1e-12 {
-			best = v
+	for v, s := range r.Scores {
+		if s > bestScore+1e-12 {
+			best = graph.NodeID(v)
 			bestScore = s
 		}
 	}
@@ -53,70 +52,92 @@ func (r Result) Ranking() []graph.NodeID {
 	ids := make([]graph.NodeID, 0, len(r.Scores))
 	for v, s := range r.Scores {
 		if s > 1e-12 {
-			ids = append(ids, v)
+			ids = append(ids, graph.NodeID(v))
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		si, sj := r.Scores[ids[i]], r.Scores[ids[j]]
-		if math.Abs(si-sj) > 1e-12 {
-			return si > sj
+	slices.SortFunc(ids, func(a, b graph.NodeID) int {
+		sa, sb := r.Scores[a], r.Scores[b]
+		switch {
+		case math.Abs(sa-sb) > 1e-12:
+			if sa > sb {
+				return -1
+			}
+			return 1
+		case a < b:
+			return -1
+		case a > b:
+			return 1
 		}
-		return ids[i] < ids[j]
+		return 0
 	})
 	return ids
 }
 
 // DemandBased computes the demand-based centrality of every node of g under
-// the given demands, edge-length metric and residual capacities (nil means
-// the capacities stored on the graph), following the runtime estimation
-// procedure of §IV-B: for each demand, the shortest-path set P̂* is built by
-// iterated Dijkstra on a residual copy until the accumulated path capacity
-// covers the demand, and each node v on a selected path receives a share of
-// the demand proportional to the capacity of the paths through v.
+// the given demands, edge-length metric and residual capacities (one entry
+// per edge indexed by EdgeID, or nil for the capacities stored on the
+// graph), following the runtime estimation procedure of §IV-B: for each
+// demand, the shortest-path set P̂* is built by iterated Dijkstra on a
+// residual copy until the accumulated path capacity covers the demand, and
+// each node v on a selected path receives a share of the demand
+// proportional to the capacity of the paths through v. ws supplies the
+// shortest-path scratch space and may be nil.
 //
 // The computation deliberately uses the complete graph (broken elements
 // included): per §IV-C the ranking measures the *potential* of a node to
 // contribute to an efficient routing, disruptions notwithstanding.
-func DemandBased(g *graph.Graph, demands []demand.Pair, length graph.EdgeLength, residual map[graph.EdgeID]float64) Result {
+func DemandBased(g *graph.Graph, demands []demand.Pair, length graph.EdgeLength, residual []float64, ws *graph.Workspace) Result {
 	res := Result{
-		Scores:        make(map[graph.NodeID]float64, g.NumNodes()),
-		Contributions: make(map[graph.NodeID]map[demand.PairID]bool),
-		PathSets:      make(map[demand.PairID][]graph.WeightedPath, len(demands)),
+		Scores:   make([]float64, g.NumNodes()),
+		PathSets: make([][]graph.WeightedPath, maxPairID(demands)+1),
 	}
+	// Per-node capacity share of the current demand's path set; touched
+	// lists the nodes to fold into the scores and reset.
+	share := make([]float64, g.NumNodes())
+	var touched []graph.NodeID
 	for _, d := range demands {
 		if d.Flow <= 1e-9 {
 			continue
 		}
-		paths, _ := g.ShortestPathSet(d.Source, d.Target, d.Flow, length, residual)
+		paths, _ := g.ShortestPathSet(d.Source, d.Target, d.Flow, length, residual, ws)
 		res.PathSets[d.ID] = paths
 		total := graph.TotalCapacity(paths)
 		if total <= 1e-12 {
 			continue
 		}
-		// Per-node capacity share.
-		perNode := make(map[graph.NodeID]float64)
+		touched = touched[:0]
 		for _, wp := range paths {
 			for _, v := range wp.Path.Nodes {
-				perNode[v] += wp.Capacity
+				if share[v] == 0 {
+					touched = append(touched, v)
+				}
+				share[v] += wp.Capacity
 			}
 		}
-		for v, share := range perNode {
-			res.Scores[v] += share / total * d.Flow
-			if res.Contributions[v] == nil {
-				res.Contributions[v] = make(map[demand.PairID]bool)
-			}
-			res.Contributions[v][d.ID] = true
+		for _, v := range touched {
+			res.Scores[v] += share[v] / total * d.Flow
+			share[v] = 0
 		}
 	}
 	return res
 }
 
+// maxPairID returns the largest pair ID in demands, or -1 when empty.
+func maxPairID(demands []demand.Pair) demand.PairID {
+	top := demand.PairID(-1)
+	for _, d := range demands {
+		top = max(top, d.ID)
+	}
+	return top
+}
+
 // Betweenness computes classical (unweighted, unnormalised) betweenness
-// centrality for every node using Brandes' algorithm. It ignores demands and
-// capacities and is provided as the ablation baseline for ISP's ranking.
-func Betweenness(g *graph.Graph) map[graph.NodeID]float64 {
+// centrality for every node, indexed by NodeID, using Brandes' algorithm. It
+// ignores demands and capacities and is provided as the ablation baseline
+// for ISP's ranking.
+func Betweenness(g *graph.Graph) []float64 {
 	n := g.NumNodes()
-	cb := make(map[graph.NodeID]float64, n)
+	cb := make([]float64, n)
 	for s := 0; s < n; s++ {
 		source := graph.NodeID(s)
 		// Brandes single-source shortest-path accumulation.
@@ -164,35 +185,25 @@ func Betweenness(g *graph.Graph) map[graph.NodeID]float64 {
 }
 
 // BetweennessAsResult adapts classical betweenness to the Result shape used
-// by ISP so it can be swapped in as an ablation: every active demand is
-// listed as a contributor of every node with positive score (the classical
-// metric has no per-demand attribution).
+// by ISP so it can be swapped in as an ablation. The classical metric has no
+// per-demand attribution, so the path sets that drive split decisions are
+// the demands' shortest-path sets under the hop metric.
 func BetweennessAsResult(g *graph.Graph, demands []demand.Pair) Result {
 	scores := Betweenness(g)
-	res := Result{
-		Scores:        make(map[graph.NodeID]float64, len(scores)),
-		Contributions: make(map[graph.NodeID]map[demand.PairID]bool),
-		PathSets:      make(map[demand.PairID][]graph.WeightedPath),
-	}
 	for v, s := range scores {
 		if s <= 1e-12 {
-			continue
-		}
-		res.Scores[v] = s
-		res.Contributions[v] = make(map[demand.PairID]bool)
-		for _, d := range demands {
-			if d.Flow > 1e-9 {
-				res.Contributions[v][d.ID] = true
-			}
+			scores[v] = 0
 		}
 	}
-	// Path sets are still demand-specific: reuse the shortest-path-set
-	// machinery with the hop metric so split decisions remain well-defined.
+	res := Result{
+		Scores:   scores,
+		PathSets: make([][]graph.WeightedPath, maxPairID(demands)+1),
+	}
 	for _, d := range demands {
 		if d.Flow <= 1e-9 {
 			continue
 		}
-		paths, _ := g.ShortestPathSet(d.Source, d.Target, d.Flow, graph.UnitLength, nil)
+		paths, _ := g.ShortestPathSet(d.Source, d.Target, d.Flow, graph.UnitLength, nil, nil)
 		res.PathSets[d.ID] = paths
 	}
 	return res

@@ -25,12 +25,12 @@ func TestDemandBasedLine(t *testing.T) {
 	// the unique path receives the full demand as centrality.
 	g := line(5, 10)
 	demands := []demand.Pair{{ID: 0, Source: 0, Target: 4, Flow: 6}}
-	res := DemandBased(g, demands, graph.UnitLength, nil)
+	res := DemandBased(g, demands, graph.UnitLength, nil, nil)
 	for v := graph.NodeID(0); v <= 4; v++ {
 		if math.Abs(res.Score(v)-6) > 1e-9 {
 			t.Errorf("score(%d) = %f, want 6", v, res.Score(v))
 		}
-		if !res.Contributions[v][0] {
+		if len(graph.PathsThrough(res.PathSets[0], v)) == 0 {
 			t.Errorf("pair 0 should contribute to node %d", v)
 		}
 	}
@@ -61,7 +61,7 @@ func TestDemandBasedSharedHub(t *testing.T) {
 		{ID: 0, Source: 1, Target: 2, Flow: 4},
 		{ID: 1, Source: 3, Target: 4, Flow: 2},
 	}
-	res := DemandBased(g, demands, graph.UnitLength, nil)
+	res := DemandBased(g, demands, graph.UnitLength, nil, nil)
 	if math.Abs(res.Score(0)-6) > 1e-9 {
 		t.Errorf("hub score = %f, want 6", res.Score(0))
 	}
@@ -76,8 +76,10 @@ func TestDemandBasedSharedHub(t *testing.T) {
 	if len(ranking) == 0 || ranking[0] != 0 {
 		t.Errorf("ranking = %v, want hub first", ranking)
 	}
-	if len(res.Contributions[0]) != 2 {
-		t.Errorf("hub contributions = %v, want both pairs", res.Contributions[0])
+	for h := range demands {
+		if len(graph.PathsThrough(res.PathSets[h], 0)) == 0 {
+			t.Errorf("pair %d should contribute to the hub", h)
+		}
 	}
 }
 
@@ -94,7 +96,7 @@ func TestDemandBasedSplitsAcrossParallelPaths(t *testing.T) {
 	g.MustAddEdge(0, 2, 5, 1)
 	g.MustAddEdge(2, 3, 5, 1)
 	demands := []demand.Pair{{ID: 0, Source: 0, Target: 3, Flow: 12}}
-	res := DemandBased(g, demands, graph.UnitLength, nil)
+	res := DemandBased(g, demands, graph.UnitLength, nil, nil)
 	want1 := 10.0 / 15.0 * 12
 	want2 := 5.0 / 15.0 * 12
 	if math.Abs(res.Score(1)-want1) > 1e-9 {
@@ -112,10 +114,10 @@ func TestDemandBasedSplitsAcrossParallelPaths(t *testing.T) {
 func TestDemandBasedRespectsResidualCapacities(t *testing.T) {
 	g := line(3, 10)
 	demands := []demand.Pair{{ID: 0, Source: 0, Target: 2, Flow: 5}}
-	residual := map[graph.EdgeID]float64{0: 0, 1: 0}
-	res := DemandBased(g, demands, graph.UnitLength, residual)
-	if len(res.Scores) != 0 {
-		t.Errorf("scores = %v, want empty with zero residual capacity", res.Scores)
+	residual := []float64{0, 0}
+	res := DemandBased(g, demands, graph.UnitLength, residual, nil)
+	if len(res.Ranking()) != 0 {
+		t.Errorf("scores = %v, want none positive with zero residual capacity", res.Scores)
 	}
 	if _, ok := res.TopNode(); ok {
 		t.Error("TopNode should report no candidate")
@@ -125,9 +127,9 @@ func TestDemandBasedRespectsResidualCapacities(t *testing.T) {
 func TestDemandBasedIgnoresZeroFlowPairs(t *testing.T) {
 	g := line(3, 10)
 	demands := []demand.Pair{{ID: 0, Source: 0, Target: 2, Flow: 0}}
-	res := DemandBased(g, demands, graph.UnitLength, nil)
-	if len(res.Scores) != 0 {
-		t.Errorf("scores = %v, want empty", res.Scores)
+	res := DemandBased(g, demands, graph.UnitLength, nil, nil)
+	if len(res.Ranking()) != 0 {
+		t.Errorf("scores = %v, want none positive", res.Scores)
 	}
 }
 
@@ -175,7 +177,7 @@ func TestBetweennessAsResult(t *testing.T) {
 	if !ok || top != 2 {
 		t.Errorf("top = %d ok=%v, want node 2", top, ok)
 	}
-	if !res.Contributions[top][3] {
+	if len(graph.PathsThrough(res.PathSets[3], top)) == 0 {
 		t.Error("demand 3 should be listed as contributor")
 	}
 	if len(res.PathSets[3]) == 0 {

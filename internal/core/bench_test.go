@@ -62,6 +62,38 @@ func BenchmarkISP_IterationDenseLP(b *testing.B) {
 	benchISP(b, Options{Routability: flow.Options{Mode: flow.ModeExact, DenseLP: true}})
 }
 
+// BenchmarkISP_FastGrid measures fast ISP (greedy split, auto routability)
+// over a fixed seeded population of grid:5x5 instances with two far-apart
+// pairs of six units, 15% of nodes and 25% of links broken at random: the
+// traffic shape of the serving fleet, where fast ISP answers cache misses,
+// session re-plans and ensemble samples. One op is one solve; the
+// population is cycled so every op sees a different instance.
+func BenchmarkISP_FastGrid(b *testing.B) {
+	g, err := topology.Grid(5, 5, topology.DefaultConfig(10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dg, err := demand.GenerateFarApartPairs(g, 2, 6, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	population := make([]*scenario.Scenario, 64)
+	for i := range population {
+		d := disruption.Random(g, 0.15, 0.25, rng)
+		population[i] = &scenario.Scenario{Supply: g, Demand: dg, BrokenNodes: d.Nodes, BrokenEdges: d.Edges}
+	}
+	ctx := context.Background()
+	opts := FastOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Solve(ctx, population[i%len(population)], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkISP_IterationGreedySplit measures the fast configuration (greedy
 // split amounts, auto routability) used on large topologies.
 func BenchmarkISP_IterationGreedySplit(b *testing.B) {

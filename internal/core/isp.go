@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"netrecovery/internal/degrade"
@@ -81,7 +80,7 @@ func solve(ctx context.Context, s *scenario.Scenario, opts Options, sess *Sessio
 		}
 		st.stats.Iterations = iter
 		if opts.Progress != nil {
-			opts.Progress(iter, len(st.repairedNodes)+len(st.repairedEdges))
+			opts.Progress(iter, st.numRepaired)
 		}
 		if iter >= opts.MaxIterations {
 			st.stats.HitIteration = true
@@ -170,7 +169,8 @@ func (st *state) checkRoutability() flow.Result {
 // resulting plan; the residual capacities already account for the flow
 // committed by prune actions.
 func (st *state) bestEffortRouting() {
-	caps := st.workingCapacityMap()
+	caps := st.usableCaps()
+	flows := st.flowBuf
 	for _, p := range st.scen.Demand.Active() {
 		remaining := p.Flow - st.deliveredForPair(p)
 		if remaining <= epsilon {
@@ -179,25 +179,22 @@ func (st *state) bestEffortRouting() {
 		if st.brokenNodes[p.Source] || st.brokenNodes[p.Target] {
 			continue
 		}
-		value, assignment := st.scen.Supply.MaxFlowWithAssignment(p.Source, p.Target, caps)
+		value := st.scen.Supply.MaxFlowInto(p.Source, p.Target, caps, flows, &st.ws)
 		routed := math.Min(value, remaining)
 		if routed <= epsilon {
 			continue
 		}
 		scale := routed / value
-		scaled := st.scaledBuf
-		clear(scaled)
-		for eid, f := range assignment {
-			if v := f * scale; math.Abs(v) > epsilon {
-				scaled[eid] = v
-				caps[eid] -= math.Abs(v)
-				if caps[eid] < 0 {
-					caps[eid] = 0
-				}
+		for eid, f := range flows {
+			v := f * scale
+			if math.Abs(v) <= epsilon {
+				continue
 			}
-		}
-		for eid, f := range scaled {
-			st.routing.AddFlow(p.ID, eid, f)
+			caps[eid] -= math.Abs(v)
+			if caps[eid] < 0 {
+				caps[eid] = 0
+			}
+			st.routing.AddFlow(p.ID, graph.EdgeID(eid), v)
 		}
 	}
 }
@@ -261,25 +258,25 @@ func (st *state) commitFinalRouting(res flow.Result) {
 // whether any repair happened.
 func (st *state) repairDirectLinks() bool {
 	repaired := false
-	caps := st.workingCapacityMap()
+	caps := st.usableCaps()
+	// ActiveInto lists the pairs in ID order, which keeps the repairs
+	// deterministic.
 	st.repairBuf = st.working.ActiveInto(st.repairBuf)
-	pairs := st.repairBuf
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].ID < pairs[j].ID })
-	for _, p := range pairs {
+	for _, p := range st.repairBuf {
 		direct := st.brokenDirectEdge(p)
 		if direct == graph.InvalidEdge {
 			continue
 		}
 		available := 0.0
 		if !st.brokenNodes[p.Source] && !st.brokenNodes[p.Target] {
-			available = st.scen.Supply.MaxFlow(p.Source, p.Target, caps)
+			available = st.scen.Supply.MaxFlow(p.Source, p.Target, caps, &st.ws)
 		}
 		if available+epsilon >= p.Flow {
 			continue
 		}
 		st.repairEdge(direct)
 		// Repairing changes the working graph; refresh the capacity view.
-		caps = st.workingCapacityMap()
+		caps = st.usableCaps()
 		repaired = true
 	}
 	return repaired
@@ -303,18 +300,15 @@ func (st *state) brokenDirectEdge(p demand.Pair) graph.EdgeID {
 	return best
 }
 
-// workingCapacityMap returns the residual capacity of every edge usable in
-// the working network (0 for unusable edges), for max-flow queries. The map
+// usableCaps returns the residual capacity of every edge usable in the
+// working network (0 for unusable edges), for max-flow queries. The slice
 // is pooled: it is refilled (and therefore invalidated) by the next call.
-func (st *state) workingCapacityMap() map[graph.EdgeID]float64 {
+func (st *state) usableCaps() []float64 {
 	caps := st.capsBuf
-	clear(caps)
-	for i := 0; i < st.scen.Supply.NumEdges(); i++ {
-		id := graph.EdgeID(i)
-		if st.edgeUsableWorking(id) {
-			caps[id] = st.residual[id]
-		} else {
-			caps[id] = 0
+	for i := range caps {
+		caps[i] = 0
+		if st.edgeUsableWorking(graph.EdgeID(i)) {
+			caps[i] = st.residual[i]
 		}
 	}
 	return caps
@@ -358,11 +352,15 @@ func (st *state) fallbackRepair() bool {
 // buildPlan assembles the final plan from the run state.
 func (st *state) buildPlan(start time.Time) *scenario.Plan {
 	plan := scenario.NewPlan(SolverName)
-	for v := range st.repairedNodes {
-		plan.RepairedNodes[v] = true
+	for v, repaired := range st.repairedNodes {
+		if repaired {
+			plan.RepairedNodes[graph.NodeID(v)] = true
+		}
 	}
-	for e := range st.repairedEdges {
-		plan.RepairedEdges[e] = true
+	for e, repaired := range st.repairedEdges {
+		if repaired {
+			plan.RepairedEdges[graph.EdgeID(e)] = true
+		}
 	}
 	plan.Routing = st.routing.Clone()
 	plan.TotalDemand = st.scen.Demand.TotalFlow()

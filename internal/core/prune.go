@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
@@ -17,11 +16,9 @@ func (st *state) pruneAll() int {
 	count := 0
 	for {
 		pruned := false
-		// Deterministic order: by working pair ID.
+		// Deterministic order: ActiveInto lists the pairs by working ID.
 		st.pruneBuf = st.working.ActiveInto(st.pruneBuf)
-		pairs := st.pruneBuf
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].ID < pairs[j].ID })
-		for _, p := range pairs {
+		for _, p := range st.pruneBuf {
 			if st.pruneOne(p) {
 				pruned = true
 				count++
@@ -52,35 +49,23 @@ func (st *state) pruneOne(p demand.Pair) bool {
 	}
 
 	// Max flow from source to target restricted to the bubble's working
-	// edges with residual capacities. The capacity map is pooled across
+	// edges with residual capacities. The capacity vector is pooled across
 	// prune attempts.
 	caps := st.pruneCaps
-	clear(caps)
-	for i := 0; i < st.scen.Supply.NumEdges(); i++ {
-		id := graph.EdgeID(i)
-		e := st.scen.Supply.Edge(id)
-		if !st.edgeUsableWorking(id) || !bubble[e.From] || !bubble[e.To] {
-			caps[id] = 0
-			continue
+	for i := range caps {
+		e := st.scen.Supply.Edge(graph.EdgeID(i))
+		caps[i] = 0
+		if st.edgeUsableWorking(e.ID) && bubble[e.From] && bubble[e.To] {
+			caps[i] = st.residual[i]
 		}
-		caps[id] = st.residual[id]
 	}
-	value, assignment := st.scen.Supply.MaxFlowWithAssignment(p.Source, p.Target, caps)
+	value := st.scen.Supply.MaxFlowInto(p.Source, p.Target, caps, st.flowBuf, &st.ws)
 	prunable := math.Min(value, p.Flow)
 	if prunable <= epsilon {
 		return false
 	}
 	// Scale the assignment to the pruned amount and commit it.
-	scale := prunable / value
-	scaled := st.scaledBuf
-	clear(scaled)
-	for eid, f := range assignment {
-		if v := f * scale; math.Abs(v) > epsilon {
-			scaled[eid] = v
-		}
-	}
-	st.addRouting(p.ID, scaled)
-	st.consumeCapacity(scaled)
+	st.commitFlow(p.ID, st.flowBuf, prunable/value)
 	if _, err := st.working.Reduce(p.ID, prunable); err != nil {
 		return false
 	}
@@ -94,12 +79,12 @@ func (st *state) pruneOne(p demand.Pair) bool {
 // barriers, which guarantees that no conflicting demand can need the
 // bubble's capacity without crossing s_h or t_h. It returns nil when the
 // source itself is unusable.
-func (st *state) findBubble(p demand.Pair) map[graph.NodeID]bool {
+func (st *state) findBubble(p demand.Pair) []bool {
 	if st.brokenNodes[p.Source] {
 		return nil
 	}
 	// Endpoints of other active demands are barriers. Both the barrier and
-	// visited maps are pooled: the returned map is invalidated by the next
+	// visited sets are pooled: the returned set is invalidated by the next
 	// findBubble call.
 	barrier := st.bubbleWall
 	clear(barrier)
@@ -111,8 +96,8 @@ func (st *state) findBubble(p demand.Pair) map[graph.NodeID]bool {
 		barrier[other.Source] = true
 		barrier[other.Target] = true
 	}
-	delete(barrier, p.Source)
-	delete(barrier, p.Target)
+	barrier[p.Source] = false
+	barrier[p.Target] = false
 
 	visited := st.bubbleSeen
 	clear(visited)

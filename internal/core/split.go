@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"netrecovery/internal/centrality"
 	"netrecovery/internal/demand"
@@ -11,13 +10,15 @@ import (
 )
 
 // computeCentrality runs the configured centrality metric on the complete
-// supply graph with residual capacities and the current demand (§IV-B).
+// supply graph with residual capacities and the current demand (§IV-B). The
+// demand snapshot it ranks stays in rankBuf for the rest of the split step,
+// which does not change the working demands.
 func (st *state) computeCentrality() centrality.Result {
-	demands := st.working.Active()
+	st.rankBuf = st.working.ActiveInto(st.rankBuf)
 	if st.opts.Centrality == CentralityBetweenness {
-		return centrality.BetweennessAsResult(st.scen.Supply, demands)
+		return centrality.BetweennessAsResult(st.scen.Supply, st.rankBuf)
 	}
-	return centrality.DemandBased(st.scen.Supply, demands, st.pathMetric(), st.residual)
+	return centrality.DemandBased(st.scen.Supply, st.rankBuf, st.pathMetric(), st.residual, &st.ws)
 }
 
 // splitCandidate is one (node, demand) option for a split action.
@@ -34,41 +35,26 @@ type splitCandidate struct {
 //	min{d_h, sum of c(p) for p in P*(h)|v} / f*(s_h, t_h)
 //
 // where f* is the max flow between the endpoints on the complete supply
-// graph with residual capacities. Demands whose endpoint is the candidate
-// node itself are skipped (splitting through an endpoint is a no-op).
-// Returns false when no candidate exists.
+// graph with residual capacities. The contributing demands of v are those
+// whose path set runs through v, taken in pair-ID order. Demands whose
+// endpoint is the candidate node itself are skipped (splitting through an
+// endpoint is a no-op). Returns false when no candidate exists.
 func (st *state) selectSplit(rank centrality.Result) (splitCandidate, bool) {
-	caps := make(map[graph.EdgeID]float64, len(st.residual))
-	for eid, c := range st.residual {
-		caps[eid] = c
-	}
 	for _, via := range rank.Ranking() {
-		contributors := rank.Contributions[via]
-		if len(contributors) == 0 {
-			continue
-		}
-		ids := make([]demand.PairID, 0, len(contributors))
-		for id := range contributors {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
 		best := splitCandidate{score: -1}
-		for _, id := range ids {
-			p, ok := st.working.Pair(id)
-			if !ok || p.Flow <= epsilon {
+		for _, p := range st.rankBuf {
+			if p.Flow <= epsilon {
 				continue
 			}
 			if p.Source == via || p.Target == via {
 				continue
 			}
 			// Capacity of the shortest paths through via.
-			through := graph.PathsThrough(rank.PathSets[id], via)
-			capThrough := graph.TotalCapacity(through)
+			capThrough := capacityThrough(rank.PathSets[p.ID], via)
 			if capThrough <= epsilon {
 				continue
 			}
-			maxFlow := st.scen.Supply.MaxFlow(p.Source, p.Target, caps)
+			maxFlow := st.scen.Supply.MaxFlow(p.Source, p.Target, st.residual, &st.ws)
 			if maxFlow <= epsilon {
 				continue
 			}
@@ -82,6 +68,19 @@ func (st *state) selectSplit(rank centrality.Result) (splitCandidate, bool) {
 		}
 	}
 	return splitCandidate{}, false
+}
+
+// capacityThrough is the total capacity of the paths of a shortest-path set
+// that traverse v: graph.TotalCapacity(graph.PathsThrough(paths, v)),
+// without materialising the subset.
+func capacityThrough(paths []graph.WeightedPath, v graph.NodeID) float64 {
+	total := 0.0
+	for _, wp := range paths {
+		if wp.Path.ContainsNode(v) {
+			total += wp.Capacity
+		}
+	}
+	return total
 }
 
 // splitAmount implements Decision (2) of §IV-C: the maximum dx that can be
@@ -108,8 +107,7 @@ func (st *state) splitAmount(cand splitCandidate, rank centrality.Result) float6
 // post-split demand set passes a constructive routability check on the
 // complete graph, giving up below a small fraction of the demand.
 func (st *state) greedySplitAmount(cand splitCandidate, rank centrality.Result) float64 {
-	through := graph.PathsThrough(rank.PathSets[cand.pair.ID], cand.via)
-	dx := math.Min(cand.pair.Flow, graph.TotalCapacity(through))
+	dx := math.Min(cand.pair.Flow, capacityThrough(rank.PathSets[cand.pair.ID], cand.via))
 	if dx <= epsilon {
 		return 0
 	}
@@ -127,9 +125,9 @@ func (st *state) greedySplitAmount(cand splitCandidate, rank centrality.Result) 
 // candidate demand through the candidate node keeps the demand set routable
 // on the complete supply graph with residual capacities.
 func (st *state) postSplitRoutable(cand splitCandidate, dx float64) bool {
-	demands := make([]demand.Pair, 0, len(st.working.Active())+2)
+	demands := st.splitBuf[:0]
 	nextID := demand.PairID(1 << 20)
-	for _, p := range st.working.Active() {
+	for _, p := range st.rankBuf {
 		if p.ID == cand.pair.ID {
 			if p.Flow-dx > epsilon {
 				demands = append(demands, demand.Pair{ID: p.ID, Source: p.Source, Target: p.Target, Flow: p.Flow - dx})
@@ -142,9 +140,9 @@ func (st *state) postSplitRoutable(cand splitCandidate, dx float64) bool {
 		demand.Pair{ID: nextID, Source: cand.pair.Source, Target: cand.via, Flow: dx},
 		demand.Pair{ID: nextID + 1, Source: cand.via, Target: cand.pair.Target, Flow: dx},
 	)
-	in := &flow.Instance{Graph: st.scen.Supply, Capacities: st.residual, Demands: demands}
-	_, ok := flow.ConstructiveRouting(in)
-	return ok
+	st.splitBuf = demands
+	in := flow.Instance{Graph: st.scen.Supply, Capacities: st.residual, Demands: demands}
+	return flow.ConstructivelyRoutable(&in, &st.ws)
 }
 
 // applySplit performs the split action: reduces the split pair by dx and

@@ -16,7 +16,8 @@ const epsilon = 1e-7
 
 // state is the mutable per-run state of ISP: the evolving demand graph
 // H^(n), residual capacities c^(n), the broken sets V_B^(n) / E_B^(n), the
-// repair list L^(n) and the routing accumulated by prune actions.
+// repair list L^(n) and the routing accumulated by prune actions. Per-element
+// state is dense, indexed by NodeID / EdgeID.
 type state struct {
 	scen *scenario.Scenario
 	opts Options
@@ -24,23 +25,25 @@ type state struct {
 	// working is the evolving demand graph H^(n); pair IDs here are local to
 	// the run and mapped back to the original pairs through rootOf.
 	working *demand.Graph
-	// rootOf maps working-pair IDs to the original scenario pair that the
-	// flow ultimately serves (splits create derived pairs that inherit the
-	// root).
-	rootOf map[demand.PairID]demand.PairID
+	// rootOf maps working-pair IDs (dense, in order of creation) to the
+	// original scenario pair that the flow ultimately serves (splits create
+	// derived pairs that inherit the root).
+	rootOf []demand.PairID
 
 	// residual holds c^(n): the residual capacity of every edge, reduced by
 	// prune actions as demand is routed.
-	residual map[graph.EdgeID]float64
+	residual []float64
 
 	// brokenNodes / brokenEdges are V_B^(n) and E_B^(n): broken elements not
 	// yet scheduled for repair.
-	brokenNodes map[graph.NodeID]bool
-	brokenEdges map[graph.EdgeID]bool
+	brokenNodes []bool
+	brokenEdges []bool
 
-	// repairedNodes / repairedEdges are the repair list L^(n).
-	repairedNodes map[graph.NodeID]bool
-	repairedEdges map[graph.EdgeID]bool
+	// repairedNodes / repairedEdges are the repair list L^(n); numRepaired
+	// counts its elements.
+	repairedNodes []bool
+	repairedEdges []bool
+	numRepaired   int
 
 	// routing accumulates, per original pair, the signed edge flows decided
 	// by prune actions and by the final routability test.
@@ -53,23 +56,26 @@ type state struct {
 	splitSolver *lp.Solver
 
 	// Pooled buffers for the per-iteration hot paths. Each buffer is owned
-	// by exactly one call site (see the field comments); the slices/maps are
-	// reused across iterations and must not be retained past the call that
-	// filled them.
-	capsBuf     map[graph.EdgeID]float64 // workingCapacityMap
-	pruneCaps   map[graph.EdgeID]float64 // pruneOne's bubble-restricted capacities
-	scaledBuf   map[graph.EdgeID]float64 // pruneOne / bestEffortRouting scaled flows
-	bubbleSeen  map[graph.NodeID]bool    // findBubble visited set
-	bubbleWall  map[graph.NodeID]bool    // findBubble barrier set
-	bubbleQueue []graph.NodeID           // findBubble BFS queue
-	pruneBuf    []demand.Pair            // pruneAll's per-round pair snapshot
-	repairBuf   []demand.Pair            // repairDirectLinks' pair snapshot
-	barrierBuf  []demand.Pair            // findBubble's active-pair snapshot
-	workBuf     []demand.Pair            // workingInstance demands
-	potBuf      []demand.Pair            // potentialInstance demands
-	workInst    flow.Instance            // reused Instance for workingInstance
-	potInst     flow.Instance            // reused Instance for potentialInstance
-	hashBuf     []demand.Pair            // session memo-key demand snapshot
+	// by exactly one call site (see the field comments) and is reused
+	// across iterations; none may be retained past the call that filled it.
+	ws          graph.Workspace // every max-flow and shortest-path kernel call
+	capsBuf     []float64       // usableCaps
+	workCaps    []float64       // workingInstance capacities
+	pruneCaps   []float64       // pruneOne's bubble-restricted capacities
+	flowBuf     []float64       // max-flow assignments (pruneOne, bestEffortRouting)
+	bubbleSeen  []bool          // findBubble visited set
+	bubbleWall  []bool          // findBubble barrier set
+	bubbleQueue []graph.NodeID  // findBubble BFS queue
+	pruneBuf    []demand.Pair   // pruneAll's per-round pair snapshot
+	repairBuf   []demand.Pair   // repairDirectLinks' pair snapshot
+	barrierBuf  []demand.Pair   // findBubble's active-pair snapshot
+	rankBuf     []demand.Pair   // computeCentrality's demands, read by the split step
+	splitBuf    []demand.Pair   // postSplitRoutable's post-split demands
+	workBuf     []demand.Pair   // workingInstance demands
+	potBuf      []demand.Pair   // potentialInstance demands
+	workInst    flow.Instance   // reused Instance for workingInstance
+	potInst     flow.Instance   // reused Instance for potentialInstance
+	hashBuf     []demand.Pair   // session memo-key demand snapshot
 
 	// sess is the warm cross-solve session (nil for a cold solve) and
 	// topoKey the topology digest folded into its memo keys.
@@ -97,43 +103,39 @@ type Stats struct {
 }
 
 func newState(s *scenario.Scenario, opts Options, sess *Session) *state {
+	n, m := s.Supply.NumNodes(), s.Supply.NumEdges()
 	st := &state{
 		scen:          s,
 		opts:          opts,
 		sess:          sess,
 		working:       demand.New(),
-		rootOf:        make(map[demand.PairID]demand.PairID),
-		residual:      make(map[graph.EdgeID]float64, s.Supply.NumEdges()),
-		brokenNodes:   make(map[graph.NodeID]bool, len(s.BrokenNodes)),
-		brokenEdges:   make(map[graph.EdgeID]bool, len(s.BrokenEdges)),
-		repairedNodes: make(map[graph.NodeID]bool),
-		repairedEdges: make(map[graph.EdgeID]bool),
+		residual:      make([]float64, m),
+		brokenNodes:   make([]bool, n),
+		brokenEdges:   make([]bool, m),
+		repairedNodes: make([]bool, n),
+		repairedEdges: make([]bool, m),
 		routing:       make(scenario.Routing),
 		tester:        flow.NewRoutabilityTester(),
 		splitSolver:   lp.NewSolver(),
-		capsBuf:       make(map[graph.EdgeID]float64, s.Supply.NumEdges()),
-		pruneCaps:     make(map[graph.EdgeID]float64, s.Supply.NumEdges()),
-		scaledBuf:     make(map[graph.EdgeID]float64),
-		bubbleSeen:    make(map[graph.NodeID]bool),
-		bubbleWall:    make(map[graph.NodeID]bool),
+		capsBuf:       make([]float64, m),
+		workCaps:      make([]float64, m),
+		pruneCaps:     make([]float64, m),
+		flowBuf:       make([]float64, m),
+		bubbleSeen:    make([]bool, n),
+		bubbleWall:    make([]bool, n),
 	}
-	for i := 0; i < s.Supply.NumEdges(); i++ {
-		id := graph.EdgeID(i)
-		st.residual[id] = s.Supply.Edge(id).Capacity
+	for i := range st.residual {
+		st.residual[i] = s.Supply.Edge(graph.EdgeID(i)).Capacity
 	}
 	for v, b := range s.BrokenNodes {
-		if b {
-			st.brokenNodes[v] = true
-		}
+		st.brokenNodes[v] = b
 	}
 	for e, b := range s.BrokenEdges {
-		if b {
-			st.brokenEdges[e] = true
-		}
+		st.brokenEdges[e] = b
 	}
 	for _, p := range s.Demand.Active() {
-		id := st.working.MustAdd(p.Source, p.Target, p.Flow)
-		st.rootOf[id] = p.ID
+		st.working.MustAdd(p.Source, p.Target, p.Flow)
+		st.rootOf = append(st.rootOf, p.ID)
 	}
 	return st
 }
@@ -142,8 +144,9 @@ func newState(s *scenario.Scenario, opts Options, sess *Session) *state {
 // for working or already-repaired nodes.
 func (st *state) repairNode(v graph.NodeID) {
 	if st.brokenNodes[v] {
-		delete(st.brokenNodes, v)
+		st.brokenNodes[v] = false
 		st.repairedNodes[v] = true
+		st.numRepaired++
 		st.stats.NodeRepairs++
 	}
 }
@@ -153,8 +156,9 @@ func (st *state) repairNode(v graph.NodeID) {
 // and the MinR constraint 1(c) forces delta_i >= delta_ij.
 func (st *state) repairEdge(e graph.EdgeID) {
 	if st.brokenEdges[e] {
-		delete(st.brokenEdges, e)
+		st.brokenEdges[e] = false
 		st.repairedEdges[e] = true
+		st.numRepaired++
 		st.stats.EdgeRepairs++
 	}
 	edge := st.scen.Supply.Edge(e)
@@ -163,17 +167,23 @@ func (st *state) repairEdge(e graph.EdgeID) {
 }
 
 // workingInstance returns the flow instance of the currently working network
-// G^(n): broken-and-not-repaired elements excluded, residual capacities, and
-// the active working demands. The returned instance (and its demand slice)
-// is pooled and invalidated by the next workingInstance call.
+// G^(n): residual capacities with broken-and-not-repaired elements zeroed
+// (unusable to every flow kernel), and the active working demands. The
+// returned instance (and its capacity and demand slices) is pooled and
+// invalidated by the next workingInstance call.
 func (st *state) workingInstance() *flow.Instance {
+	for i, c := range st.residual {
+		e := st.scen.Supply.Edge(graph.EdgeID(i))
+		if st.brokenEdges[i] || st.brokenNodes[e.From] || st.brokenNodes[e.To] {
+			c = 0
+		}
+		st.workCaps[i] = c
+	}
 	st.workBuf = st.working.ActiveInto(st.workBuf)
 	st.workInst = flow.Instance{
-		Graph:         st.scen.Supply,
-		Capacities:    st.residual,
-		ExcludedNodes: st.brokenNodes,
-		ExcludedEdges: st.brokenEdges,
-		Demands:       st.workBuf,
+		Graph:      st.scen.Supply,
+		Capacities: st.workCaps,
+		Demands:    st.workBuf,
 	}
 	return &st.workInst
 }
@@ -235,31 +245,35 @@ func (st *state) edgeUsableWorking(e graph.EdgeID) bool {
 	return st.residual[e] > epsilon
 }
 
-// addRouting accumulates signed edge flows for the original pair behind the
-// given working pair.
-func (st *state) addRouting(workingPair demand.PairID, flows map[graph.EdgeID]float64) {
-	root, ok := st.rootOf[workingPair]
-	if !ok {
-		root = workingPair
-	}
+// commitFlow routes the flow assignment, scaled by scale, for the original
+// pair behind a working pair and consumes the residual capacity it uses.
+// Scaled flows under the tolerance are dropped.
+func (st *state) commitFlow(workingPair demand.PairID, flows []float64, scale float64) {
+	root := st.rootOf[workingPair]
 	for eid, f := range flows {
-		if math.Abs(f) > epsilon {
-			st.routing.AddFlow(root, eid, f)
+		if f == 0 {
+			continue
+		}
+		v := f * scale
+		use := math.Abs(v)
+		if use <= epsilon {
+			continue
+		}
+		st.routing.AddFlow(root, graph.EdgeID(eid), v)
+		st.residual[eid] -= use
+		if st.residual[eid] < 0 {
+			st.residual[eid] = 0
 		}
 	}
 }
 
-// consumeCapacity reduces residual capacities by the absolute flow of the
-// given assignment.
-func (st *state) consumeCapacity(flows map[graph.EdgeID]float64) {
+// addRouting accumulates signed edge flows for the original pair behind the
+// given working pair.
+func (st *state) addRouting(workingPair demand.PairID, flows map[graph.EdgeID]float64) {
+	root := st.rootOf[workingPair]
 	for eid, f := range flows {
-		use := math.Abs(f)
-		if use <= epsilon {
-			continue
-		}
-		st.residual[eid] -= use
-		if st.residual[eid] < 0 {
-			st.residual[eid] = 0
+		if math.Abs(f) > epsilon {
+			st.routing.AddFlow(root, eid, f)
 		}
 	}
 }
@@ -283,6 +297,6 @@ func (st *state) addWorkingDemand(source, target graph.NodeID, flowAmount float6
 			return
 		}
 	}
-	id := st.working.MustAdd(source, target, flowAmount)
-	st.rootOf[id] = root
+	st.working.MustAdd(source, target, flowAmount)
+	st.rootOf = append(st.rootOf, root)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"netrecovery/internal/degrade"
+	"netrecovery/internal/flow"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/plancache"
@@ -449,23 +450,35 @@ func buildConsensus(spec Spec, evaluated []*unique, evaluatedSamples int, nodes 
 	weights := make([]int, n)
 	fullSatisfied := 0
 	totalDemand := spec.Scenario.Demand.TotalFlow()
+	// The consensus as dense sets, indexed by ID.
+	repairNodes := make([]bool, spec.Scenario.Supply.NumNodes())
+	for v := range nodes {
+		repairNodes[v] = true
+	}
+	repairEdges := make([]bool, spec.Scenario.Supply.NumEdges())
+	for e := range edges {
+		repairEdges[e] = true
+	}
+	ws := new(graph.Workspace)
 	for i, u := range evaluated {
 		// Only consensus elements broken in this sample are repaired (and
-		// paid for).
-		rn := make(map[graph.NodeID]bool)
-		for v := range nodes {
-			if u.scn.BrokenNodes[v] {
-				rn[v] = true
+		// paid for), summed in ID order like repairCostSorted.
+		cost := 0.0
+		for v, on := range repairNodes {
+			if on && u.scn.BrokenNodes[graph.NodeID(v)] {
+				cost += u.scn.Supply.Node(graph.NodeID(v)).RepairCost
 			}
 		}
-		re := make(map[graph.EdgeID]bool)
-		for e := range edges {
-			if u.scn.BrokenEdges[e] {
-				re[e] = true
+		for e, on := range repairEdges {
+			if on && u.scn.BrokenEdges[graph.EdgeID(e)] {
+				cost += u.scn.Supply.Edge(graph.EdgeID(e)).RepairCost
 			}
 		}
-		costs[i] = repairCostSorted(u.scn, rn, re)
-		satisfied := evaluateRepairs(u.scn, rn, re)
+		costs[i] = cost
+		// The greedy sequential router (shared with the progressive
+		// scheduler) gives a lower bound on the exactly-routable demand —
+		// sufficient, never optimistic.
+		satisfied := flow.SatisfiedAfterRepairs(u.scn, repairNodes, repairEdges, ws)
 		r := 1.0
 		if totalDemand > 0 {
 			r = satisfied / totalDemand

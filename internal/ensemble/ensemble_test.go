@@ -13,6 +13,7 @@ import (
 	"netrecovery/internal/demand"
 	"netrecovery/internal/disruption"
 	"netrecovery/internal/faultinject"
+	"netrecovery/internal/flow"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/plancache"
@@ -506,11 +507,11 @@ func orEmpty(ids []int) []int {
 
 func TestEvaluateRepairsRoutesThroughRepairedOnly(t *testing.T) {
 	s := tinyScenario(t)
-	none := evaluateRepairs(s, nil, nil)
+	none := flow.SatisfiedAfterRepairs(s, nil, nil, nil)
 	if none != 0 {
 		t.Errorf("broken unrepaired edge must block the flow, got %g", none)
 	}
-	all := evaluateRepairs(s, nil, map[graph.EdgeID]bool{0: true})
+	all := flow.SatisfiedAfterRepairs(s, nil, []bool{0: true}, nil)
 	if math.Abs(all-5) > 1e-9 {
 		t.Errorf("repairing edge 0 must restore the full demand, got %g", all)
 	}

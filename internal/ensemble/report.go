@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"netrecovery/internal/flow"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/scenario"
 )
@@ -214,54 +213,4 @@ func repairCostSorted(s *scenario.Scenario, nodes map[graph.NodeID]bool, edges m
 		cost += s.Supply.Edge(graph.EdgeID(e)).RepairCost
 	}
 	return cost
-}
-
-// evaluateRepairs measures the demand the given repair set restores on
-// sample scenario s, using the greedy constructive router (the progressive
-// scheduler's evaluator): per active demand pair, route min(maxflow, flow)
-// on the residual network formed by working plus repaired elements. It is a
-// lower bound on the exactly-routable demand — sufficient, never optimistic.
-func evaluateRepairs(s *scenario.Scenario, repairedNodes map[graph.NodeID]bool, repairedEdges map[graph.EdgeID]bool) float64 {
-	excludedNodes := make(map[graph.NodeID]bool)
-	for v, broken := range s.BrokenNodes {
-		if broken && !repairedNodes[v] {
-			excludedNodes[v] = true
-		}
-	}
-	excludedEdges := make(map[graph.EdgeID]bool)
-	for e, broken := range s.BrokenEdges {
-		if broken && !repairedEdges[e] {
-			excludedEdges[e] = true
-		}
-	}
-	in := &flow.Instance{
-		Graph:         s.Supply,
-		ExcludedNodes: excludedNodes,
-		ExcludedEdges: excludedEdges,
-	}
-	residual := make(map[graph.EdgeID]float64, s.Supply.NumEdges())
-	for i := 0; i < s.Supply.NumEdges(); i++ {
-		id := graph.EdgeID(i)
-		residual[id] = in.Capacity(id)
-	}
-	total := 0.0
-	for _, p := range s.Demand.Active() {
-		if excludedNodes[p.Source] || excludedNodes[p.Target] {
-			continue
-		}
-		value, assignment := s.Supply.MaxFlowWithAssignment(p.Source, p.Target, residual)
-		routed := math.Min(value, p.Flow)
-		if routed <= 1e-9 {
-			continue
-		}
-		scale := routed / value
-		for eid, f := range assignment {
-			residual[eid] -= math.Abs(f * scale)
-			if residual[eid] < 0 {
-				residual[eid] = 0
-			}
-		}
-		total += routed
-	}
-	return total
 }

@@ -2,8 +2,9 @@ package flow
 
 import (
 	"math"
-	"sort"
+	"slices"
 
+	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/scenario"
 )
@@ -20,21 +21,52 @@ import (
 // constructive test exists for instances whose LP would be too large for the
 // dense simplex substrate (very large topologies).
 func ConstructiveRouting(in *Instance) (scenario.Routing, bool) {
-	residual := usableCapacityMap(in)
-	routing := make(scenario.Routing)
+	res := constructiveResult(in.Graph, in.usableInto(nil), in.Demands, nil)
+	return res.Routing, res.Routable
+}
 
-	demands := in.ActiveDemands()
-	sort.Slice(demands, func(i, j int) bool {
-		if demands[i].Flow != demands[j].Flow {
-			return demands[i].Flow > demands[j].Flow
+// constructiveResult answers a routability test with the constructive
+// router on the usable capacities, which it consumes.
+func constructiveResult(g *graph.Graph, usable []float64, demands []demand.Pair, ws *graph.Workspace) Result {
+	routing := make(scenario.Routing)
+	if !routeConstructively(g, usable, demands, routing, ws) {
+		return Result{Routable: false, Exact: false}
+	}
+	return Result{Routable: true, Exact: false, Routing: routing}
+}
+
+// ConstructivelyRoutable reports whether ConstructiveRouting would succeed,
+// without recording the routing. ws supplies the max-flow scratch space and
+// may be nil.
+func ConstructivelyRoutable(in *Instance, ws *graph.Workspace) bool {
+	return routeConstructively(in.Graph, in.usableInto(nil), in.Demands, nil, ws)
+}
+
+// routeConstructively is the greedy router behind ConstructiveRouting. It
+// consumes residual (the usable capacity of every edge) and records each
+// demand's flow into routing when routing is non-nil.
+func routeConstructively(g *graph.Graph, residual []float64, demands []demand.Pair, routing scenario.Routing, ws *graph.Workspace) bool {
+	active := make([]demand.Pair, 0, len(demands))
+	for _, d := range demands {
+		if d.Flow > capacityEpsilon {
+			active = append(active, d)
 		}
-		return demands[i].ID < demands[j].ID
+	}
+	slices.SortFunc(active, func(a, b demand.Pair) int {
+		if a.Flow != b.Flow {
+			if a.Flow > b.Flow {
+				return -1
+			}
+			return 1
+		}
+		return int(a.ID - b.ID)
 	})
 
-	for _, d := range demands {
-		value, assignment := in.Graph.MaxFlowWithAssignment(d.Source, d.Target, residual)
+	flows := make([]float64, g.NumEdges())
+	for _, d := range active {
+		value := g.MaxFlowInto(d.Source, d.Target, residual, flows, ws)
 		if value+capacityEpsilon < d.Flow {
-			return nil, false
+			return false
 		}
 		// Scale the assignment down when the max flow exceeds the demand so
 		// that only the needed share of capacity is consumed. Scaling a
@@ -44,27 +76,30 @@ func ConstructiveRouting(in *Instance) (scenario.Routing, bool) {
 		if value > d.Flow {
 			scale = d.Flow / value
 		}
-		for eid, f := range assignment {
+		for eid, f := range flows {
 			used := f * scale
 			if math.Abs(used) <= capacityEpsilon {
 				continue
 			}
-			routing.AddFlow(d.ID, eid, used)
+			if routing != nil {
+				routing.AddFlow(d.ID, graph.EdgeID(eid), used)
+			}
 			residual[eid] -= math.Abs(used)
 			if residual[eid] < 0 {
 				residual[eid] = 0
 			}
 		}
 	}
-	return routing, true
+	return true
 }
 
 // RouteSingleDemand routes one demand on the usable residual capacities and
-// returns the per-edge signed flow and the amount actually routable (up to
-// the requested flow). It does not mutate the instance.
-func RouteSingleDemand(in *Instance, source, target graph.NodeID, flowWanted float64) (map[graph.EdgeID]float64, float64) {
-	residual := usableCapacityMap(in)
-	value, assignment := in.Graph.MaxFlowWithAssignment(source, target, residual)
+// returns the signed flow of every edge (indexed by EdgeID) and the amount
+// actually routable (up to the requested flow). It returns a nil flow when
+// nothing can be routed and does not mutate the instance.
+func RouteSingleDemand(in *Instance, source, target graph.NodeID, flowWanted float64) ([]float64, float64) {
+	flows := make([]float64, in.Graph.NumEdges())
+	value := in.Graph.MaxFlowInto(source, target, in.usableInto(nil), flows, nil)
 	routed := math.Min(value, flowWanted)
 	if routed <= capacityEpsilon {
 		return nil, 0
@@ -73,12 +108,60 @@ func RouteSingleDemand(in *Instance, source, target graph.NodeID, flowWanted flo
 	if value > routed {
 		scale = routed / value
 	}
-	out := make(map[graph.EdgeID]float64, len(assignment))
-	for eid, f := range assignment {
-		scaled := f * scale
-		if math.Abs(scaled) > capacityEpsilon {
-			out[eid] = scaled
+	for eid, f := range flows {
+		if scaled := f * scale; math.Abs(scaled) > capacityEpsilon {
+			flows[eid] = scaled
+		} else {
+			flows[eid] = 0
 		}
 	}
-	return out, routed
+	return flows, routed
 }
+
+// SatisfiedAfterRepairs measures the demand scenario s serves once the
+// given elements are repaired, with the greedy sequential router: per active
+// demand pair, in ID order, route min(max-flow, flow) on the capacity that
+// working plus repaired elements have left. It is a lower bound on the
+// exactly-routable demand — sufficient, never optimistic — and cheap enough
+// to evaluate stage by stage. repairedNodes and repairedEdges are indexed by
+// ID (a nil or short slice repairs nothing more); ws supplies the max-flow
+// scratch space and may be nil.
+func SatisfiedAfterRepairs(s *scenario.Scenario, repairedNodes, repairedEdges []bool, ws *graph.Workspace) float64 {
+	g := s.Supply
+	down := make([]bool, g.NumNodes())
+	for v, broken := range s.BrokenNodes {
+		down[v] = broken && !isSet(repairedNodes, int(v))
+	}
+	caps := make([]float64, g.NumEdges())
+	for i := range caps {
+		e := g.Edge(graph.EdgeID(i))
+		if (s.BrokenEdges[e.ID] && !isSet(repairedEdges, i)) || down[e.From] || down[e.To] {
+			continue
+		}
+		caps[i] = e.Capacity
+	}
+	flows := make([]float64, g.NumEdges())
+	total := 0.0
+	for _, p := range s.Demand.Active() {
+		value := g.MaxFlowInto(p.Source, p.Target, caps, flows, ws)
+		routed := math.Min(value, p.Flow)
+		if routed <= capacityEpsilon {
+			continue
+		}
+		scale := routed / value
+		for eid, f := range flows {
+			if f == 0 {
+				continue
+			}
+			caps[eid] -= math.Abs(f * scale)
+			if caps[eid] < 0 {
+				caps[eid] = 0
+			}
+		}
+		total += routed
+	}
+	return total
+}
+
+// isSet reports whether index i of a dense set is set.
+func isSet(set []bool, i int) bool { return i < len(set) && set[i] }

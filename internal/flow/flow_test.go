@@ -29,7 +29,7 @@ func TestInstanceCapacityAndExclusions(t *testing.T) {
 	g := diamond([4]float64{10, 10, 5, 5})
 	in := &Instance{
 		Graph:         g,
-		Capacities:    map[graph.EdgeID]float64{0: 3},
+		Capacities:    []float64{3, 10, 5, 5},
 		ExcludedNodes: map[graph.NodeID]bool{2: true},
 		ExcludedEdges: map[graph.EdgeID]bool{1: true},
 	}
@@ -178,7 +178,7 @@ func TestRouteSingleDemand(t *testing.T) {
 		t.Errorf("routed = %f, want 7", routed)
 	}
 	if len(flows) == 0 {
-		t.Error("expected non-empty flow map")
+		t.Error("expected a flow vector")
 	}
 	_, routed = RouteSingleDemand(in, 0, 3, 100)
 	if math.Abs(routed-15) > 1e-9 {

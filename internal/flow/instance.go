@@ -18,13 +18,20 @@ import (
 
 // Instance is a multi-commodity flow instance: a supply graph restricted to
 // its usable elements, per-edge residual capacities and a set of demands.
+//
+// The kernels behind every entry point run on a dense view: each call
+// resolves the instance once into the usable capacity of every edge (see
+// Capacity). An element with zero usable capacity is unusable to every
+// kernel, so a hot-path caller can express exclusions by zeroing Capacities
+// and leave the exclusion sets nil; the sets are the convenient form for
+// callers that think in broken elements.
 type Instance struct {
 	// Graph is the full supply graph (element attributes, adjacency).
 	Graph *graph.Graph
-	// Capacities overrides edge capacities (residual capacities); edges
-	// absent from the map use the capacity stored on the graph. A nil map
-	// uses stored capacities for every edge.
-	Capacities map[graph.EdgeID]float64
+	// Capacities holds the residual capacity of every edge, indexed by
+	// EdgeID (len NumEdges); negative entries count as zero. A nil slice
+	// uses the capacities stored on the graph.
+	Capacities []float64
 	// ExcludedNodes and ExcludedEdges are unusable elements (broken and not
 	// yet repaired). Edges incident to an excluded node are implicitly
 	// unusable as well.
@@ -45,34 +52,49 @@ func (in *Instance) Capacity(id graph.EdgeID) float64 {
 		return 0
 	}
 	if in.Capacities != nil {
-		if c, ok := in.Capacities[id]; ok {
-			if c < 0 {
-				return 0
-			}
+		if c := in.Capacities[id]; c >= 0 {
 			return c
 		}
+		return 0
 	}
 	return e.Capacity
 }
 
+// usableInto writes the usable capacity of every edge into buf, resized to
+// the edge count, and returns it: the dense view the kernels run on.
+func (in *Instance) usableInto(buf []float64) []float64 {
+	m := in.Graph.NumEdges()
+	if cap(buf) < m {
+		buf = make([]float64, m)
+	}
+	buf = buf[:m]
+	for i := range buf {
+		buf[i] = in.Capacity(graph.EdgeID(i))
+	}
+	return buf
+}
+
 // UsableEdges returns the IDs of edges with positive usable capacity.
 func (in *Instance) UsableEdges() []graph.EdgeID {
-	var out []graph.EdgeID
-	for i := 0; i < in.Graph.NumEdges(); i++ {
-		id := graph.EdgeID(i)
-		if in.Capacity(id) > capacityEpsilon {
-			out = append(out, id)
+	return usableEdges(in.usableInto(nil))
+}
+
+// usableEdges lists the edges whose usable capacity exceeds the tolerance.
+func usableEdges(usable []float64) []graph.EdgeID {
+	out := make([]graph.EdgeID, 0, numUsable(usable))
+	for i, c := range usable {
+		if c > capacityEpsilon {
+			out = append(out, graph.EdgeID(i))
 		}
 	}
 	return out
 }
 
-// NumUsableEdges returns the number of edges with positive usable capacity
-// without materialising the list.
-func (in *Instance) NumUsableEdges() int {
+// numUsable counts the edges whose usable capacity exceeds the tolerance.
+func numUsable(usable []float64) int {
 	n := 0
-	for i := 0; i < in.Graph.NumEdges(); i++ {
-		if in.Capacity(graph.EdgeID(i)) > capacityEpsilon {
+	for _, c := range usable {
+		if c > capacityEpsilon {
 			n++
 		}
 	}
@@ -191,22 +213,24 @@ type arcVar struct {
 	forward bool // true: From->To
 }
 
-// buildRoutabilityLP constructs the LP of system (2): capacity rows per
-// usable edge and conservation rows per (node, demand), with zero objective
-// unless a custom objective is installed by the caller afterwards.
+// buildRoutabilityLP constructs the LP of system (2) over the usable
+// capacities: capacity rows per usable edge and conservation rows per
+// (node, demand), with zero objective unless a custom objective is installed
+// by the caller afterwards. Nodes without usable edges get no conservation
+// row unless they are a demand endpoint.
 //
 // It returns the problem, the variable index map and the list of usable
 // edges (for result extraction).
-func buildRoutabilityLP(in *Instance) (*lp.Problem, map[arcVar]int, []graph.EdgeID) {
+func buildRoutabilityLP(in *Instance, usable []float64) (*lp.Problem, map[arcVar]int, []graph.EdgeID) {
 	prob := lp.New(lp.Minimize)
-	usable := in.UsableEdges()
-	vars := make(map[arcVar]int, 2*len(usable)*len(in.Demands))
+	edges := usableEdges(usable)
+	vars := make(map[arcVar]int, 2*len(edges)*len(in.Demands))
 
 	for pi := range in.Demands {
 		if in.Demands[pi].Flow <= capacityEpsilon {
 			continue
 		}
-		for _, eid := range usable {
+		for _, eid := range edges {
 			fwd := prob.AddVariable(0, fmt.Sprintf("f_%d_%d_fwd", pi, eid))
 			bwd := prob.AddVariable(0, fmt.Sprintf("f_%d_%d_bwd", pi, eid))
 			vars[arcVar{pair: pi, edge: eid, forward: true}] = fwd
@@ -215,7 +239,7 @@ func buildRoutabilityLP(in *Instance) (*lp.Problem, map[arcVar]int, []graph.Edge
 	}
 
 	// Capacity rows: sum over demands of both directions <= capacity.
-	for _, eid := range usable {
+	for _, eid := range edges {
 		var terms []lp.Term
 		for pi := range in.Demands {
 			if in.Demands[pi].Flow <= capacityEpsilon {
@@ -229,7 +253,7 @@ func buildRoutabilityLP(in *Instance) (*lp.Problem, map[arcVar]int, []graph.Edge
 		if len(terms) == 0 {
 			continue
 		}
-		_ = prob.AddConstraint(terms, lp.LessEq, in.Capacity(eid), fmt.Sprintf("cap_%d", eid))
+		_ = prob.AddConstraint(terms, lp.LessEq, usable[eid], fmt.Sprintf("cap_%d", eid))
 	}
 
 	// Conservation rows per (demand, node): outflow - inflow = b^h_i.
@@ -239,12 +263,9 @@ func buildRoutabilityLP(in *Instance) (*lp.Problem, map[arcVar]int, []graph.Edge
 		}
 		for v := 0; v < in.Graph.NumNodes(); v++ {
 			node := graph.NodeID(v)
-			if in.ExcludedNodes[node] && node != d.Source && node != d.Target {
-				continue
-			}
 			var terms []lp.Term
 			for _, eid := range in.Graph.AdjacentEdges(node) {
-				if in.Capacity(eid) <= capacityEpsilon {
+				if usable[eid] <= capacityEpsilon {
 					continue
 				}
 				e := in.Graph.Edge(eid)
@@ -276,18 +297,18 @@ func buildRoutabilityLP(in *Instance) (*lp.Problem, map[arcVar]int, []graph.Edge
 			_ = prob.AddConstraint(terms, lp.Equal, rhs, fmt.Sprintf("cons_%d_%d", pi, v))
 		}
 	}
-	return prob, vars, usable
+	return prob, vars, edges
 }
 
 // extractRouting converts an LP solution over arc variables into a
 // per-demand net edge routing.
-func extractRouting(in *Instance, sol lp.Solution, vars map[arcVar]int, usable []graph.EdgeID) scenario.Routing {
+func extractRouting(in *Instance, sol lp.Solution, vars map[arcVar]int, edges []graph.EdgeID) scenario.Routing {
 	routing := make(scenario.Routing)
 	for pi, d := range in.Demands {
 		if d.Flow <= capacityEpsilon {
 			continue
 		}
-		for _, eid := range usable {
+		for _, eid := range edges {
 			fwd := sol.Value(vars[arcVar{pair: pi, edge: eid, forward: true}])
 			bwd := sol.Value(vars[arcVar{pair: pi, edge: eid, forward: false}])
 			net := fwd - bwd

@@ -44,7 +44,8 @@ func MaxSplitUsing(solver *lp.Solver, in *Instance, split demand.Pair, via graph
 	}
 
 	prob := lp.New(lp.Maximize)
-	usable := in.UsableEdges()
+	caps := in.usableInto(nil)
+	usable := usableEdges(caps)
 	if len(usable) == 0 {
 		return 0, nil
 	}
@@ -112,21 +113,19 @@ func MaxSplitUsing(solver *lp.Solver, in *Instance, split demand.Pair, via graph
 				lp.Term{Var: arcVar(ci, eid, false), Coef: 1},
 			)
 		}
-		if err := prob.AddConstraint(terms, lp.LessEq, in.Capacity(eid), ""); err != nil {
+		if err := prob.AddConstraint(terms, lp.LessEq, caps[eid], ""); err != nil {
 			return 0, err
 		}
 	}
 
 	// Conservation rows: outflow - inflow - dxCoef*dx·sign(node) = baseFlow·sign(node).
+	// A node without usable edges gets no row unless it is an endpoint.
 	for ci, c := range commodities {
 		for v := 0; v < in.Graph.NumNodes(); v++ {
 			node := graph.NodeID(v)
-			if in.ExcludedNodes[node] && node != c.source && node != c.target {
-				continue
-			}
 			terms = terms[:0]
 			for _, eid := range in.Graph.AdjacentEdges(node) {
-				if in.Capacity(eid) <= capacityEpsilon {
+				if caps[eid] <= capacityEpsilon {
 					continue
 				}
 				e := in.Graph.Edge(eid)

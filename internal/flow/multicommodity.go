@@ -55,7 +55,7 @@ func MulticommodityRelaxation(s *scenario.Scenario) (*MCResult, error) {
 	}
 
 	// Primary solve: minimise sum over broken edges of k^e * (f_fwd + f_bwd).
-	prob, vars, usable := buildRoutabilityLP(in)
+	prob, vars, usable := buildRoutabilityLP(in, in.usableInto(nil))
 	applyBrokenEdgeObjective(s, in, prob, vars, usable, 1)
 	primary := prob.Solve()
 	if primary.Status != lp.StatusOptimal {
@@ -118,7 +118,7 @@ func brokenUseCost(s *scenario.Scenario, eid graph.EdgeID) float64 {
 // for the Worst plan. The repaired sets are the broken elements that carry
 // flow in the resulting solution.
 func mcSecondarySolve(s *scenario.Scenario, in *Instance, optCost float64, best bool) (*scenario.Plan, error) {
-	prob, vars, usable := buildRoutabilityLP(in)
+	prob, vars, usable := buildRoutabilityLP(in, in.usableInto(nil))
 
 	// Pin the primary objective value.
 	var pinTerms []lp.Term

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/lp"
 )
@@ -16,70 +17,59 @@ import (
 // not necessary.
 func CheckRoutability(in *Instance, opts Options) Result {
 	opts = opts.withDefaults()
-	if len(in.ActiveDemands()) == 0 {
+	active := in.ActiveDemands()
+	if len(active) == 0 {
 		return Result{Routable: true, Exact: true, Routing: nil}
 	}
 	if err := in.Validate(); err != nil {
 		return Result{Routable: false, Exact: true}
 	}
+	usable := in.usableInto(nil)
+	ws := new(graph.Workspace)
 
 	// Cheap necessary filter: every active demand's endpoints must be
 	// connected in the usable sub-graph with enough single-commodity max
 	// flow to cover the demand when considered in isolation.
-	if !passesSingleCommodityFilter(in) {
+	if !passesSingleCommodityFilter(in.Graph, usable, active, ws) {
 		return Result{Routable: false, Exact: true}
 	}
 
 	useExact := opts.Mode == ModeExact
 	if opts.Mode == ModeAuto {
-		numVars := 2 * in.NumUsableEdges() * len(in.ActiveDemands())
+		numVars := 2 * numUsable(usable) * len(active)
 		useExact = numVars <= opts.MaxLPVariables
 	}
 	if useExact {
-		return checkRoutabilityLP(in, opts)
+		return checkRoutabilityLP(in, usable, opts)
 	}
-	routing, ok := ConstructiveRouting(in)
-	return Result{Routable: ok, Exact: false, Routing: routing}
+	return constructiveResult(in.Graph, usable, in.Demands, ws)
 }
 
 // passesSingleCommodityFilter runs the per-demand max-flow necessary
-// condition: if any single demand cannot be routed alone, the joint problem
-// is certainly infeasible.
-func passesSingleCommodityFilter(in *Instance) bool {
-	caps := usableCapacityMap(in)
-	for _, d := range in.ActiveDemands() {
-		if in.ExcludedNodes[d.Source] || in.ExcludedNodes[d.Target] {
-			return false
-		}
-		maxFlow := in.Graph.MaxFlow(d.Source, d.Target, caps)
-		if maxFlow+capacityEpsilon < d.Flow {
+// condition on the usable capacities: if any single demand cannot be routed
+// alone, the joint problem is certainly infeasible. (Validate has already
+// rejected excluded endpoints.)
+func passesSingleCommodityFilter(g *graph.Graph, usable []float64, active []demand.Pair, ws *graph.Workspace) bool {
+	for _, d := range active {
+		if g.MaxFlow(d.Source, d.Target, usable, ws)+capacityEpsilon < d.Flow {
 			return false
 		}
 	}
 	return true
 }
 
-// usableCapacityMap materialises the usable capacity of every edge (0 for
-// excluded edges/endpoints) for use with graph.MaxFlow.
-func usableCapacityMap(in *Instance) map[graph.EdgeID]float64 {
-	caps := make(map[graph.EdgeID]float64, in.Graph.NumEdges())
-	for i := 0; i < in.Graph.NumEdges(); i++ {
-		id := graph.EdgeID(i)
-		caps[id] = in.Capacity(id)
-	}
-	return caps
-}
-
-// checkRoutabilityLP solves the exact feasibility LP of system (2).
-func checkRoutabilityLP(in *Instance, opts Options) Result {
-	prob, vars, usable := buildRoutabilityLP(in)
+// checkRoutabilityLP solves the exact feasibility LP of system (2) over the
+// usable capacities. usable is consumed: a constructive fallback routes on
+// it.
+func checkRoutabilityLP(in *Instance, usable []float64, opts Options) Result {
+	prob, vars, edges := buildRoutabilityLP(in, usable)
 	sol := prob.SolveWithOptions(lp.Options{Dense: opts.DenseLP})
 	switch sol.Status {
 	case lp.StatusOptimal:
 		return Result{
 			Routable: true,
 			Exact:    true,
-			Routing:  extractRouting(in, sol, vars, usable),
+			Routing:  extractRouting(in, sol, vars, edges),
 		}
 	case lp.StatusInfeasible:
 		return Result{Routable: false, Exact: true}
@@ -87,7 +77,6 @@ func checkRoutabilityLP(in *Instance, opts Options) Result {
 		// An iteration-limited solve proves nothing either way; answer with
 		// the sufficient (but inexact) constructive test instead of
 		// conflating the limit with infeasibility.
-		routing, ok := ConstructiveRouting(in)
-		return Result{Routable: ok, Exact: false, Routing: routing}
+		return constructiveResult(in.Graph, usable, in.Demands, nil)
 	}
 }

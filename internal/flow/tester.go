@@ -34,10 +34,11 @@ type RoutabilityTester struct {
 	numEdges  int
 	numNodes  int
 	endpoints []demand.Pair // endpoint layout of the current model (Flow ignored)
-	capUsable []float64     // scratch: usable capacity per edge for the current call
+	capUsable []float64     // usable capacity per edge for the current call
+	residual  []float64     // constructive fallback's consumable copy of capUsable
 
-	activeBuf  []demand.Pair
-	filterCaps map[graph.EdgeID]float64
+	activeBuf []demand.Pair
+	ws        graph.Workspace
 
 	// Stats counts tester activity for diagnostics and tests.
 	Stats TesterStats
@@ -89,18 +90,18 @@ func (t *RoutabilityTester) Check(in *Instance, opts Options) Result {
 	if err := in.Validate(); err != nil {
 		return Result{Routable: false, Exact: true}
 	}
-	if !t.passesFilter(in, active) {
+	t.capUsable = in.usableInto(t.capUsable)
+	if !passesSingleCommodityFilter(in.Graph, t.capUsable, active, &t.ws) {
 		return Result{Routable: false, Exact: true}
 	}
 	useExact := opts.Mode == ModeExact
 	if opts.Mode == ModeAuto {
-		numVars := 2 * in.NumUsableEdges() * len(active)
+		numVars := 2 * numUsable(t.capUsable) * len(active)
 		useExact = numVars <= opts.MaxLPVariables
 	}
 	if !useExact {
 		t.Stats.Constructive++
-		routing, ok := ConstructiveRouting(in)
-		return Result{Routable: ok, Exact: false, Routing: routing}
+		return t.constructive(in)
 	}
 	// The warm-startable model spans the FULL edge set (so its layout stays
 	// stable across repairs). On a large graph whose usable sub-network is
@@ -109,30 +110,21 @@ func (t *RoutabilityTester) Check(in *Instance, opts Options) Result {
 	// still exact, just without warm starts.
 	if fullVars := 2 * in.Graph.NumEdges() * len(active); fullVars > opts.MaxLPVariables {
 		t.Stats.OneShots++
-		return checkRoutabilityLP(in, opts)
+		return checkRoutabilityLP(in, t.consumable(), opts)
 	}
 	return t.checkExact(in, active, opts)
 }
 
-// passesFilter is passesSingleCommodityFilter with a pooled capacity map.
-func (t *RoutabilityTester) passesFilter(in *Instance, active []demand.Pair) bool {
-	if t.filterCaps == nil {
-		t.filterCaps = make(map[graph.EdgeID]float64, in.Graph.NumEdges())
-	}
-	clear(t.filterCaps)
-	for i := 0; i < in.Graph.NumEdges(); i++ {
-		id := graph.EdgeID(i)
-		t.filterCaps[id] = in.Capacity(id)
-	}
-	for _, d := range active {
-		if in.ExcludedNodes[d.Source] || in.ExcludedNodes[d.Target] {
-			return false
-		}
-		if in.Graph.MaxFlow(d.Source, d.Target, t.filterCaps)+capacityEpsilon < d.Flow {
-			return false
-		}
-	}
-	return true
+// consumable returns a copy of the call's usable capacities that a
+// constructive router may consume.
+func (t *RoutabilityTester) consumable() []float64 {
+	t.residual = append(t.residual[:0], t.capUsable...)
+	return t.residual
+}
+
+// constructive answers the call with the constructive router.
+func (t *RoutabilityTester) constructive(in *Instance) Result {
+	return constructiveResult(in.Graph, t.consumable(), in.Demands, &t.ws)
 }
 
 // sameLayout reports whether the cached model matches the instance's graph
@@ -209,26 +201,19 @@ func (t *RoutabilityTester) build(in *Instance, active []demand.Pair) {
 	t.prob = prob
 }
 
-// refresh installs the instance's capacities and demand flows into the
+// refresh installs the call's usable capacities and demand flows into the
 // cached model: capacity-row right-hand sides, arc bounds (unusable arcs are
 // fixed to zero) and conservation right-hand sides at the endpoints.
-func (t *RoutabilityTester) refresh(in *Instance, active []demand.Pair) {
-	if cap(t.capUsable) < t.numEdges {
-		t.capUsable = make([]float64, t.numEdges)
-	}
-	t.capUsable = t.capUsable[:t.numEdges]
+func (t *RoutabilityTester) refresh(active []demand.Pair) {
 	inf := math.Inf(1)
-	for e := 0; e < t.numEdges; e++ {
+	for e, c := range t.capUsable {
 		eid := graph.EdgeID(e)
-		c := in.Capacity(eid)
-		t.capUsable[e] = c
 		_ = t.prob.SetRHS(t.capRow(eid), c)
-		usable := c > capacityEpsilon
+		up := 0.0
+		if c > capacityEpsilon {
+			up = inf
+		}
 		for ci := range active {
-			up := 0.0
-			if usable {
-				up = inf
-			}
 			_ = t.prob.SetBounds(t.arcVar(ci, eid, true), 0, up)
 			_ = t.prob.SetBounds(t.arcVar(ci, eid, false), 0, up)
 		}
@@ -254,7 +239,7 @@ func (t *RoutabilityTester) checkExact(in *Instance, active []demand.Pair, opts 
 	if !t.sameLayout(in, active) {
 		t.build(in, active)
 	}
-	t.refresh(in, active)
+	t.refresh(active)
 	t.Stats.Calls++
 
 	lpOpts := lp.Options{Dense: opts.DenseLP}
@@ -277,8 +262,7 @@ func (t *RoutabilityTester) checkExact(in *Instance, active []demand.Pair, opts 
 		// conflating the limit with infeasibility.
 		t.basis = nil
 		t.Stats.Constructive++
-		routing, ok := ConstructiveRouting(in)
-		return Result{Routable: ok, Exact: false, Routing: routing}
+		return t.constructive(in)
 	}
 }
 

@@ -58,9 +58,9 @@ func TestRoutabilityTesterMatchesOneShot(t *testing.T) {
 
 	// Start with every edge at partial capacity and a broken core that
 	// shrinks over time, like ISP's repair list growing.
-	caps := make(map[graph.EdgeID]float64, g.NumEdges())
-	for i := 0; i < g.NumEdges(); i++ {
-		caps[graph.EdgeID(i)] = g.Edge(graph.EdgeID(i)).Capacity
+	caps := make([]float64, g.NumEdges())
+	for i := range caps {
+		caps[i] = g.Edge(graph.EdgeID(i)).Capacity
 	}
 	excludedEdges := make(map[graph.EdgeID]bool)
 	for i := 0; i < g.NumEdges(); i += 2 {

@@ -1,31 +1,30 @@
 package graph
 
+// Node sets in this file are dense: set[v] reports whether node v belongs to
+// U, and a short (or nil) slice leaves the remaining nodes outside.
+
+// inSet reports whether v belongs to the dense node set.
+func inSet(set []bool, v NodeID) bool { return int(v) < len(set) && set[v] }
+
 // SupplyCut returns delta_G(U): the IDs of the edges with exactly one
 // endpoint inside the node set U.
-func (g *Graph) SupplyCut(set map[NodeID]bool) []EdgeID {
+func (g *Graph) SupplyCut(set []bool) []EdgeID {
 	var cut []EdgeID
 	for _, e := range g.edges {
-		inFrom := set[e.From]
-		inTo := set[e.To]
-		if inFrom != inTo {
+		if inSet(set, e.From) != inSet(set, e.To) {
 			cut = append(cut, e.ID)
 		}
 	}
 	return cut
 }
 
-// CutCapacity returns the total capacity of the supply cut of U, honouring
-// optional capacity overrides (nil means use stored capacities).
-func (g *Graph) CutCapacity(set map[NodeID]bool, capOverride map[EdgeID]float64) float64 {
+// CutCapacity returns the total capacity of the supply cut of U under caps,
+// the per-edge capacity vector of MaxFlow (nil: stored capacities; negative
+// capacities count as zero).
+func (g *Graph) CutCapacity(set []bool, caps []float64) float64 {
 	total := 0.0
 	for _, eid := range g.SupplyCut(set) {
-		c := g.edges[eid].Capacity
-		if capOverride != nil {
-			if oc, ok := capOverride[eid]; ok {
-				c = oc
-			}
-		}
-		total += c
+		total += g.capacityOf(int(eid), caps)
 	}
 	return total
 }
@@ -40,12 +39,10 @@ type DemandPair struct {
 
 // DemandCut returns the total demand with exactly one endpoint inside U
 // (the delta_H(U) term of the surplus definition).
-func DemandCut(set map[NodeID]bool, demands []DemandPair) float64 {
+func DemandCut(set []bool, demands []DemandPair) float64 {
 	total := 0.0
 	for _, d := range demands {
-		inS := set[d.Source]
-		inT := set[d.Target]
-		if inS != inT {
+		if inSet(set, d.Source) != inSet(set, d.Target) {
 			total += d.Flow
 		}
 	}
@@ -56,22 +53,24 @@ func DemandCut(set map[NodeID]bool, demands []DemandPair) float64 {
 // quantity used in the termination proof of ISP (Theorem 4). A negative
 // surplus for any U certifies that the demand is not routable (cut
 // condition violated).
-func (g *Graph) Surplus(set map[NodeID]bool, demands []DemandPair, capOverride map[EdgeID]float64) float64 {
-	return g.CutCapacity(set, capOverride) - DemandCut(set, demands)
+func (g *Graph) Surplus(set []bool, demands []DemandPair, caps []float64) float64 {
+	return g.CutCapacity(set, caps) - DemandCut(set, demands)
 }
 
 // VertexSurplus returns the surplus of the singleton set {v}.
-func (g *Graph) VertexSurplus(v NodeID, demands []DemandPair, capOverride map[EdgeID]float64) float64 {
-	return g.Surplus(map[NodeID]bool{v: true}, demands, capOverride)
+func (g *Graph) VertexSurplus(v NodeID, demands []DemandPair, caps []float64) float64 {
+	set := make([]bool, g.NumNodes())
+	set[v] = true
+	return g.Surplus(set, demands, caps)
 }
 
 // CutConditionHolds checks the cut condition on all singleton vertex sets.
 // The cut condition over every subset is necessary for routability; checking
 // singletons is a cheap necessary filter used by tests and heuristics
 // (sufficiency requires the full routability LP in the flow package).
-func (g *Graph) CutConditionHolds(demands []DemandPair, capOverride map[EdgeID]float64) bool {
+func (g *Graph) CutConditionHolds(demands []DemandPair, caps []float64) bool {
 	for v := 0; v < g.NumNodes(); v++ {
-		if g.VertexSurplus(NodeID(v), demands, capOverride) < -flowEpsilon {
+		if g.VertexSurplus(NodeID(v), demands, caps) < -flowEpsilon {
 			return false
 		}
 	}

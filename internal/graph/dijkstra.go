@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
 )
 
@@ -52,18 +51,42 @@ type pqItem struct {
 	dist float64
 }
 
-type priorityQueue []pqItem
+// heapPush and heapPop maintain a binary min-heap of pqItems ordered by
+// dist. They follow container/heap's sift-up and sift-down exactly, so items
+// of equal distance leave the queue in the same order as with that package,
+// but without boxing every item in an interface.
+func heapPush(h []pqItem, it pqItem) []pqItem {
+	h = append(h, it)
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
+}
 
-func (pq priorityQueue) Len() int            { return len(pq) }
-func (pq priorityQueue) Less(i, j int) bool  { return pq[i].dist < pq[j].dist }
-func (pq priorityQueue) Swap(i, j int)       { pq[i], pq[j] = pq[j], pq[i] }
-func (pq *priorityQueue) Push(x interface{}) { *pq = append(*pq, x.(pqItem)) }
-func (pq *priorityQueue) Pop() interface{} {
-	old := *pq
-	n := len(old)
-	item := old[n-1]
-	*pq = old[:n-1]
-	return item
+func heapPop(h []pqItem) ([]pqItem, pqItem) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h[:n], h[n]
 }
 
 // ShortestPath returns the shortest path from s to t under the given length
@@ -71,7 +94,8 @@ func (pq *priorityQueue) Pop() interface{} {
 // unreachable, the returned path is empty and the length is +Inf. Lengths
 // must be non-negative; edges of infinite length are skipped.
 func (g *Graph) ShortestPath(s, t NodeID, length EdgeLength) (Path, float64) {
-	dist, prevEdge := g.dijkstra(s, length, t)
+	ws := new(Workspace)
+	dist, prevEdge := g.dijkstra(s, length, t, nil, ws)
 	if math.IsInf(dist[t], 1) {
 		return Path{}, math.Inf(1)
 	}
@@ -81,31 +105,35 @@ func (g *Graph) ShortestPath(s, t NodeID, length EdgeLength) (Path, float64) {
 // ShortestDistances returns the shortest-path distance from s to every node
 // under the given length metric. Unreachable nodes have distance +Inf.
 func (g *Graph) ShortestDistances(s NodeID, length EdgeLength) []float64 {
-	dist, _ := g.dijkstra(s, length, InvalidNode)
+	dist, _ := g.dijkstra(s, length, InvalidNode, nil, new(Workspace))
 	return dist
 }
 
 // dijkstra runs Dijkstra from s; if target is a valid node the search stops
-// early once the target is settled. It returns the distance array and, for
-// each node, the edge used to reach it on a shortest path.
-func (g *Graph) dijkstra(s NodeID, length EdgeLength, target NodeID) ([]float64, []EdgeID) {
+// early once the target is settled. Edges whose mask entry is at most the
+// kernel tolerance are skipped before the metric is consulted (a nil mask
+// skips none). It returns the distance array and, for each node, the edge
+// used to reach it on a shortest path; both alias ws.
+func (g *Graph) dijkstra(s NodeID, length EdgeLength, target NodeID, mask []float64, ws *Workspace) ([]float64, []EdgeID) {
 	n := g.NumNodes()
-	dist := make([]float64, n)
-	prevEdge := make([]EdgeID, n)
-	settled := make([]bool, n)
+	dist := grow(ws.dist, n)
+	prevEdge := grow(ws.prevEdge, n)
+	settled := grow(ws.settled, n)
+	ws.dist, ws.prevEdge, ws.settled = dist, prevEdge, settled
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prevEdge[i] = InvalidEdge
+		settled[i] = false
 	}
 	if !g.HasNode(s) {
 		return dist, prevEdge
 	}
 	dist[s] = 0
 
-	pq := &priorityQueue{{node: s, dist: 0}}
-	heap.Init(pq)
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(pqItem)
+	pq := append(ws.heap[:0], pqItem{node: s, dist: 0})
+	for len(pq) > 0 {
+		var item pqItem
+		pq, item = heapPop(pq)
 		u := item.node
 		if settled[u] {
 			continue
@@ -115,6 +143,9 @@ func (g *Graph) dijkstra(s NodeID, length EdgeLength, target NodeID) ([]float64,
 			break
 		}
 		for _, eid := range g.adj[u] {
+			if mask != nil && mask[eid] <= flowEpsilon {
+				continue
+			}
 			e := g.edges[eid]
 			w := length(e)
 			if math.IsInf(w, 1) {
@@ -127,42 +158,39 @@ func (g *Graph) dijkstra(s NodeID, length EdgeLength, target NodeID) ([]float64,
 			if nd := dist[u] + w; nd < dist[v] {
 				dist[v] = nd
 				prevEdge[v] = eid
-				heap.Push(pq, pqItem{node: v, dist: nd})
+				pq = heapPush(pq, pqItem{node: v, dist: nd})
 			}
 		}
 	}
+	ws.heap = pq
 	return dist, prevEdge
 }
 
-// reconstructPath rebuilds the s->t path from the predecessor-edge array.
+// reconstructPath rebuilds the s->t path from the predecessor-edge array,
+// measuring it first so the path is allocated once at its final size.
 func (g *Graph) reconstructPath(s, t NodeID, prevEdge []EdgeID) Path {
 	if s == t {
 		return Path{Nodes: []NodeID{s}}
 	}
-	var revEdges []EdgeID
-	var revNodes []NodeID
-	cur := t
-	for cur != s {
+	n := 0
+	for cur := t; cur != s; n++ {
 		eid := prevEdge[cur]
 		if eid == InvalidEdge {
 			return Path{}
 		}
-		revEdges = append(revEdges, eid)
-		revNodes = append(revNodes, cur)
 		cur = g.edges[eid].Other(cur)
 	}
-	revNodes = append(revNodes, s)
-
 	p := Path{
-		Edges: make([]EdgeID, len(revEdges)),
-		Nodes: make([]NodeID, len(revNodes)),
+		Edges: make([]EdgeID, n),
+		Nodes: make([]NodeID, n+1),
 	}
-	for i := range revEdges {
-		p.Edges[i] = revEdges[len(revEdges)-1-i]
+	cur := t
+	for i := n; i > 0; i-- {
+		p.Nodes[i] = cur
+		p.Edges[i-1] = prevEdge[cur]
+		cur = g.edges[prevEdge[cur]].Other(cur)
 	}
-	for i := range revNodes {
-		p.Nodes[i] = revNodes[len(revNodes)-1-i]
-	}
+	p.Nodes[0] = s
 	return p
 }
 

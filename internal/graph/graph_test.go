@@ -231,7 +231,7 @@ func TestMaxFlowSeriesParallel(t *testing.T) {
 	g.MustAddEdge(1, 3, 7, 0)
 	g.MustAddEdge(0, 2, 4, 0)
 	g.MustAddEdge(2, 3, 9, 0)
-	if flow := g.MaxFlow(0, 3, nil); math.Abs(flow-9) > 1e-9 {
+	if flow := g.MaxFlow(0, 3, nil, nil); math.Abs(flow-9) > 1e-9 {
 		t.Errorf("MaxFlow = %f, want 9", flow)
 	}
 }
@@ -244,7 +244,7 @@ func TestMaxFlowBottleneck(t *testing.T) {
 	}
 	g.MustAddEdge(0, 1, 10, 0)
 	g.MustAddEdge(1, 2, 3, 0)
-	if flow := g.MaxFlow(0, 2, nil); math.Abs(flow-3) > 1e-9 {
+	if flow := g.MaxFlow(0, 2, nil, nil); math.Abs(flow-3) > 1e-9 {
 		t.Errorf("MaxFlow = %f, want 3", flow)
 	}
 }
@@ -253,11 +253,11 @@ func TestMaxFlowWithOverride(t *testing.T) {
 	g := New(2, 1)
 	g.AddNode("", 0, 0, 0)
 	g.AddNode("", 0, 0, 0)
-	e := g.MustAddEdge(0, 1, 10, 0)
-	if flow := g.MaxFlow(0, 1, map[EdgeID]float64{e: 2.5}); math.Abs(flow-2.5) > 1e-9 {
+	g.MustAddEdge(0, 1, 10, 0)
+	if flow := g.MaxFlow(0, 1, []float64{2.5}, nil); math.Abs(flow-2.5) > 1e-9 {
 		t.Errorf("MaxFlow with override = %f, want 2.5", flow)
 	}
-	if flow := g.MaxFlow(0, 1, map[EdgeID]float64{e: 0}); flow != 0 {
+	if flow := g.MaxFlow(0, 1, []float64{0}, nil); flow != 0 {
 		t.Errorf("MaxFlow with zero override = %f, want 0", flow)
 	}
 }
@@ -272,11 +272,12 @@ func TestMaxFlowAssignmentConservation(t *testing.T) {
 	for _, uv := range edges {
 		g.MustAddEdge(uv[0], uv[1], 1+rng.Float64()*10, 0)
 	}
-	value, assignment := g.MaxFlowWithAssignment(0, 4, nil)
+	assignment := make([]float64, g.NumEdges())
+	value := g.MaxFlowInto(0, 4, nil, assignment, nil)
 	// Conservation at interior nodes; net out of source equals value.
 	net := make(map[NodeID]float64)
 	for eid, f := range assignment {
-		e := g.Edge(eid)
+		e := g.Edge(EdgeID(eid))
 		net[e.From] -= f
 		net[e.To] += f
 		if math.Abs(f) > e.Capacity+1e-9 {
@@ -382,7 +383,7 @@ func TestShortestPathSetCoversDemand(t *testing.T) {
 	g.MustAddEdge(0, 2, 5, 0)
 	g.MustAddEdge(2, 3, 5, 0)
 
-	paths, covered := g.ShortestPathSet(0, 3, 12, UnitLength, nil)
+	paths, covered := g.ShortestPathSet(0, 3, 12, UnitLength, nil, nil)
 	if len(paths) != 2 {
 		t.Fatalf("paths = %v, want 2", paths)
 	}
@@ -402,7 +403,7 @@ func TestShortestPathSetInsufficient(t *testing.T) {
 	g.AddNode("", 0, 0, 0)
 	g.AddNode("", 0, 0, 0)
 	g.MustAddEdge(0, 1, 3, 0)
-	paths, covered := g.ShortestPathSet(0, 1, 10, UnitLength, nil)
+	paths, covered := g.ShortestPathSet(0, 1, 10, UnitLength, nil, nil)
 	if len(paths) != 1 {
 		t.Fatalf("paths = %v, want 1", paths)
 	}
@@ -415,8 +416,8 @@ func TestShortestPathSetRespectsResidual(t *testing.T) {
 	g := New(2, 1)
 	g.AddNode("", 0, 0, 0)
 	g.AddNode("", 0, 0, 0)
-	e := g.MustAddEdge(0, 1, 10, 0)
-	paths, covered := g.ShortestPathSet(0, 1, 10, UnitLength, map[EdgeID]float64{e: 4})
+	g.MustAddEdge(0, 1, 10, 0)
+	paths, covered := g.ShortestPathSet(0, 1, 10, UnitLength, []float64{4}, nil)
 	if covered != 4 {
 		t.Errorf("covered = %f, want 4 (residual-limited)", covered)
 	}
@@ -434,7 +435,7 @@ func TestPathsThroughAndTotalCapacity(t *testing.T) {
 	g.MustAddEdge(1, 3, 10, 0)
 	g.MustAddEdge(0, 2, 5, 0)
 	g.MustAddEdge(2, 3, 5, 0)
-	paths, _ := g.ShortestPathSet(0, 3, 15, UnitLength, nil)
+	paths, _ := g.ShortestPathSet(0, 3, 15, UnitLength, nil, nil)
 	through1 := PathsThrough(paths, 1)
 	if len(through1) != 1 {
 		t.Fatalf("PathsThrough(1) = %v, want 1", through1)
@@ -477,7 +478,7 @@ func TestAllSimplePaths(t *testing.T) {
 func TestSurplusAndCuts(t *testing.T) {
 	g := buildTriangle(t)
 	demands := []DemandPair{{Source: 0, Target: 2, Flow: 15}}
-	set := map[NodeID]bool{0: true}
+	set := []bool{0: true}
 	// Cut of {0}: edges 0-1 (10) and 0-2 (30) => 40. Demand cut = 15.
 	if got := g.CutCapacity(set, nil); got != 40 {
 		t.Errorf("CutCapacity = %f, want 40", got)
@@ -580,13 +581,15 @@ func TestMaxFlowProperties(t *testing.T) {
 		}
 		s := NodeID(0)
 		tgt := NodeID(n - 1)
-		flow := g.MaxFlow(s, tgt, nil)
-		rev := g.MaxFlow(tgt, s, nil)
+		flow := g.MaxFlow(s, tgt, nil, nil)
+		rev := g.MaxFlow(tgt, s, nil, nil)
 		if math.Abs(flow-rev) > 1e-6 {
 			return false
 		}
-		cutS := g.CutCapacity(map[NodeID]bool{s: true}, nil)
-		cutT := g.CutCapacity(map[NodeID]bool{tgt: true}, nil)
+		sourceSide, sinkSide := make([]bool, n), make([]bool, n)
+		sourceSide[s], sinkSide[tgt] = true, true
+		cutS := g.CutCapacity(sourceSide, nil)
+		cutT := g.CutCapacity(sinkSide, nil)
 		return flow <= cutS+1e-6 && flow <= cutT+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -9,39 +9,31 @@ import (
 // cumulative capacity is sufficient to route the demand between s and t when
 // considered in isolation.
 //
-// Starting from a residual copy of the capacities (residual may be nil to use
-// the stored capacities), the procedure repeatedly finds the shortest s-t
-// path under the supplied length metric, records it with its residual
-// capacity, subtracts that capacity from the residual graph, and stops when
-// the accumulated capacity reaches demand or no further positive-capacity
-// path exists.
+// Starting from a private copy of the residual capacities (residual holds
+// one entry per edge indexed by EdgeID, or is nil to use the stored
+// capacities), the procedure repeatedly finds the shortest s-t path under
+// the supplied length metric, records it with its residual capacity,
+// subtracts that capacity from the copy, and stops when the accumulated
+// capacity reaches demand or no further positive-capacity path exists.
+// Saturated edges are skipped before the metric is consulted. ws supplies
+// scratch space and may be nil; the returned paths never alias it.
 //
 // The returned WeightedPath slice preserves discovery order (shortest first);
 // Covered is the total capacity accumulated, which may be less than demand if
 // the graph cannot carry it.
-func (g *Graph) ShortestPathSet(s, t NodeID, demand float64, length EdgeLength, residual map[EdgeID]float64) ([]WeightedPath, float64) {
+func (g *Graph) ShortestPathSet(s, t NodeID, demand float64, length EdgeLength, residual []float64, ws *Workspace) ([]WeightedPath, float64) {
 	if !g.HasNode(s) || !g.HasNode(t) || s == t || demand <= 0 {
 		return nil, 0
 	}
-	// Private residual copy so callers' maps are never mutated.
-	res := make(map[EdgeID]float64, g.NumEdges())
-	for i := 0; i < g.NumEdges(); i++ {
-		id := EdgeID(i)
-		c := g.edges[i].Capacity
+	ws = workspaceOrNew(ws)
+	// Private residual copy so callers' capacities are never mutated.
+	res := grow(ws.res, g.NumEdges())
+	ws.res = res
+	for i := range res {
+		res[i] = g.edges[i].Capacity
 		if residual != nil {
-			if rc, ok := residual[id]; ok {
-				c = rc
-			}
+			res[i] = residual[i]
 		}
-		res[id] = c
-	}
-
-	// Exclude saturated edges from the metric.
-	metric := func(e Edge) float64 {
-		if res[e.ID] <= flowEpsilon {
-			return math.Inf(1)
-		}
-		return length(e)
 	}
 
 	var paths []WeightedPath
@@ -52,8 +44,12 @@ func (g *Graph) ShortestPathSet(s, t NodeID, demand float64, length EdgeLength, 
 		if covered >= demand-flowEpsilon {
 			break
 		}
-		p, dist := g.ShortestPath(s, t, metric)
-		if p.Empty() || math.IsInf(dist, 1) {
+		dist, prevEdge := g.dijkstra(s, length, t, res, ws)
+		if math.IsInf(dist[t], 1) {
+			break
+		}
+		p := g.reconstructPath(s, t, prevEdge)
+		if p.Empty() {
 			break
 		}
 		pathCap := math.Inf(1)
@@ -66,7 +62,7 @@ func (g *Graph) ShortestPathSet(s, t NodeID, demand float64, length EdgeLength, 
 			break
 		}
 		use := pathCap
-		paths = append(paths, WeightedPath{Path: p, Capacity: use, Length: dist})
+		paths = append(paths, WeightedPath{Path: p, Capacity: use, Length: dist[t]})
 		for _, eid := range p.Edges {
 			res[eid] -= use
 		}

@@ -4,77 +4,104 @@ import (
 	"math"
 )
 
+// Workspace holds the scratch buffers of the max-flow and shortest-path
+// kernels, so that a caller running many of them on one graph (a solver
+// iterating on a scenario) allocates nothing per call. The zero value is
+// ready to use and grows to the graph on first use. A Workspace is not safe
+// for concurrent use, and a kernel's results that alias it (documented per
+// kernel) are invalidated by the next call with the same Workspace.
+type Workspace struct {
+	forward, backward []float64 // max-flow residual capacity per edge direction
+	prevEdge          []EdgeID
+	prevNode          []NodeID
+	queue             []NodeID
+	dist              []float64
+	settled           []bool
+	heap              []pqItem
+	res               []float64 // ShortestPathSet's private residual copy
+}
+
+// workspaceOrNew returns ws, or a fresh Workspace when ws is nil.
+func workspaceOrNew(ws *Workspace) *Workspace {
+	if ws == nil {
+		return new(Workspace)
+	}
+	return ws
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short. The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// capacityOf returns the capacity of edge i under caps (nil: the stored
+// capacity), with negative capacities read as zero.
+func (g *Graph) capacityOf(i int, caps []float64) float64 {
+	c := g.edges[i].Capacity
+	if caps != nil {
+		c = caps[i]
+	}
+	if c < 0 {
+		c = 0
+	}
+	return c
+}
+
 // MaxFlow computes the maximum flow between s and t on the undirected graph,
 // treating each undirected edge as a pair of anti-parallel directed arcs that
 // share the edge capacity (the standard undirected max-flow model). It uses
 // the Edmonds–Karp algorithm (BFS augmenting paths) and runs in
 // O(V * E^2) time, which is ample for the topology sizes of the paper.
 //
-// capOverride, when non-nil, supplies per-edge capacities that replace the
-// capacities stored on the graph (used by callers that maintain residual
-// capacities without mutating the shared graph). Edges absent from the map
-// use their stored capacity.
-func (g *Graph) MaxFlow(s, t NodeID, capOverride map[EdgeID]float64) float64 {
-	value, _ := g.MaxFlowWithAssignment(s, t, capOverride)
-	return value
+// caps, when non-nil, holds the capacity of every edge indexed by EdgeID
+// (len NumEdges), replacing the capacities stored on the graph: callers keep
+// residual capacities there without mutating the shared graph. Negative
+// capacities count as zero. ws supplies scratch space and may be nil.
+func (g *Graph) MaxFlow(s, t NodeID, caps []float64, ws *Workspace) float64 {
+	return g.MaxFlowInto(s, t, caps, nil, ws)
 }
 
-// FlowAssignment records, for each edge, the signed net flow pushed along it
-// by a max-flow computation. The sign is positive when flow travels from
-// Edge.From to Edge.To and negative otherwise.
-type FlowAssignment map[EdgeID]float64
-
-// MaxFlowWithAssignment is MaxFlow but additionally returns the per-edge net
-// flow assignment realising the maximum flow.
-func (g *Graph) MaxFlowWithAssignment(s, t NodeID, capOverride map[EdgeID]float64) (float64, FlowAssignment) {
-	assignment := make(FlowAssignment)
+// MaxFlowInto is MaxFlow that also writes the flow realising the maximum
+// into flow, when non-nil: flow[e] (len NumEdges) receives the signed net
+// flow pushed along edge e, positive from Edge.From to Edge.To, and zero for
+// edges carrying no flow (numerical noise under the kernel tolerance is
+// cleared).
+func (g *Graph) MaxFlowInto(s, t NodeID, caps, flow []float64, ws *Workspace) float64 {
+	clear(flow)
 	if !g.HasNode(s) || !g.HasNode(t) || s == t {
-		return 0, assignment
+		return 0
 	}
+	ws = workspaceOrNew(ws)
 
 	// Residual capacities per direction. forward[e] is residual capacity in
 	// the From->To direction, backward[e] in the To->From direction. For an
 	// undirected edge both start at the edge capacity, but the *total* net
 	// usage may not exceed the capacity; modelling each direction with full
 	// capacity plus flow cancellation yields exactly the undirected max-flow.
-	m := g.NumEdges()
-	forward := make([]float64, m)
-	backward := make([]float64, m)
-	for i := 0; i < m; i++ {
-		c := g.edges[i].Capacity
-		if capOverride != nil {
-			if oc, ok := capOverride[EdgeID(i)]; ok {
-				c = oc
-			}
-		}
-		if c < 0 {
-			c = 0
-		}
+	m, n := len(g.edges), len(g.nodes)
+	forward := grow(ws.forward, m)
+	backward := grow(ws.backward, m)
+	ws.forward, ws.backward = forward, backward
+	for i := range forward {
+		c := g.capacityOf(i, caps)
 		forward[i] = c
 		backward[i] = c
 	}
-
 	residual := func(eid EdgeID, from NodeID) float64 {
 		if g.edges[eid].From == from {
 			return forward[eid]
 		}
 		return backward[eid]
 	}
-	push := func(eid EdgeID, from NodeID, amount float64) {
-		if g.edges[eid].From == from {
-			forward[eid] -= amount
-			backward[eid] += amount
-			assignment[eid] += amount
-		} else {
-			backward[eid] -= amount
-			forward[eid] += amount
-			assignment[eid] -= amount
-		}
-	}
 
+	prevEdge := grow(ws.prevEdge, n)
+	prevNode := grow(ws.prevNode, n)
+	ws.prevEdge, ws.prevNode = prevEdge, prevNode
 	total := 0.0
-	prevEdge := make([]EdgeID, g.NumNodes())
-	prevNode := make([]NodeID, g.NumNodes())
 	for {
 		// BFS over residual arcs.
 		for i := range prevEdge {
@@ -82,11 +109,10 @@ func (g *Graph) MaxFlowWithAssignment(s, t NodeID, capOverride map[EdgeID]float6
 			prevNode[i] = InvalidNode
 		}
 		prevNode[s] = s
-		queue := []NodeID{s}
+		queue := append(ws.queue[:0], s)
 		found := false
-		for len(queue) > 0 && !found {
-			u := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue) && !found; head++ {
+			u := queue[head]
 			for _, eid := range g.adj[u] {
 				if residual(eid, u) <= flowEpsilon {
 					continue
@@ -104,6 +130,7 @@ func (g *Graph) MaxFlowWithAssignment(s, t NodeID, capOverride map[EdgeID]float6
 				queue = append(queue, v)
 			}
 		}
+		ws.queue = queue
 		if !found {
 			break
 		}
@@ -118,18 +145,31 @@ func (g *Graph) MaxFlowWithAssignment(s, t NodeID, capOverride map[EdgeID]float6
 			break
 		}
 		for v := t; v != s; v = prevNode[v] {
-			push(prevEdge[v], prevNode[v], bottleneck)
+			eid := prevEdge[v]
+			if g.edges[eid].From == prevNode[v] {
+				forward[eid] -= bottleneck
+				backward[eid] += bottleneck
+				if flow != nil {
+					flow[eid] += bottleneck
+				}
+			} else {
+				backward[eid] -= bottleneck
+				forward[eid] += bottleneck
+				if flow != nil {
+					flow[eid] -= bottleneck
+				}
+			}
 		}
 		total += bottleneck
 	}
 
 	// Clean tiny numerical noise from the assignment.
-	for eid, f := range assignment {
+	for i, f := range flow {
 		if math.Abs(f) <= flowEpsilon {
-			delete(assignment, eid)
+			flow[i] = 0
 		}
 	}
-	return total, assignment
+	return total
 }
 
 // flowEpsilon is the tolerance under which residual capacities and flows are

@@ -137,10 +137,13 @@ func (g *GreedyCommit) Solve(ctx context.Context, s *scenario.Scenario) (*scenar
 	for _, p := range s.Demand.Active() {
 		remaining[p.ID] = p.Flow
 	}
-	residual := make(map[graph.EdgeID]float64, s.Supply.NumEdges())
-	for i := 0; i < s.Supply.NumEdges(); i++ {
-		residual[graph.EdgeID(i)] = s.Supply.Edge(graph.EdgeID(i)).Capacity
+	residual := make([]float64, s.Supply.NumEdges())
+	for i := range residual {
+		residual[i] = s.Supply.Edge(graph.EdgeID(i)).Capacity
 	}
+	caps := make([]float64, len(residual))
+	flows := make([]float64, len(residual))
+	ws := new(graph.Workspace)
 
 	allSatisfied := func() bool {
 		for _, r := range remaining {
@@ -200,24 +203,13 @@ func (g *GreedyCommit) Solve(ctx context.Context, s *scenario.Scenario) (*scenar
 			if remaining[other.ID] <= 1e-9 {
 				continue
 			}
-			caps := usableResidual(s, plan, residual)
-			value, assignment := s.Supply.MaxFlowWithAssignment(other.Source, other.Target, caps)
+			usableResidual(s, plan, residual, caps)
+			value := s.Supply.MaxFlowInto(other.Source, other.Target, caps, flows, ws)
 			routed := math.Min(value, remaining[other.ID])
 			if routed <= 1e-9 {
 				continue
 			}
-			scale := routed / value
-			for eid, f := range assignment {
-				used := f * scale
-				if math.Abs(used) <= 1e-9 {
-					continue
-				}
-				plan.Routing.AddFlow(other.ID, eid, used)
-				residual[eid] -= math.Abs(used)
-				if residual[eid] < 0 {
-					residual[eid] = 0
-				}
-			}
+			commitScaled(plan.Routing, other.ID, flows, routed/value, residual)
 			remaining[other.ID] -= routed
 		}
 	}
@@ -231,18 +223,15 @@ func (g *GreedyCommit) Solve(ctx context.Context, s *scenario.Scenario) (*scenar
 	return plan, nil
 }
 
-// usableResidual restricts the residual capacities to edges usable with the
-// plan's current repairs.
-func usableResidual(s *scenario.Scenario, plan *scenario.Plan, residual map[graph.EdgeID]float64) map[graph.EdgeID]float64 {
-	caps := make(map[graph.EdgeID]float64, len(residual))
-	for eid, c := range residual {
-		if s.EdgeUsable(eid, plan.RepairedNodes, plan.RepairedEdges) {
-			caps[eid] = c
-		} else {
-			caps[eid] = 0
+// usableResidual writes into caps the residual capacities restricted to
+// edges usable with the plan's current repairs.
+func usableResidual(s *scenario.Scenario, plan *scenario.Plan, residual, caps []float64) {
+	for i, c := range residual {
+		caps[i] = 0
+		if s.EdgeUsable(graph.EdgeID(i), plan.RepairedNodes, plan.RepairedEdges) {
+			caps[i] = c
 		}
 	}
-	return caps
 }
 
 // Solve implements Solver (GRD-NC): repair paths in weight order without
@@ -259,23 +248,10 @@ func (g *GreedyNoCommit) Solve(ctx context.Context, s *scenario.Scenario) (*scen
 	candidates := enumerateCandidates(s, g.MaxPathsPerPair, g.MaxPathLength)
 
 	routable := func() (scenario.Routing, bool) {
-		excludedNodes := make(map[graph.NodeID]bool)
-		for v := range s.BrokenNodes {
-			if !plan.RepairedNodes[v] {
-				excludedNodes[v] = true
-			}
-		}
-		excludedEdges := make(map[graph.EdgeID]bool)
-		for e := range s.BrokenEdges {
-			if !plan.RepairedEdges[e] {
-				excludedEdges[e] = true
-			}
-		}
 		in := &flow.Instance{
-			Graph:         s.Supply,
-			ExcludedNodes: excludedNodes,
-			ExcludedEdges: excludedEdges,
-			Demands:       s.Demand.Active(),
+			Graph:      s.Supply,
+			Capacities: usableCapacities(s, plan),
+			Demands:    s.Demand.Active(),
 		}
 		res := flow.CheckRoutability(in, g.Routability)
 		return res.Routing, res.Routable

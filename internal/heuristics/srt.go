@@ -5,7 +5,7 @@ import (
 	"math"
 	"time"
 
-	"netrecovery/internal/flow"
+	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/scenario"
 )
@@ -57,11 +57,12 @@ func (SRT) Solve(ctx context.Context, s *scenario.Scenario) (*scenario.Plan, err
 
 	// Repair the shortest-path set S_i of each demand, in decreasing flow
 	// order, so that max flow over S_i covers d_i in isolation.
+	ws := new(graph.Workspace)
 	for _, p := range s.Demand.SortedByFlowDesc() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		paths, _ := s.Supply.ShortestPathSet(p.Source, p.Target, p.Flow, length, nil)
+		paths, _ := s.Supply.ShortestPathSet(p.Source, p.Target, p.Flow, length, nil, ws)
 		for _, wp := range paths {
 			for _, v := range wp.Path.Nodes {
 				if s.BrokenNodes[v] {
@@ -93,49 +94,48 @@ func (SRT) Solve(ctx context.Context, s *scenario.Scenario) (*scenario.Plan, err
 // Routing and SatisfiedDemand. It routes greedily demand by demand (largest
 // first), which matches how SRT and GRD-COM commit capacity.
 func fillRoutedDemand(s *scenario.Scenario, plan *scenario.Plan) {
-	excludedNodes := make(map[graph.NodeID]bool)
-	for v := range s.BrokenNodes {
-		if !plan.RepairedNodes[v] {
-			excludedNodes[v] = true
-		}
-	}
-	excludedEdges := make(map[graph.EdgeID]bool)
-	for e := range s.BrokenEdges {
-		if !plan.RepairedEdges[e] {
-			excludedEdges[e] = true
-		}
-	}
-	in := &flow.Instance{
-		Graph:         s.Supply,
-		ExcludedNodes: excludedNodes,
-		ExcludedEdges: excludedEdges,
-	}
-	residual := make(map[graph.EdgeID]float64, s.Supply.NumEdges())
-	for i := 0; i < s.Supply.NumEdges(); i++ {
-		id := graph.EdgeID(i)
-		residual[id] = in.Capacity(id)
-	}
-
+	residual := usableCapacities(s, plan)
+	flows := make([]float64, s.Supply.NumEdges())
+	ws := new(graph.Workspace)
 	satisfied := 0.0
 	for _, p := range s.Demand.SortedByFlowDesc() {
-		value, assignment := s.Supply.MaxFlowWithAssignment(p.Source, p.Target, residual)
+		value := s.Supply.MaxFlowInto(p.Source, p.Target, residual, flows, ws)
 		routed := math.Min(value, p.Flow)
 		if routed <= 1e-9 {
 			continue
 		}
-		scale := routed / value
-		for eid, f := range assignment {
-			used := f * scale
-			if math.Abs(used) <= 1e-9 {
-				continue
-			}
-			plan.Routing.AddFlow(p.ID, eid, used)
-			residual[eid] -= math.Abs(used)
-			if residual[eid] < 0 {
-				residual[eid] = 0
-			}
-		}
+		commitScaled(plan.Routing, p.ID, flows, routed/value, residual)
 		satisfied += routed
 	}
 	plan.SatisfiedDemand = satisfied
+}
+
+// commitScaled records the max-flow assignment flows, scaled by scale, as
+// pair's routing and consumes the capacity it uses from residual. Scaled
+// flows under the tolerance are dropped.
+func commitScaled(routing scenario.Routing, pair demand.PairID, flows []float64, scale float64, residual []float64) {
+	for eid, f := range flows {
+		used := f * scale
+		if math.Abs(used) <= 1e-9 {
+			continue
+		}
+		routing.AddFlow(pair, graph.EdgeID(eid), used)
+		residual[eid] -= math.Abs(used)
+		if residual[eid] < 0 {
+			residual[eid] = 0
+		}
+	}
+}
+
+// usableCapacities returns the stored capacity of every edge usable once
+// the plan's repairs are done, and 0 for every other edge: the dense form
+// of the repaired network that the flow kernels run on.
+func usableCapacities(s *scenario.Scenario, plan *scenario.Plan) []float64 {
+	caps := make([]float64, s.Supply.NumEdges())
+	for i := range caps {
+		if s.EdgeUsable(graph.EdgeID(i), plan.RepairedNodes, plan.RepairedEdges) {
+			caps[i] = s.Supply.Edge(graph.EdgeID(i)).Capacity
+		}
+	}
+	return caps
 }

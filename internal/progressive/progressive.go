@@ -100,8 +100,11 @@ func Build(s *scenario.Scenario, plan *scenario.Plan, opts Options) (*Schedule, 
 	}
 
 	totalDemand := s.Demand.TotalFlow()
-	repairedNodes := make(map[graph.NodeID]bool)
-	repairedEdges := make(map[graph.EdgeID]bool)
+	rs := &repairSet{
+		nodes: make([]bool, s.Supply.NumNodes()),
+		edges: make([]bool, s.Supply.NumEdges()),
+		ws:    new(graph.Workspace),
+	}
 	remaining := append([]Element(nil), elements...)
 
 	schedule := &Schedule{}
@@ -109,13 +112,13 @@ func Build(s *scenario.Scenario, plan *scenario.Plan, opts Options) (*Schedule, 
 		stage := Stage{Index: stageIdx}
 		budget := opts.StageBudget
 		for budget > 0 && len(remaining) > 0 {
-			pick := pickNext(s, remaining, repairedNodes, repairedEdges, budget)
+			pick := pickNext(s, remaining, rs, budget)
 			if pick < 0 {
 				break
 			}
 			el := remaining[pick]
 			cost := elementCost(s, el)
-			applyElement(el, repairedNodes, repairedEdges)
+			rs.set(el, true)
 			stage.Repairs = append(stage.Repairs, el)
 			stage.Cost += cost
 			budget -= cost
@@ -124,7 +127,7 @@ func Build(s *scenario.Scenario, plan *scenario.Plan, opts Options) (*Schedule, 
 		if len(stage.Repairs) == 0 {
 			break
 		}
-		stage.SatisfiedDemand = satisfiedWith(s, repairedNodes, repairedEdges)
+		stage.SatisfiedDemand = rs.satisfied(s)
 		if totalDemand > 0 {
 			stage.SatisfiedRatio = math.Min(1, stage.SatisfiedDemand/totalDemand)
 		} else {
@@ -170,20 +173,35 @@ func elementCost(s *scenario.Scenario, el Element) float64 {
 	return s.Supply.Edge(el.Edge).RepairCost
 }
 
-func applyElement(el Element, nodes map[graph.NodeID]bool, edges map[graph.EdgeID]bool) {
+// repairSet is the schedule's growing set of repaired elements, as dense
+// sets indexed by ID, with the max-flow scratch space of its evaluations.
+type repairSet struct {
+	nodes, edges []bool
+	ws           *graph.Workspace
+}
+
+// set marks el repaired (or, with on false, unrepaired again).
+func (rs *repairSet) set(el Element, on bool) {
 	if el.IsNode() {
-		nodes[el.Node] = true
+		rs.nodes[el.Node] = on
 		return
 	}
-	edges[el.Edge] = true
+	rs.edges[el.Edge] = on
+}
+
+// satisfied measures the demand routable on the network formed by the
+// working elements plus the repairs, using the greedy sequential router
+// (cheap, and exact enough for stage-by-stage accounting).
+func (rs *repairSet) satisfied(s *scenario.Scenario) float64 {
+	return flow.SatisfiedAfterRepairs(s, rs.nodes, rs.edges, rs.ws)
 }
 
 // pickNext selects the affordable element with the best marginal
 // demand-per-cost gain; ties (including the common all-zero-gain case early
 // in the schedule) are broken in favour of the element that joins the
 // largest already-working neighbourhood, then by list order.
-func pickNext(s *scenario.Scenario, remaining []Element, repairedNodes map[graph.NodeID]bool, repairedEdges map[graph.EdgeID]bool, budget float64) int {
-	base := satisfiedWith(s, repairedNodes, repairedEdges)
+func pickNext(s *scenario.Scenario, remaining []Element, rs *repairSet, budget float64) int {
+	base := rs.satisfied(s)
 	bestIdx := -1
 	bestGain := -1.0
 	bestTie := -1.0
@@ -193,18 +211,10 @@ func pickNext(s *scenario.Scenario, remaining []Element, repairedNodes map[graph
 			continue
 		}
 		// Tentatively apply.
-		if el.IsNode() {
-			repairedNodes[el.Node] = true
-		} else {
-			repairedEdges[el.Edge] = true
-		}
-		gain := (satisfiedWith(s, repairedNodes, repairedEdges) - base) / math.Max(cost, 1e-9)
-		tie := connectivityTie(s, el, repairedNodes, repairedEdges)
-		if el.IsNode() {
-			delete(repairedNodes, el.Node)
-		} else {
-			delete(repairedEdges, el.Edge)
-		}
+		rs.set(el, true)
+		gain := (rs.satisfied(s) - base) / math.Max(cost, 1e-9)
+		tie := connectivityTie(s, el, rs)
+		rs.set(el, false)
 		if gain > bestGain+1e-9 || (math.Abs(gain-bestGain) <= 1e-9 && tie > bestTie) {
 			bestIdx = i
 			bestGain = gain
@@ -216,13 +226,13 @@ func pickNext(s *scenario.Scenario, remaining []Element, repairedNodes map[graph
 
 // connectivityTie scores how much an element extends the currently usable
 // network: the number of its incident elements that are already usable.
-func connectivityTie(s *scenario.Scenario, el Element, repairedNodes map[graph.NodeID]bool, repairedEdges map[graph.EdgeID]bool) float64 {
-	usableNode := func(v graph.NodeID) bool { return !s.BrokenNodes[v] || repairedNodes[v] }
+func connectivityTie(s *scenario.Scenario, el Element, rs *repairSet) float64 {
+	usableNode := func(v graph.NodeID) bool { return !s.BrokenNodes[v] || rs.nodes[v] }
 	if el.IsNode() {
 		score := 0.0
-		for _, eid := range s.Supply.IncidentEdges(el.Node) {
+		for _, eid := range s.Supply.AdjacentEdges(el.Node) {
 			e := s.Supply.Edge(eid)
-			if (!s.BrokenEdges[eid] || repairedEdges[eid]) && usableNode(e.Other(el.Node)) {
+			if (!s.BrokenEdges[eid] || rs.edges[eid]) && usableNode(e.Other(el.Node)) {
 				score++
 			}
 		}
@@ -237,52 +247,4 @@ func connectivityTie(s *scenario.Scenario, el Element, repairedNodes map[graph.N
 		score++
 	}
 	return score
-}
-
-// satisfiedWith measures the demand routable on the network formed by the
-// working elements plus the given repairs, using the constructive router
-// (cheap, and exact enough for stage-by-stage accounting).
-func satisfiedWith(s *scenario.Scenario, repairedNodes map[graph.NodeID]bool, repairedEdges map[graph.EdgeID]bool) float64 {
-	excludedNodes := make(map[graph.NodeID]bool)
-	for v := range s.BrokenNodes {
-		if !repairedNodes[v] {
-			excludedNodes[v] = true
-		}
-	}
-	excludedEdges := make(map[graph.EdgeID]bool)
-	for e := range s.BrokenEdges {
-		if !repairedEdges[e] {
-			excludedEdges[e] = true
-		}
-	}
-	in := &flow.Instance{
-		Graph:         s.Supply,
-		ExcludedNodes: excludedNodes,
-		ExcludedEdges: excludedEdges,
-	}
-	residual := make(map[graph.EdgeID]float64, s.Supply.NumEdges())
-	for i := 0; i < s.Supply.NumEdges(); i++ {
-		id := graph.EdgeID(i)
-		residual[id] = in.Capacity(id)
-	}
-	total := 0.0
-	for _, p := range s.Demand.Active() {
-		if excludedNodes[p.Source] || excludedNodes[p.Target] {
-			continue
-		}
-		value, assignment := s.Supply.MaxFlowWithAssignment(p.Source, p.Target, residual)
-		routed := math.Min(value, p.Flow)
-		if routed <= 1e-9 {
-			continue
-		}
-		scale := routed / value
-		for eid, f := range assignment {
-			residual[eid] -= math.Abs(f * scale)
-			if residual[eid] < 0 {
-				residual[eid] = 0
-			}
-		}
-		total += routed
-	}
-	return total
 }

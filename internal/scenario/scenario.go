@@ -132,7 +132,7 @@ func (s *Scenario) EdgeUsable(e graph.EdgeID, repairedNodes map[graph.NodeID]boo
 }
 
 // Routing maps each demand pair to the net flow it places on every edge.
-// The sign convention matches graph.FlowAssignment: positive along
+// The sign convention matches graph.MaxFlowInto's flows: positive along
 // Edge.From -> Edge.To.
 type Routing map[demand.PairID]map[graph.EdgeID]float64
 

@@ -499,26 +499,9 @@ func TestDegradedResponseByteDeterminism(t *testing.T) {
 	}
 
 	// Pin the annotation bytes themselves (fake clock => elapsed_ms 0).
-	want := `"degradation": {
-    "level": "fallback",
-    "served_by": "fallback_isp",
-    "deadline_ms": 250,
-    "stages": [
-      {
-        "stage": "primary",
-        "outcome": "error",
-        "attempts": 1,
-        "elapsed_ms": 0,
-        "error": "flaky: induced failure"
-      },
-      {
-        "stage": "fallback_isp",
-        "outcome": "served",
-        "attempts": 1,
-        "elapsed_ms": 0
-      }
-    ]
-  }`
+	want := `"degradation":{"level":"fallback","served_by":"fallback_isp","deadline_ms":250,` +
+		`"stages":[{"stage":"primary","outcome":"error","attempts":1,"elapsed_ms":0,"error":"flaky: induced failure"},` +
+		`{"stage":"fallback_isp","outcome":"served","attempts":1,"elapsed_ms":0}]}`
 	if !strings.Contains(string(first), want) {
 		t.Fatalf("degradation block drifted; response:\n%s", first)
 	}

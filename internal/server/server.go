@@ -907,13 +907,13 @@ func decodeJSON(r *http.Request, v any) *httpError {
 	return nil
 }
 
-// writeJSON writes a JSON response.
+// writeJSON writes a compact JSON response: the wire carries no
+// indentation (human-facing outputs such as nrecover -json and
+// /debug/traces keep theirs).
 func (srv *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError writes the JSON error envelope and counts the failure. Shed
