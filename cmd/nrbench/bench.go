@@ -415,14 +415,6 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 			report.Benchmarks[i].NsPerOp = again.NsPerOp
 		}
 	}
-
-	// The serving-path rows (in-process fleet, HTTP end to end) ride the
-	// same trajectory file and regression gate as the micro rows.
-	serveRows, err := runServeRows(ctx)
-	if err != nil {
-		return report, err
-	}
-	report.Benchmarks = append(report.Benchmarks, serveRows...)
 	return report, nil
 }
 

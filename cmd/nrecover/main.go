@@ -227,7 +227,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("produced plan failed verification: %w", err)
 	}
 	if *jsonOut {
-		return printPlanJSON(stdout, s, plan, *stages, degradationJSON(deg, *deadline))
+		return printPlanJSON(stdout, s, plan, *stages, wire.FromDegradation(deg, *deadline))
 	}
 	printPlan(stdout, s, plan)
 	printDegradation(stdout, deg, *deadline)
@@ -264,34 +264,6 @@ func solveWithDeadline(ctx context.Context, s *scenario.Scenario, solver heurist
 		})
 	}
 	return degrade.Execute(ctx, stages, degrade.Options{Deadline: deadline})
-}
-
-// degradationJSON converts a chain result into the wire annotation the
-// nrserved daemon attaches to degraded responses (nil when the chain did
-// not run).
-func degradationJSON(deg *degrade.Result, deadline time.Duration) *wire.Degradation {
-	if deg == nil {
-		return nil
-	}
-	d := &wire.Degradation{
-		Level:      deg.Level.String(),
-		ServedBy:   deg.ServedBy,
-		DeadlineMS: deadline.Milliseconds(),
-		Retries:    deg.Retries,
-	}
-	for _, st := range deg.Stages {
-		ts := wire.StageTiming{
-			Stage:     st.Name,
-			Outcome:   st.Outcome,
-			Attempts:  st.Attempts,
-			ElapsedMS: st.Elapsed.Milliseconds(),
-		}
-		if st.Err != nil {
-			ts.Error = st.Err.Error()
-		}
-		d.Stages = append(d.Stages, ts)
-	}
-	return d
 }
 
 // printDegradation summarises the fallback chain after the plan (text mode).

@@ -226,6 +226,37 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 }
 
+// TestRunDeadlineJSON: with -deadline, -json wraps the plan as
+// {plan, degradation} like a degraded daemon response; a healthy primary
+// stage serves it at level "none".
+func TestRunDeadlineJSON(t *testing.T) {
+	args := []string{"-pairs", "2", "-flow", "8", "-variance", "30", "-seed", "4", "-deadline", "30s", "-json"}
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	var resp struct {
+		Plan        wire.Plan         `json:"plan"`
+		Degradation *wire.Degradation `json:"degradation"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &resp); err != nil {
+		t.Fatalf("output is not {plan, degradation}: %v\n%s", err, out.String())
+	}
+	if resp.Plan.Algorithm != "ISP" {
+		t.Errorf("algorithm = %q", resp.Plan.Algorithm)
+	}
+	deg := resp.Degradation
+	if deg == nil {
+		t.Fatalf("no degradation block:\n%s", out.String())
+	}
+	if deg.Level != "none" || deg.ServedBy != "primary" || deg.DeadlineMS != 30000 {
+		t.Errorf("degradation = %+v, want level none, served_by primary, deadline_ms 30000", deg)
+	}
+	if len(deg.Stages) != 1 || deg.Stages[0].Stage != "primary" || deg.Stages[0].Outcome != "served" {
+		t.Errorf("stages = %+v, want one served primary stage", deg.Stages)
+	}
+}
+
 func TestRunJSONRejectsCompare(t *testing.T) {
 	if err := run([]string{"-json", "-compare"}, io.Discard); err == nil {
 		t.Fatal("-json -compare accepted")

@@ -176,7 +176,6 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 		SessionTTL:      *sessionTTL,
 		MaxSessions:     *maxSessions,
 		Tracer:          tracer,
-		Logger:          logger,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -355,29 +355,6 @@ func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *s
 		srv.degradedStale.Add(1)
 	}
 	out.plan = res.Plan
-	out.degradation = degradationWire(res, deadline)
+	out.degradation = wire.FromDegradation(res, deadline)
 	return out, nil
-}
-
-// degradationWire converts a chain result into its wire annotation.
-func degradationWire(res *degrade.Result, deadline time.Duration) *wire.Degradation {
-	d := &wire.Degradation{
-		Level:      res.Level.String(),
-		ServedBy:   res.ServedBy,
-		DeadlineMS: deadline.Milliseconds(),
-		Retries:    res.Retries,
-	}
-	for _, st := range res.Stages {
-		ts := wire.StageTiming{
-			Stage:     st.Name,
-			Outcome:   st.Outcome,
-			Attempts:  st.Attempts,
-			ElapsedMS: st.Elapsed.Milliseconds(),
-		}
-		if st.Err != nil {
-			ts.Error = st.Err.Error()
-		}
-		d.Stages = append(d.Stages, ts)
-	}
-	return d
 }

@@ -118,8 +118,6 @@ type Config struct {
 	// solver execution, and a /debug/traces surface on the handler. A nil
 	// or disabled tracer costs one atomic load per span site.
 	Tracer *obs.Tracer
-	// Logger, when non-nil, receives the server's structured log events.
-	Logger *obs.Logger
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
 }

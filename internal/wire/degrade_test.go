@@ -3,7 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
 	"testing"
+	"time"
+
+	"netrecovery/internal/degrade"
 )
 
 func testDegradation() *Degradation {
@@ -32,6 +37,27 @@ func TestDegradationGolden(t *testing.T) {
 		`{"stage":"fallback_isp","outcome":"served","attempts":2,"elapsed_ms":12}]}`
 	if string(raw) != want {
 		t.Fatalf("degradation encoding drifted:\n got %s\nwant %s", raw, want)
+	}
+}
+
+// TestFromDegradation: a chain result renders as the pinned annotation
+// (durations truncated to whole milliseconds, errors as strings), and a
+// chain that never ran renders as nil.
+func TestFromDegradation(t *testing.T) {
+	res := &degrade.Result{
+		Level:    degrade.LevelFallback,
+		ServedBy: "fallback_isp",
+		Retries:  1,
+		Stages: []degrade.StageResult{
+			{Name: "primary", Outcome: "timeout", Attempts: 1, Elapsed: 150*time.Millisecond + 900*time.Microsecond, Err: errors.New("context deadline exceeded")},
+			{Name: "fallback_isp", Outcome: "served", Attempts: 2, Elapsed: 12 * time.Millisecond},
+		},
+	}
+	if got := FromDegradation(res, 250*time.Millisecond); !reflect.DeepEqual(got, testDegradation()) {
+		t.Fatalf("FromDegradation = %+v, want %+v", got, testDegradation())
+	}
+	if got := FromDegradation(nil, time.Second); got != nil {
+		t.Fatalf("FromDegradation(nil) = %+v, want nil", got)
 	}
 }
 

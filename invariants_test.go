@@ -1,6 +1,7 @@
 package netrecovery
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -34,6 +35,11 @@ func invariantNetwork(t *testing.T, topology string, seed int64) *Network {
 	return net
 }
 
+// planWith solves a snapshot of net with a Planner built from opts.
+func planWith(net *Network, opts ...PlannerOption) (*Plan, error) {
+	return NewPlanner(opts...).Plan(context.Background(), net.Snapshot())
+}
+
 // TestCrossAlgorithmInvariants runs every registered algorithm across three
 // topologies and three seeds and checks the properties every plan must
 // satisfy:
@@ -50,7 +56,7 @@ func TestCrossAlgorithmInvariants(t *testing.T) {
 	topologies := []string{"bell-canada", "grid", "erdos-renyi"}
 	seeds := []int64{1, 2, 3}
 	lossFree := map[Algorithm]bool{ISP: true, OPT: true, All: true}
-	opts := RecoverOptions{OPTTimeLimit: 10 * time.Second, OPTMaxNodes: 300}
+	budget := WithOPTBudget(10*time.Second, 300)
 
 	if len(Algorithms()) < 6 {
 		t.Fatalf("Algorithms() = %v, want the six registered solvers", Algorithms())
@@ -58,7 +64,7 @@ func TestCrossAlgorithmInvariants(t *testing.T) {
 	for _, topology := range topologies {
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed%d", topology, seed), func(t *testing.T) {
-				allPlan, err := invariantNetwork(t, topology, seed).RecoverWithOptions(All, opts)
+				allPlan, err := planWith(invariantNetwork(t, topology, seed), WithAlgorithm(All), budget)
 				if err != nil {
 					t.Fatalf("ALL: %v", err)
 				}
@@ -68,7 +74,7 @@ func TestCrossAlgorithmInvariants(t *testing.T) {
 				for _, alg := range Algorithms() {
 					// Rebuild the network per algorithm: plans hold a
 					// reference to the scenario they were solved on.
-					plan, err := invariantNetwork(t, topology, seed).RecoverWithOptions(alg, opts)
+					plan, err := planWith(invariantNetwork(t, topology, seed), WithAlgorithm(alg), budget)
 					if err != nil {
 						t.Fatalf("%s: %v", alg, err)
 					}
@@ -105,7 +111,7 @@ func TestRepairedIDsSorted(t *testing.T) {
 	for _, e := range []int{13, 1, 8, 4, 19} {
 		net.BreakLink(e)
 	}
-	plan, err := net.Recover(All)
+	plan, err := planWith(net, WithAlgorithm(All))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,20 +36,18 @@
 // cmd/nrserved HTTP daemon, which serves plans over a coalescing
 // content-addressed cache.
 //
-// # API stability and deprecation policy
+// # API stability
 //
-// The Scenario / Planner surface is the stable API. Older entry points
-// (Recover, RecoverWithOptions, RecoverContext, Plan.ScheduleProgressively)
-// remain as thin shims over the Planner, are marked Deprecated, produce
-// identical plans, and will not be removed before a v2; new code should not
-// use them.
+// The Scenario / Planner surface is the stable API. The v1 entry points
+// that predate it (Recover, RecoverWithOptions, RecoverContext,
+// Plan.ScheduleProgressively and the zero-coordinate epicentre) were
+// removed in v2; the README maps each one to its Planner form.
 //
 // The heavy lifting lives in the internal packages; this package only wires
 // them together behind a stable API.
 package netrecovery
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -255,8 +253,7 @@ func (n *Network) TotalDemand() float64 {
 }
 
 // Epicenter pins the centre of a geographic disruption to explicit
-// coordinates — including the origin (0, 0), which the legacy
-// EpicenterX/EpicenterY fields cannot express.
+// coordinates, the origin (0, 0) included.
 type Epicenter struct {
 	X, Y float64
 }
@@ -267,15 +264,8 @@ type DisruptionConfig struct {
 	// wider destruction). Required.
 	Variance float64
 	// Epicenter, when non-nil, pins the epicentre to explicit coordinates;
-	// nil means the network barycentre (the paper's setting). Unlike the
-	// legacy EpicenterX/Y fields it can express an epicentre at the origin.
+	// nil means the network barycentre (the paper's setting).
 	Epicenter *Epicenter
-	// EpicenterX/Y override the epicentre when Epicenter is nil; when both
-	// are zero the network barycentre is used, which makes a real epicentre
-	// at (0, 0) unexpressible.
-	//
-	// Deprecated: set Epicenter instead.
-	EpicenterX, EpicenterY float64
 	// PeakProbability is the failure probability at the epicentre (default 1).
 	PeakProbability float64
 	// Seed drives the random draws.
@@ -289,13 +279,10 @@ func (n *Network) ApplyGeographicDisruption(cfg DisruptionConfig) DisruptionRepo
 		Variance:        cfg.Variance,
 		PeakProbability: cfg.PeakProbability,
 	}
-	switch {
-	case cfg.Epicenter != nil:
+	if cfg.Epicenter != nil {
 		gcfg.EpicenterX, gcfg.EpicenterY = cfg.Epicenter.X, cfg.Epicenter.Y
-	case cfg.EpicenterX == 0 && cfg.EpicenterY == 0:
+	} else {
 		gcfg.Auto = true
-	default:
-		gcfg.EpicenterX, gcfg.EpicenterY = cfg.EpicenterX, cfg.EpicenterY
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -386,58 +373,6 @@ func (n *Network) Broken() DisruptionReport {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return disruptionReport(n.broken.Nodes, n.broken.Edges)
-}
-
-// RecoverOptions tune a Recover call.
-//
-// Deprecated: configure a Planner with functional options (WithFastISP,
-// WithOPTBudget) instead.
-type RecoverOptions struct {
-	// OPTTimeLimit / OPTMaxNodes bound the branch-and-bound search of the
-	// OPT algorithm (defaults: 120s / 4000 nodes).
-	OPTTimeLimit time.Duration
-	OPTMaxNodes  int
-	// FastISP switches ISP to its greedy split mode, recommended for
-	// networks with hundreds of nodes.
-	FastISP bool
-}
-
-// plannerOptions translates legacy RecoverOptions into Planner options.
-func (opts RecoverOptions) plannerOptions(alg Algorithm) []PlannerOption {
-	popts := []PlannerOption{WithAlgorithm(alg)}
-	if opts.FastISP {
-		popts = append(popts, WithFastISP())
-	}
-	if opts.OPTTimeLimit != 0 || opts.OPTMaxNodes != 0 {
-		popts = append(popts, WithOPTBudget(opts.OPTTimeLimit, opts.OPTMaxNodes))
-	}
-	return popts
-}
-
-// Recover runs the selected algorithm on a snapshot of the current network
-// state and returns its repair plan.
-//
-// Deprecated: use NewPlanner(WithAlgorithm(alg)).Plan(ctx, net.Snapshot()).
-func (n *Network) Recover(alg Algorithm) (*Plan, error) {
-	return n.RecoverContext(context.Background(), alg, RecoverOptions{})
-}
-
-// RecoverWithOptions runs the selected algorithm with explicit options.
-//
-// Deprecated: use a Planner configured with the equivalent functional
-// options (WithFastISP, WithOPTBudget).
-func (n *Network) RecoverWithOptions(alg Algorithm, opts RecoverOptions) (*Plan, error) {
-	return n.RecoverContext(context.Background(), alg, opts)
-}
-
-// RecoverContext runs the selected algorithm with explicit options under a
-// context: cancelling the context (or letting its deadline fire) stops the
-// solver promptly and returns the context's error.
-//
-// Deprecated: use Planner.Plan, which takes a context. This shim snapshots
-// the network and delegates to a Planner; it produces identical plans.
-func (n *Network) RecoverContext(ctx context.Context, alg Algorithm, opts RecoverOptions) (*Plan, error) {
-	return NewPlanner(opts.plannerOptions(alg)...).Plan(ctx, n.Snapshot())
 }
 
 // Plan is a recovery plan produced by Planner.Plan.

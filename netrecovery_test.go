@@ -21,7 +21,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if report.BrokenNodes != 9 || report.BrokenEdges != 12 {
 		t.Fatalf("disruption = %+v", report)
 	}
-	plan, err := net.Recover(ISP)
+	plan, err := planWith(net, WithAlgorithm(ISP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFacadeBellCanadaNamedDemands(t *testing.T) {
 	if report.BrokenNodes+report.BrokenEdges == 0 {
 		t.Fatal("disruption broke nothing")
 	}
-	plan, err := net.Recover(SRT)
+	plan, err := planWith(net, WithAlgorithm(SRT))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,7 @@ func TestFacadeAllAlgorithmsOnSmallScenario(t *testing.T) {
 	for _, alg := range Algorithms() {
 		t.Run(string(alg), func(t *testing.T) {
 			net := build()
-			plan, err := net.RecoverWithOptions(alg, RecoverOptions{
-				OPTMaxNodes:  200,
-				OPTTimeLimit: 10 * time.Second,
-			})
+			plan, err := planWith(net, WithAlgorithm(alg), WithOPTBudget(10*time.Second, 200))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +100,7 @@ func TestFacadeAllAlgorithmsOnSmallScenario(t *testing.T) {
 		})
 	}
 	net := build()
-	if _, err := net.Recover(Algorithm("bogus")); err == nil {
+	if _, err := planWith(net, WithAlgorithm("bogus")); err == nil {
 		t.Error("expected error for unknown algorithm")
 	}
 }
@@ -133,7 +130,7 @@ func TestFacadeManualConstruction(t *testing.T) {
 	if got := net.Broken(); got.BrokenNodes != 1 || got.BrokenEdges != 1 {
 		t.Errorf("Broken = %+v", got)
 	}
-	plan, err := net.Recover(ISP)
+	plan, err := planWith(net, WithAlgorithm(ISP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,7 @@ func TestFacadeFarApartDemandsAndFastISP(t *testing.T) {
 		t.Errorf("TotalDemand = %f, want 30", net.TotalDemand())
 	}
 	net.ApplyGeographicDisruption(DisruptionConfig{Variance: 40, Seed: 5})
-	plan, err := net.RecoverWithOptions(ISP, RecoverOptions{FastISP: true})
+	plan, err := planWith(net, WithAlgorithm(ISP), WithFastISP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,5 +176,57 @@ func TestFacadeGenerators(t *testing.T) {
 	net := CAIDALike(100, 2)
 	if net.NumNodes() != 825 || net.NumLinks() != 1018 {
 		t.Errorf("CAIDALike size = %d/%d", net.NumNodes(), net.NumLinks())
+	}
+}
+
+// TestGeographicEpicenterAtOrigin is the regression test for the
+// auto-barycentre fix: an explicit epicentre at (0, 0) must be expressible
+// through the Epicenter field, while a nil Epicenter means the barycentre.
+func TestGeographicEpicenterAtOrigin(t *testing.T) {
+	build := func() *Network {
+		net := New()
+		// A small cluster at the origin and a larger one far away, so the
+		// barycentre is near the far cluster and an origin epicentre behaves
+		// observably differently from the auto barycentre.
+		net.AddNode("o1", 0, 0, 1)
+		net.AddNode("o2", 1, 0, 1)
+		net.AddNode("o3", 0, 1, 1)
+		net.AddNode("f1", 99, 100, 1)
+		net.AddNode("f2", 100, 99, 1)
+		net.AddNode("f3", 100, 100, 1)
+		net.AddNode("f4", 101, 100, 1)
+		net.AddNode("f5", 100, 101, 1)
+		return net
+	}
+
+	cfg := DisruptionConfig{Variance: 4, Seed: 3}
+
+	// A nil Epicenter means the barycentre, which is near the far cluster
+	// — nothing near the origin breaks, and with this small variance
+	// nothing at all breaks (every node is ~50 units away).
+	auto := build().ApplyGeographicDisruption(cfg)
+	if auto.BrokenNodes != 0 {
+		t.Fatalf("auto-epicentre broke %d nodes, want 0 (barycentre far from every node)", auto.BrokenNodes)
+	}
+
+	// Epicenter pins the centre, including the origin. The node exactly at
+	// (0, 0) has failure probability 1, so at least it must break, and the
+	// far cluster must stay intact.
+	cfg.Epicenter = &Epicenter{X: 0, Y: 0}
+	net := build()
+	origin := net.ApplyGeographicDisruption(cfg)
+	if origin.BrokenNodes == 0 {
+		t.Fatal("origin epicentre broke nothing; (0,0) must be expressible")
+	}
+	for _, id := range net.Snapshot().BrokenNodeIDs() {
+		if id > 2 {
+			t.Errorf("node %d of the far cluster broke under an origin epicentre", id)
+		}
+	}
+
+	// An explicit epicentre at the far cluster breaks nodes there.
+	far := build().ApplyGeographicDisruption(DisruptionConfig{Variance: 4, Seed: 3, Epicenter: &Epicenter{X: 100, Y: 100}})
+	if far.BrokenNodes == 0 {
+		t.Error("explicit epicentre at the far cluster broke nothing")
 	}
 }

@@ -90,25 +90,11 @@ func (sc *Scenario) Fingerprint() string { return sc.inner.FingerprintHex() }
 
 // ProgressEvent is one observability event streamed by a long-running
 // solver to a Planner's WithProgress callback: ISP reports its main-loop
-// iterations, OPT reports the incumbent and bound updates of its
-// branch-and-bound search.
-type ProgressEvent struct {
-	// Solver is the name of the emitting algorithm.
-	Solver string
-	// Kind is "iteration" (ISP), "incumbent" or "bound" (OPT).
-	Kind string
-	// Iteration and Repairs accompany iteration events: the 0-based
-	// main-loop iteration and the number of elements scheduled for repair so
-	// far.
-	Iteration int
-	Repairs   int
-	// Incumbent, Bound and Nodes accompany incumbent/bound events: the
-	// incumbent objective (±Inf while none exists), the best proven bound
-	// and the number of explored branch-and-bound nodes.
-	Incumbent float64
-	Bound     float64
-	Nodes     int
-}
+// iterations (Kind EventIteration, with Iteration and Repairs), OPT reports
+// the incumbent and bound updates of its branch-and-bound search (Kind
+// EventIncumbent or EventBound, with Incumbent, Bound and Nodes). Solver
+// names the emitting algorithm.
+type ProgressEvent = heuristics.ProgressEvent
 
 // Progress event kinds, mirroring the solver events.
 const (
@@ -342,89 +328,77 @@ func (p *Planner) Plan(ctx context.Context, sc *Scenario) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan := &Plan{scen: sc.inner}
 	if p.cfg.deadline > 0 {
-		return p.planDegraded(ctx, sc, params, solver)
-	}
-	var inner *scenario.Plan
-	if p.cfg.cache != nil {
-		key := plancache.Key{
-			Fingerprint: sc.inner.Fingerprint(),
-			Algorithm:   string(p.cfg.alg),
-			Options:     plancache.ParamsDigest(params),
-		}
-		inner, _, _, err = p.cfg.cache.inner.Do(ctx, key, func(ctx context.Context) (*scenario.Plan, error) {
-			return solver.Solve(ctx, sc.inner)
-		})
+		plan.inner, plan.degradation, err = p.planDegraded(ctx, sc.inner, params, solver)
 	} else {
-		inner, err = solver.Solve(ctx, sc.inner)
+		plan.inner, err = p.cachedSolve(ctx, sc.inner, p.cfg.alg, params, solver)
 	}
 	if err != nil {
 		return nil, err
 	}
-	plan := &Plan{inner: inner, scen: sc.inner}
 	if p.cfg.schedule {
-		stages, err := buildStages(sc.inner, inner, p.cfg.stageBudget)
-		if err != nil {
+		if plan.stages, err = buildStages(sc.inner, plan.inner, p.cfg.stageBudget); err != nil {
 			return nil, err
 		}
-		plan.stages = stages
 	}
 	return plan, nil
+}
+
+// planKey is the cache key of solving sc with alg under params.
+func planKey(sc *scenario.Scenario, alg Algorithm, params heuristics.Params) plancache.Key {
+	return plancache.Key{
+		Fingerprint: sc.Fingerprint(),
+		Algorithm:   string(alg),
+		Options:     plancache.ParamsDigest(params),
+	}
+}
+
+// cachedSolve solves sc with solver, through the Planner's cache when one is
+// configured. A cache shard refused by an injected fault is bypassed with a
+// direct solve, as the serving daemon and the ensemble engine do: the
+// solver is healthy, only the cache is not.
+func (p *Planner) cachedSolve(ctx context.Context, sc *scenario.Scenario, alg Algorithm, params heuristics.Params, solver heuristics.Solver) (*scenario.Plan, error) {
+	solve := func(ctx context.Context) (*scenario.Plan, error) { return solver.Solve(ctx, sc) }
+	if p.cfg.cache == nil {
+		return solve(ctx)
+	}
+	plan, _, _, err := p.cfg.cache.inner.Do(ctx, planKey(sc, alg, params), solve)
+	var unavailable *plancache.UnavailableError
+	if errors.As(err, &unavailable) {
+		return solve(ctx)
+	}
+	return plan, err
 }
 
 // planDegraded runs the WithDeadline fallback chain: the configured solver
 // under the bulk of the budget, then fast ISP, then (with a cache) a stale
 // cached plan. It mirrors the serving daemon's chain without its admission
 // control — a library caller owns its own concurrency.
-func (p *Planner) planDegraded(ctx context.Context, sc *Scenario, params heuristics.Params, solver heuristics.Solver) (*Plan, error) {
-	primaryKey := plancache.Key{
-		Fingerprint: sc.inner.Fingerprint(),
-		Algorithm:   string(p.cfg.alg),
-		Options:     plancache.ParamsDigest(params),
-	}
-	solveStage := func(stageCtx context.Context, stageSolver heuristics.Solver, key plancache.Key) (*scenario.Plan, error) {
-		if p.cfg.cache == nil {
-			return stageSolver.Solve(stageCtx, sc.inner)
-		}
-		plan, _, _, err := p.cfg.cache.inner.Do(stageCtx, key, func(c context.Context) (*scenario.Plan, error) {
-			return stageSolver.Solve(c, sc.inner)
-		})
-		var unavailable *plancache.UnavailableError
-		if errors.As(err, &unavailable) {
-			return stageSolver.Solve(stageCtx, sc.inner)
-		}
-		return plan, err
-	}
-
+func (p *Planner) planDegraded(ctx context.Context, sc *scenario.Scenario, params heuristics.Params, solver heuristics.Solver) (*scenario.Plan, *Degradation, error) {
 	stages := []degrade.Stage{{
 		Name:  "primary",
 		Level: degrade.LevelNone,
 		Retry: true,
 		Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-			return solveStage(stageCtx, solver, primaryKey)
+			return p.cachedSolve(stageCtx, sc, p.cfg.alg, params, solver)
 		},
 	}}
 	// Fast ISP is the fallback unless it is already the primary.
 	fallbackParams := heuristics.Params{Fast: true, OPTWorkers: params.OPTWorkers}
 	haveFallback := !(p.cfg.alg == ISP && p.cfg.fast)
-	var fallbackKey plancache.Key
 	if haveFallback {
 		stages[0].Fraction = 0.6
 		fallbackSolver, err := heuristics.New(string(ISP), fallbackParams)
 		if err != nil {
-			return nil, err
-		}
-		fallbackKey = plancache.Key{
-			Fingerprint: sc.inner.Fingerprint(),
-			Algorithm:   string(ISP),
-			Options:     plancache.ParamsDigest(fallbackParams),
+			return nil, nil, err
 		}
 		stages = append(stages, degrade.Stage{
 			Name:  "fallback_isp",
 			Level: degrade.LevelFallback,
 			Retry: true,
 			Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-				return solveStage(stageCtx, fallbackSolver, fallbackKey)
+				return p.cachedSolve(stageCtx, sc, ISP, fallbackParams, fallbackSolver)
 			},
 		})
 	}
@@ -439,11 +413,11 @@ func (p *Planner) planDegraded(ctx context.Context, sc *Scenario, params heurist
 			return ""
 		},
 		Run: func(context.Context) (*scenario.Plan, error) {
-			if plan, _, _, ok := p.cfg.cache.inner.GetStale(primaryKey); ok {
+			if plan, _, _, ok := p.cfg.cache.inner.GetStale(planKey(sc, p.cfg.alg, params)); ok {
 				return plan, nil
 			}
 			if haveFallback {
-				if plan, _, _, ok := p.cfg.cache.inner.GetStale(fallbackKey); ok {
+				if plan, _, _, ok := p.cfg.cache.inner.GetStale(planKey(sc, ISP, fallbackParams)); ok {
 					return plan, nil
 				}
 			}
@@ -453,7 +427,7 @@ func (p *Planner) planDegraded(ctx context.Context, sc *Scenario, params heurist
 
 	res, err := degrade.Execute(ctx, stages, degrade.Options{Deadline: p.cfg.deadline})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	deg := &Degradation{
 		Level:    res.Level.String(),
@@ -472,40 +446,18 @@ func (p *Planner) planDegraded(ctx context.Context, sc *Scenario, params heurist
 		}
 		deg.Stages = append(deg.Stages, ds)
 	}
-	plan := &Plan{inner: res.Plan, scen: sc.inner, degradation: deg}
-	if p.cfg.schedule {
-		stages, err := buildStages(sc.inner, res.Plan, p.cfg.stageBudget)
-		if err != nil {
-			return nil, err
-		}
-		plan.stages = stages
-	}
-	return plan, nil
+	return res.Plan, deg, nil
 }
 
-// SolverInfo describes a registered recovery algorithm.
-type SolverInfo struct {
-	// Name is the registry key, usable as an Algorithm with WithAlgorithm.
-	Name string
-	// Description is a one-line human-readable summary.
-	Description string
-	// Exact reports whether the algorithm produces provably optimal plans
-	// (given enough search budget) as opposed to a heuristic.
-	Exact bool
-	// Scalability hints at the instance sizes the algorithm handles.
-	Scalability string
-}
+// SolverInfo describes a registered recovery algorithm: its registry Name
+// (usable as an Algorithm with WithAlgorithm), a one-line Description,
+// whether it is Exact (provably optimal given enough search budget) and a
+// Scalability hint.
+type SolverInfo = heuristics.Info
 
 // Solvers returns the metadata of every registered algorithm — built-in and
 // custom — in registration (presentation) order.
-func Solvers() []SolverInfo {
-	infos := heuristics.Infos()
-	out := make([]SolverInfo, 0, len(infos))
-	for _, info := range infos {
-		out = append(out, SolverInfo(info))
-	}
-	return out
-}
+func Solvers() []SolverInfo { return heuristics.Infos() }
 
 // SolverConfig carries the Planner options relevant to a custom solver.
 type SolverConfig struct {
@@ -558,10 +510,10 @@ type SolverFactory func(cfg SolverConfig) Solver
 
 // RegisterSolver adds a custom recovery algorithm under the given name,
 // making it available to every consumer of the registry: Planner
-// (WithAlgorithm), sweeps (SweepSpec.Algorithms), the legacy Recover shims
-// and the CLI tools. It registers placeholder metadata; use
-// RegisterSolverWithInfo to describe the algorithm. It panics when the name
-// is empty or already taken, mirroring database/sql.Register semantics.
+// (WithAlgorithm), sweeps (SweepSpec.Algorithms) and the CLI tools. It
+// registers placeholder metadata; use RegisterSolverWithInfo to describe
+// the algorithm. It panics when the name is empty or already taken,
+// mirroring database/sql.Register semantics.
 func RegisterSolver(name string, factory SolverFactory) {
 	RegisterSolverWithInfo(SolverInfo{
 		Name:        name,
@@ -577,18 +529,14 @@ func RegisterSolverWithInfo(info SolverInfo, factory SolverFactory) {
 		panic("netrecovery: RegisterSolver with nil factory")
 	}
 	name := info.Name
-	heuristics.Register(heuristics.Info(info), func(p heuristics.Params) heuristics.Solver {
-		cfg := SolverConfig{
+	heuristics.Register(info, func(p heuristics.Params) heuristics.Solver {
+		return &customSolver{name: name, impl: factory(SolverConfig{
 			Fast:         p.Fast,
 			OPTTimeLimit: p.OPTTimeLimit,
 			OPTMaxNodes:  p.OPTMaxNodes,
 			Workers:      p.OPTWorkers,
-		}
-		if p.Progress != nil {
-			progress := p.Progress
-			cfg.Progress = func(ev ProgressEvent) { progress(heuristics.ProgressEvent(ev)) }
-		}
-		return &customSolver{name: name, impl: factory(cfg)}
+			Progress:     p.Progress,
+		})}
 	})
 }
 

@@ -6,8 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"netrecovery"
+	"netrecovery/internal/faultinject"
 )
 
 // cacheTestNetwork builds a small disrupted network for the cache tests.
@@ -158,6 +160,45 @@ func TestWithCacheKeysOnOptions(t *testing.T) {
 	plan(netrecovery.WithParallelism(4)) // parallelism is answer-invariant: hit
 	if got := solves.Load(); got != 2 {
 		t.Fatalf("parallelism keyed the cache: %d solves, want 2", got)
+	}
+}
+
+// TestWithCacheShardFaultBypassed: a cache shard refused by an injected
+// fault is bypassed with a direct solve on both facade paths — with and
+// without WithDeadline — as the serving daemon does, instead of surfacing
+// the cache's error.
+func TestWithCacheShardFaultBypassed(t *testing.T) {
+	net := cacheTestNetwork(t)
+	want, err := netrecovery.NewPlanner(netrecovery.WithFastISP()).Plan(context.Background(), net.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faultinject.Arm(faultinject.Profile{Seed: 5, Points: map[faultinject.Point]faultinject.Spec{
+		faultinject.PointCacheShard: {ErrorRate: 1},
+	}})
+	defer faultinject.Disarm()
+
+	cache := netrecovery.NewPlanCache(netrecovery.PlanCacheConfig{})
+	for _, tc := range []struct {
+		name string
+		opts []netrecovery.PlannerOption
+	}{
+		{"no-deadline", nil},
+		{"deadline", []netrecovery.PlannerOption{netrecovery.WithDeadline(5 * time.Second)}},
+	} {
+		opts := append([]netrecovery.PlannerOption{netrecovery.WithFastISP(), netrecovery.WithCache(cache)}, tc.opts...)
+		got, err := netrecovery.NewPlanner(opts...).Plan(context.Background(), net.Snapshot())
+		if err != nil {
+			t.Fatalf("%s: Plan under a cache shard fault: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got.RepairedNodes(), want.RepairedNodes()) ||
+			!reflect.DeepEqual(got.RepairedLinks(), want.RepairedLinks()) {
+			t.Fatalf("%s: bypassed plan differs from the uncached plan", tc.name)
+		}
+	}
+	if st := cache.Stats(); st.Entries != 0 || st.Hits+st.Misses+st.Coalesced != 0 {
+		t.Fatalf("stats = %+v, want an untouched cache", st)
 	}
 }
 

@@ -190,8 +190,7 @@ func TestPlannerWithScheduleComputesStages(t *testing.T) {
 		t.Error("Stages() aliases the plan's internal timeline")
 	}
 
-	// A non-positive budget is a configuration error, matching the legacy
-	// ScheduleProgressively validation.
+	// A non-positive budget is a configuration error.
 	bad := netrecovery.NewPlanner(netrecovery.WithAlgorithm(netrecovery.ISP), netrecovery.WithSchedule(0))
 	if _, err := bad.Plan(context.Background(), destroyedGrid(t)); err == nil {
 		t.Error("WithSchedule(0) must surface the stage-budget validation error")
@@ -254,8 +253,8 @@ func TestPlannerStreamsOPTProgress(t *testing.T) {
 
 // TestCustomSolverThroughRegistry is the acceptance test for the public
 // registry: a test-registered solver must be constructible everywhere an
-// algorithm name is accepted — Planner, the legacy shims and the sweep
-// engine — and must receive the Planner's options through its factory.
+// algorithm name is accepted — Planner and the sweep engine — and must
+// receive the Planner's options through its factory.
 func TestCustomSolverThroughRegistry(t *testing.T) {
 	found := false
 	for _, info := range netrecovery.Solvers() {
@@ -302,8 +301,7 @@ func TestCustomSolverThroughRegistry(t *testing.T) {
 		t.Error("custom solver's progress events did not reach the Planner callback")
 	}
 
-	// The sweep engine constructs it through the same registry too (the
-	// legacy-shim path is covered by shim_test.go).
+	// The sweep engine constructs it through the same registry too.
 	report, err := netrecovery.Sweep(context.Background(), netrecovery.SweepSpec{
 		Name:        "custom",
 		Topologies:  []netrecovery.SweepTopology{{Kind: netrecovery.SweepTopoGrid, Rows: 3, Cols: 3}},

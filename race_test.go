@@ -13,7 +13,7 @@ import (
 // the snapshot redesign: concurrent solves and mutations on one shared
 // Network must be data-race free, because every solve operates on a
 // deep-copied snapshot taken under the network's lock. Run with -race to
-// make it meaningful. (The legacy-shim variant lives in shim_test.go.)
+// make it meaningful.
 func TestConcurrentPlanAndMutation(t *testing.T) {
 	net, err := netrecovery.Grid(4, 4, 20)
 	if err != nil {

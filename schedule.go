@@ -59,13 +59,3 @@ func (p *Plan) Stages() []RecoveryStage {
 	}
 	return append([]RecoveryStage(nil), p.stages...)
 }
-
-// ScheduleProgressively spreads the plan's repairs over stages with at most
-// stageBudget repair cost per stage.
-//
-// Deprecated: configure the Planner with WithSchedule(stageBudget) and read
-// the timeline from Plan.Stages; this shim computes the identical schedule
-// on demand.
-func (p *Plan) ScheduleProgressively(stageBudget float64) ([]RecoveryStage, error) {
-	return buildStages(p.scen, p.inner, stageBudget)
-}

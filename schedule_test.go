@@ -13,14 +13,11 @@ func TestScheduleProgressively(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.ApplyCompleteDestruction()
-	plan, err := net.Recover(ISP)
+	plan, err := planWith(net, WithAlgorithm(ISP), WithSchedule(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages, err := plan.ScheduleProgressively(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stages := plan.Stages()
 	if len(stages) == 0 {
 		t.Fatal("expected at least one stage")
 	}
@@ -43,7 +40,7 @@ func TestScheduleProgressively(t *testing.T) {
 	if stages[len(stages)-1].SatisfiedDemandRatio < 1-1e-9 {
 		t.Errorf("final stage ratio = %f, want 1", stages[len(stages)-1].SatisfiedDemandRatio)
 	}
-	if _, err := plan.ScheduleProgressively(0); err == nil {
+	if _, err := planWith(net, WithAlgorithm(ISP), WithSchedule(0)); err == nil {
 		t.Error("expected error for zero budget")
 	}
 }

@@ -148,17 +148,13 @@ func (p *Planner) NewSession(sc *Scenario) (*PlannerSession, error) {
 // (shared by Plan and NewSession so both paths configure solvers
 // identically).
 func (p *Planner) params() heuristics.Params {
-	params := heuristics.Params{
+	return heuristics.Params{
 		Fast:         p.cfg.fast,
 		OPTTimeLimit: p.cfg.optTimeLimit,
 		OPTMaxNodes:  p.cfg.optMaxNodes,
 		OPTWorkers:   p.cfg.workers,
+		Progress:     p.cfg.progress,
 	}
-	if p.cfg.progress != nil {
-		fn := p.cfg.progress
-		params.Progress = func(ev heuristics.ProgressEvent) { fn(ProgressEvent(ev)) }
-	}
-	return params
 }
 
 // Scenario returns the session's current snapshot.
