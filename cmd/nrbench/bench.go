@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"netrecovery/internal/core"
@@ -447,15 +448,23 @@ func writeBenchReport(report benchReport, path string) error {
 	return f.Close()
 }
 
+// Allocation gate: a row fails (status ALLOCS) when its fresh allocs/op
+// exceed baseline × allocsSlack + allocsFloor. Allocation counts do not
+// suffer timing noise, so the slack only absorbs what varies between runs:
+// pool refills after a GC and worker-pool scheduling in the ensemble rows.
+const (
+	allocsSlack = 1.10
+	allocsFloor = 2
+)
+
 // compareBench is the benchmark-regression gate: it checks every tracked
 // metric of the baseline file against the fresh report and returns an error
 // (non-zero exit) when any ns/op regressed by more than the tolerance
-// (fractional, e.g. 0.25 allows +25%). A baseline metric missing from the
-// fresh run also fails — a silently dropped benchmark must not pass the
-// gate — while new metrics are reported informationally and pass. Every row
-// prints its baseline-vs-current allocations alongside ns/op — passing rows
-// included — so an allocation creep is visible in the CI log before it grows
-// into a timing regression.
+// (fractional, e.g. 0.25 allows +25%) or any allocs/op grew past the
+// allocation gate. A baseline metric missing from the fresh run also fails —
+// a silently dropped benchmark must not pass the gate — while new metrics
+// are reported informationally and pass. Every row prints its
+// baseline-vs-current allocations and bytes alongside ns/op.
 func compareBench(w io.Writer, baselineName string, baseline, fresh benchReport, tolerance float64) error {
 	freshByName := make(map[string]benchRecord, len(fresh.Benchmarks))
 	for _, b := range fresh.Benchmarks {
@@ -487,9 +496,16 @@ func compareBench(w io.Writer, baselineName string, baseline, fresh benchReport,
 			continue
 		}
 		delta := got.NsPerOp/base.NsPerOp - 1
-		status := "ok"
+		var failed []string
 		if delta > tolerance {
-			status = "REGRESSED"
+			failed = append(failed, "REGRESSED")
+		}
+		if float64(got.AllocsPerOp) > float64(base.AllocsPerOp)*allocsSlack+allocsFloor {
+			failed = append(failed, "ALLOCS")
+		}
+		status := "ok"
+		if len(failed) > 0 {
+			status = strings.Join(failed, ",")
 			regressions++
 		}
 		fmt.Fprintf(w, "%-32s %14.0f %14.0f %+7.1f%% %19s %25s  %s\n",
@@ -502,9 +518,10 @@ func compareBench(w io.Writer, baselineName string, baseline, fresh benchReport,
 		}
 	}
 	if regressions > 0 {
-		return fmt.Errorf("benchmark regression gate: %d metric(s) regressed beyond %.0f%% of %s",
-			regressions, 100*tolerance, baselineName)
+		return fmt.Errorf("benchmark regression gate: %d row(s) regressed beyond %.0f%% ns/op or %.0f%%+%d allocs/op of %s",
+			regressions, 100*tolerance, 100*(allocsSlack-1), allocsFloor, baselineName)
 	}
-	fmt.Fprintf(w, "benchmark regression gate: all tracked metrics within %.0f%% of %s\n", 100*tolerance, baselineName)
+	fmt.Fprintf(w, "benchmark regression gate: all tracked rows within %.0f%% ns/op and %.0f%%+%d allocs/op of %s\n",
+		100*tolerance, 100*(allocsSlack-1), allocsFloor, baselineName)
 	return nil
 }

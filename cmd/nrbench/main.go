@@ -19,8 +19,8 @@
 // sweep output is the aggregated report as JSON (use -csv for one CSV row
 // per grid point); -bench-json writes the machine-readable performance
 // trajectory recorded in EXPERIMENTS.md, and -compare re-runs the suite and
-// exits non-zero when a tracked metric regressed past the tolerance against
-// a recorded baseline (the bench-smoke CI job runs it against the committed
+// exits non-zero when a row's ns/op regressed past the tolerance or its
+// allocs/op grew past baseline × 1.10 + 2 against a recorded baseline (the bench-smoke CI job runs it against the committed
 // BENCH_lp.json).
 package main
 
@@ -63,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 
 		// Micro-benchmark trajectory mode.
 		benchJSON = fs.String("bench-json", "", "run the LP/ISP/OPT micro-benchmarks and write the trajectory JSON to this file (canonically BENCH_lp.json), then exit")
-		compareTo = fs.String("compare", "", "run the micro-benchmarks and compare against this baseline trajectory JSON; exit non-zero when a tracked metric regresses past -tolerance (combine with -bench-json to also record the fresh run)")
+		compareTo = fs.String("compare", "", "run the micro-benchmarks and compare against this baseline trajectory JSON; exit non-zero when a row's ns/op regresses past -tolerance or its allocs/op past baseline x 1.10 + 2 (combine with -bench-json to also record the fresh run)")
 		tolerance = fs.Float64("tolerance", 0.25, "allowed fractional ns/op regression for -compare (0.25 = +25%)")
 
 		// Declarative sweep mode.

@@ -202,6 +202,38 @@ func TestCompareBenchGateLogic(t *testing.T) {
 	}
 }
 
+// TestCompareBenchAllocsGate covers the allocation gate: allocs/op equal
+// to the baseline pass even when ns/op improves, doubled allocs/op fail
+// with the ALLOCS marker, and growth inside baseline × 1.10 + 2 passes.
+func TestCompareBenchAllocsGate(t *testing.T) {
+	withAllocs := func(r benchReport, allocs uint64) benchReport {
+		for i := range r.Benchmarks {
+			r.Benchmarks[i].AllocsPerOp = allocs
+		}
+		return r
+	}
+	baseline := withAllocs(syntheticReport(map[string]float64{"a": 1000}), 40)
+
+	var out bytes.Buffer
+	if err := compareBench(&out, "base.json", baseline, withAllocs(syntheticReport(map[string]float64{"a": 900}), 40), 0.25); err != nil {
+		t.Fatalf("equal allocs failed the gate: %v\n%s", err, out.String())
+	}
+
+	out.Reset()
+	err := compareBench(&out, "base.json", baseline, withAllocs(syntheticReport(map[string]float64{"a": 900}), 80), 0.25)
+	if err == nil {
+		t.Fatalf("doubled allocs passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "ALLOCS") || strings.Contains(out.String(), "REGRESSED") {
+		t.Errorf("want an ALLOCS-only verdict: %q", out.String())
+	}
+
+	out.Reset()
+	if err := compareBench(&out, "base.json", baseline, withAllocs(syntheticReport(map[string]float64{"a": 1000}), 46), 0.25); err != nil {
+		t.Fatalf("allocs within 10%%+2 failed the gate: %v\n%s", err, out.String())
+	}
+}
+
 // TestCompareGateEndToEnd verifies the trajectory recorder and the CLI
 // wiring of the gate on ONE real suite run: the -bench-json output must be a
 // well-formed trajectory with every tracked row, and comparing a second run

@@ -46,9 +46,14 @@ func Solve(ctx context.Context, s *scenario.Scenario, opts Options) (*scenario.P
 // fallback solver, and a bug on one input must surface as a failed solve,
 // not a crashed daemon.
 func solve(ctx context.Context, s *scenario.Scenario, opts Options, sess *Session) (plan *scenario.Plan, stats Stats, err error) {
+	var st *state
 	defer func() {
 		if r := recover(); r != nil {
 			plan, stats, err = nil, Stats{}, degrade.Recovered("core:isp", r, debug.Stack())
+			return
+		}
+		if st != nil {
+			st.release()
 		}
 	}()
 	start := time.Now()
@@ -56,7 +61,7 @@ func solve(ctx context.Context, s *scenario.Scenario, opts Options, sess *Sessio
 		return nil, Stats{}, fmt.Errorf("isp: %w", err)
 	}
 	opts = opts.withDefaults(s.Supply.NumNodes() + s.Supply.NumEdges() + s.Demand.NumPairs())
-	st := newState(s, opts, sess)
+	st = newState(s, opts, sess)
 	if sess != nil {
 		st.topoKey = sess.topoDigest(s.Supply)
 	}
@@ -78,6 +83,7 @@ func solve(ctx context.Context, s *scenario.Scenario, opts Options, sess *Sessio
 		if err := ctx.Err(); err != nil {
 			return nil, st.stats, fmt.Errorf("isp: %w", err)
 		}
+		repairedBefore := st.numRepaired
 		st.stats.Iterations = iter
 		if opts.Progress != nil {
 			opts.Progress(iter, st.numRepaired)
@@ -128,10 +134,11 @@ func solve(ctx context.Context, s *scenario.Scenario, opts Options, sess *Sessio
 		dx := st.splitAmount(cand, rank)
 		if dx <= epsilon {
 			// The chosen node cannot carry any additional flow. Progress is
-			// still guaranteed if the node was just repaired; otherwise fall
-			// back to repairing the shortest broken path of the hardest
-			// demand so the algorithm cannot stall.
-			if st.repairedThisIteration(cand.via) {
+			// still guaranteed if this iteration repaired it (the next one
+			// sees a different working network); otherwise fall back to
+			// repairing the shortest broken path of the hardest demand, or
+			// the unchanged state would pick the same candidate again.
+			if st.numRepaired > repairedBefore {
 				continue
 			}
 			if !st.fallbackRepair() {
@@ -220,12 +227,6 @@ func (st *state) deliveredForPair(p demand.Pair) float64 {
 		return 0
 	}
 	return net
-}
-
-// repairedThisIteration reports whether v is listed for repair (used to
-// decide whether a zero-dx split iteration still made progress).
-func (st *state) repairedThisIteration(v graph.NodeID) bool {
-	return st.repairedNodes[v]
 }
 
 // commitFinalRouting merges the routing produced by the final routability

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"netrecovery/internal/demand"
 	"netrecovery/internal/flow"
@@ -102,27 +103,47 @@ type Stats struct {
 	Routability flow.TesterStats
 }
 
+// statePool recycles ISP run states — the dense per-element slices, the
+// routability tester and the split LP solver with its m×m factorisation —
+// across solves. newState resets a pooled state to exactly what a fresh one
+// holds; release drops its references to the run's inputs before pooling it.
+var statePool = sync.Pool{New: func() any {
+	return &state{tester: flow.NewRoutabilityTester(), splitSolver: lp.NewSolver()}
+}}
+
 func newState(s *scenario.Scenario, opts Options, sess *Session) *state {
 	n, m := s.Supply.NumNodes(), s.Supply.NumEdges()
-	st := &state{
+	st := statePool.Get().(*state)
+	*st = state{
 		scen:          s,
 		opts:          opts,
 		sess:          sess,
 		working:       demand.New(),
-		residual:      make([]float64, m),
-		brokenNodes:   make([]bool, n),
-		brokenEdges:   make([]bool, m),
-		repairedNodes: make([]bool, n),
-		repairedEdges: make([]bool, m),
+		rootOf:        st.rootOf[:0],
+		residual:      zeroed(st.residual, m),
+		brokenNodes:   zeroed(st.brokenNodes, n),
+		brokenEdges:   zeroed(st.brokenEdges, m),
+		repairedNodes: zeroed(st.repairedNodes, n),
+		repairedEdges: zeroed(st.repairedEdges, m),
 		routing:       make(scenario.Routing),
-		tester:        flow.NewRoutabilityTester(),
-		splitSolver:   lp.NewSolver(),
-		capsBuf:       make([]float64, m),
-		workCaps:      make([]float64, m),
-		pruneCaps:     make([]float64, m),
-		flowBuf:       make([]float64, m),
-		bubbleSeen:    make([]bool, n),
-		bubbleWall:    make([]bool, n),
+		tester:        st.tester,
+		splitSolver:   st.splitSolver,
+		ws:            st.ws,
+		capsBuf:       zeroed(st.capsBuf, m),
+		workCaps:      zeroed(st.workCaps, m),
+		pruneCaps:     zeroed(st.pruneCaps, m),
+		flowBuf:       zeroed(st.flowBuf, m),
+		bubbleSeen:    zeroed(st.bubbleSeen, n),
+		bubbleWall:    zeroed(st.bubbleWall, n),
+		bubbleQueue:   st.bubbleQueue[:0],
+		pruneBuf:      st.pruneBuf[:0],
+		repairBuf:     st.repairBuf[:0],
+		barrierBuf:    st.barrierBuf[:0],
+		rankBuf:       st.rankBuf[:0],
+		splitBuf:      st.splitBuf[:0],
+		workBuf:       st.workBuf[:0],
+		potBuf:        st.potBuf[:0],
+		hashBuf:       st.hashBuf[:0],
 	}
 	for i := range st.residual {
 		st.residual[i] = s.Supply.Edge(graph.EdgeID(i)).Capacity
@@ -138,6 +159,30 @@ func newState(s *scenario.Scenario, opts Options, sess *Session) *state {
 		st.rootOf = append(st.rootOf, p.ID)
 	}
 	return st
+}
+
+// release returns the state to statePool once its run has returned. The
+// plan, stats and routability results share no memory with the state, so
+// only the references to the run's inputs need dropping. A state whose run
+// panicked is never released: its invariants are unknown.
+func (st *state) release() {
+	st.scen, st.sess, st.working, st.routing = nil, nil, nil, nil
+	st.opts = Options{}
+	st.workInst, st.potInst = flow.Instance{}, flow.Instance{}
+	st.tester.Reset()
+	st.splitSolver.Reset()
+	statePool.Put(st)
+}
+
+// zeroed returns buf resized to n with every element zero, reusing its
+// backing array when it is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // repairNode moves v from the broken set to the repair list. It is a no-op

@@ -163,11 +163,13 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	// downstream iterates in.
 	uniques := make([]*unique, 0, spec.Samples)
 	index := make(map[[32]byte]*unique, spec.Samples)
+	rng := sampleRand(spec.Seed, 0)
 	for i := 0; i < spec.Samples; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		d := spec.Sampler.Sample(base.Supply, sampleRand(spec.Seed, i))
+		reseedSample(rng, spec.Seed, i)
+		d := spec.Sampler.Sample(base.Supply, rng)
 		bn := make(map[graph.NodeID]bool, len(base.BrokenNodes)+len(d.Nodes))
 		for v, broken := range base.BrokenNodes {
 			if broken {

@@ -160,6 +160,27 @@ func TestSampleRandIndependentStreams(t *testing.T) {
 	}
 }
 
+// TestReseededStreamsMatchFresh pins that Run's one reseeded generator
+// draws, for every sample, the same stream as a fresh sampleRand.
+func TestReseededStreamsMatchFresh(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		r := sampleRand(seed, 0)
+		for _, i := range []int{0, 1, 2, int(seed) % 97, 1000 + int(seed)} {
+			r.Int63() // leave the reused generator mid-stream
+			reseedSample(r, seed, i)
+			fresh := sampleRand(seed, i)
+			for k := 0; k < 8; k++ {
+				if got, want := r.Int63(), fresh.Int63(); got != want {
+					t.Fatalf("seed %d sample %d draw %d: reseeded %d, fresh %d", seed, i, k, got, want)
+				}
+			}
+			if got, want := r.Float64(), fresh.Float64(); got != want {
+				t.Fatalf("seed %d sample %d: reseeded Float64 %v, fresh %v", seed, i, got, want)
+			}
+		}
+	}
+}
+
 func TestComputeDist(t *testing.T) {
 	// values expanded by multiplicity: [1, 2, 3, 3].
 	d := computeDist([]float64{1, 2, 3}, []int{1, 1, 2}, 0.5, true)

@@ -144,6 +144,12 @@ func sampleRand(seed int64, i int) *rand.Rand {
 	return rand.New(rand.NewSource(mix(seed, int64(i))))
 }
 
+// reseedSample restarts r on sample i's stream: r then draws exactly what
+// sampleRand(seed, i) would, without allocating a new 4.9 KB source.
+func reseedSample(r *rand.Rand, seed int64, i int) {
+	r.Seed(mix(seed, int64(i)))
+}
+
 // mix combines a seed and a stream discriminator with the splitmix64
 // finalizer (the same derivation the sweep engine uses), so neighbouring
 // sample indices yield uncorrelated streams.

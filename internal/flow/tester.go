@@ -62,6 +62,20 @@ func NewRoutabilityTester() *RoutabilityTester {
 	return &RoutabilityTester{solver: lp.NewSolver()}
 }
 
+// Reset returns the tester to the state of a fresh NewRoutabilityTester —
+// no model, no basis, zero stats — while keeping its solver's and its own
+// buffers for reuse by an unrelated solve.
+func (t *RoutabilityTester) Reset() {
+	t.solver.Reset()
+	t.prob, t.basis, t.g = nil, nil, nil
+	t.numEdges, t.numNodes = 0, 0
+	t.endpoints = t.endpoints[:0]
+	t.capUsable = t.capUsable[:0]
+	t.residual = t.residual[:0]
+	t.activeBuf = t.activeBuf[:0]
+	t.Stats = TesterStats{}
+}
+
 // arc variable index layout: commodity-major, then edge, then direction.
 func (t *RoutabilityTester) arcVar(ci int, e graph.EdgeID, forward bool) int {
 	idx := 2 * (ci*t.numEdges + int(e))

@@ -85,6 +85,17 @@ type Solver struct {
 // NewSolver returns an empty reusable solver.
 func NewSolver() *Solver { return &Solver{} }
 
+// Reset returns the solver to the state of a fresh NewSolver — no problem,
+// no basis, pricing from column zero — while keeping its buffers, so a pool
+// can hand it to an unrelated solve without the m×m factorisation being
+// reallocated. Every buffer is rewritten before it is read after a reset.
+func (s *Solver) Reset() {
+	s.prob, s.version = nil, 0
+	s.haveBasis, s.artsOpen = false, false
+	s.priceStart = 0
+	s.statRefactors, s.statWarm = 0, false
+}
+
 // Numerical constants of the solver. feasTol is the absolute bound-violation
 // tolerance, pivTol the smallest acceptable pivot magnitude, and infeasTol
 // the phase-1 threshold under which residual artificial value is considered
@@ -221,7 +232,6 @@ func (s *Solver) resizeState() {
 	s.y = resizeFloat(s.y, m)
 	s.w = resizeFloat(s.w, m)
 	s.r = resizeFloat(s.r, m)
-	s.fac = resizeFloat(s.fac, m*m)
 	s.cost1 = resizeFloat(s.cost1, nStd+m)
 	for j := 0; j < nStd; j++ {
 		s.cost1[j] = 0
@@ -284,9 +294,13 @@ func (s *Solver) computeXB() {
 
 // refactor rebuilds binv from the current basis by Gauss-Jordan elimination
 // with partial pivoting. It reports false when the basis matrix is singular.
+// Its m×m scratch fac is sized here, not with the other buffers: a solver
+// that never refactors (most cold-started split LPs) never allocates it,
+// so a pooled split solver usually does not carry it.
 func (s *Solver) refactor() bool {
 	s.statRefactors++
 	m := s.sf.m
+	s.fac = resizeFloat(s.fac, m*m)
 	for i := range s.fac[:m*m] {
 		s.fac[i] = 0
 	}

@@ -7,7 +7,9 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
@@ -40,13 +42,32 @@ const fingerprintDomain = "netrecovery/scenario/v1"
 //
 // Scenarios produced by Apply carry their fingerprint precomputed (updated
 // incrementally from the parent snapshot), so Fingerprint on them is free;
-// any other scenario pays one full serialisation per call.
+// any other scenario pays one full serialisation per call. That
+// serialisation is written in one pass into a pooled buffer and hashed with
+// sha256.Sum256, so in steady state it does not allocate.
 func (s *Scenario) Fingerprint() [32]byte {
 	if s.fp != nil {
 		return s.fp.sum
 	}
-	return s.fingerprintState().sum
+	sc := fpScratchPool.Get().(*fpScratch)
+	buf := append(sc.buf[:0], fingerprintDomain...)
+	buf = appendTopologySections(buf, s.Supply)
+	buf = appendDemandSection(buf, s.Demand)
+	buf = sc.appendBrokenSections(buf, s)
+	sum := sha256.Sum256(buf)
+	sc.buf = buf
+	fpScratchPool.Put(sc)
+	return sum
 }
+
+// fpScratch is the reusable serialisation buffer and broken-ID sort scratch
+// of one fingerprint computation. Nothing computed from it is retained.
+type fpScratch struct {
+	buf []byte
+	ids []int
+}
+
+var fpScratchPool = sync.Pool{New: func() any { return new(fpScratch) }}
 
 // fpState is the cached fingerprint machinery carried by scenarios produced
 // by Apply. Deltas never change the topology, so the hash midstate after the
@@ -69,16 +90,21 @@ type fpState struct {
 // in place), so only Apply — which hands out immutable snapshots — stores
 // the state.
 func (s *Scenario) fingerprintState() *fpState {
+	sc := fpScratchPool.Get().(*fpScratch)
+	defer fpScratchPool.Put(sc)
 	h := sha256.New()
-	h.Write([]byte(fingerprintDomain))
-	writeTopologySections(h, s.Supply)
+	buf := append(sc.buf[:0], fingerprintDomain...)
+	buf = appendTopologySections(buf, s.Supply)
+	h.Write(buf)
 	st := &fpState{
 		topoMid: marshalHashState(h),
 		dBytes:  appendDemandSection(nil, s.Demand),
 	}
 	h.Write(st.dBytes)
-	writeBrokenSections(h, s)
-	copy(st.sum[:], h.Sum(nil))
+	buf = sc.appendBrokenSections(buf[:0], s)
+	h.Write(buf)
+	sc.buf = buf
+	h.Sum(st.sum[:0])
 	return st
 }
 
@@ -97,17 +123,20 @@ func (s *Scenario) deriveFingerprint(next *Scenario, demandChanged bool) *fpStat
 	}
 	h := unmarshalHashState(st.topoMid)
 	h.Write(st.dBytes)
-	writeBrokenSections(h, next)
-	copy(st.sum[:], h.Sum(nil))
+	sc := fpScratchPool.Get().(*fpScratch)
+	sc.buf = sc.appendBrokenSections(sc.buf[:0], next)
+	h.Write(sc.buf)
+	fpScratchPool.Put(sc)
+	h.Sum(st.sum[:0])
 	return st
 }
 
-// writeTopologySections hashes the 'N' (node) and 'E' (edge) sections.
-func writeTopologySections(h hash.Hash, g *graph.Graph) {
-	var buf []byte
+// appendTopologySections appends the 'N' (node) and 'E' (edge) sections.
+func appendTopologySections(buf []byte, g *graph.Graph) []byte {
 	buf = appendSection(buf, 'N')
 	buf = appendInt(buf, g.NumNodes())
-	for _, n := range g.Nodes() {
+	for i := 0; i < g.NumNodes(); i++ {
+		n := g.Node(graph.NodeID(i))
 		buf = appendInt(buf, len(n.Name))
 		buf = append(buf, n.Name...)
 		buf = appendFloat(buf, n.X)
@@ -116,23 +145,24 @@ func writeTopologySections(h hash.Hash, g *graph.Graph) {
 	}
 	buf = appendSection(buf, 'E')
 	buf = appendInt(buf, g.NumEdges())
-	for _, e := range g.Edges() {
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(graph.EdgeID(i))
 		buf = appendInt(buf, int(e.From))
 		buf = appendInt(buf, int(e.To))
 		buf = appendFloat(buf, e.Capacity)
 		buf = appendFloat(buf, e.RepairCost)
 	}
-	h.Write(buf)
+	return buf
 }
 
 // appendDemandSection appends the canonical 'D' section: every pair slot in
 // ID order (tombstones included), as endpoint IDs plus the IEEE-754 bits of
 // the residual flow.
 func appendDemandSection(buf []byte, d *demand.Graph) []byte {
-	pairs := d.All()
 	buf = appendSection(buf, 'D')
-	buf = appendInt(buf, len(pairs))
-	for _, p := range pairs {
+	buf = appendInt(buf, d.NumPairs())
+	for i := 0; i < d.NumPairs(); i++ {
+		p, _ := d.Pair(demand.PairID(i))
 		buf = appendInt(buf, int(p.Source))
 		buf = appendInt(buf, int(p.Target))
 		buf = appendFloat(buf, p.Flow)
@@ -140,23 +170,36 @@ func appendDemandSection(buf []byte, d *demand.Graph) []byte {
 	return buf
 }
 
-// writeBrokenSections hashes the 'B' (broken nodes) and 'b' (broken edges)
-// sections, members in ascending ID order.
-func writeBrokenSections(h hash.Hash, s *Scenario) {
-	var buf []byte
-	brokenNodes := s.SortedBrokenNodes()
-	buf = appendSection(buf, 'B')
-	buf = appendInt(buf, len(brokenNodes))
-	for _, v := range brokenNodes {
-		buf = appendInt(buf, int(v))
+// appendBrokenSections appends the 'B' (broken nodes) and 'b' (broken edges)
+// sections, members in ascending ID order, sorting in the scratch's ID
+// buffer.
+func (sc *fpScratch) appendBrokenSections(buf []byte, s *Scenario) []byte {
+	sc.ids = sc.ids[:0]
+	for v, broken := range s.BrokenNodes {
+		if broken {
+			sc.ids = append(sc.ids, int(v))
+		}
 	}
-	brokenEdges := s.SortedBrokenEdges()
-	buf = appendSection(buf, 'b')
-	buf = appendInt(buf, len(brokenEdges))
-	for _, e := range brokenEdges {
-		buf = appendInt(buf, int(e))
+	buf = appendSortedIDs(buf, 'B', sc.ids)
+	sc.ids = sc.ids[:0]
+	for e, broken := range s.BrokenEdges {
+		if broken {
+			sc.ids = append(sc.ids, int(e))
+		}
 	}
-	h.Write(buf)
+	return appendSortedIDs(buf, 'b', sc.ids)
+}
+
+// appendSortedIDs sorts ids in place and appends them as one tagged,
+// length-prefixed section.
+func appendSortedIDs(buf []byte, tag byte, ids []int) []byte {
+	slices.Sort(ids)
+	buf = appendSection(buf, tag)
+	buf = appendInt(buf, len(ids))
+	for _, id := range ids {
+		buf = appendInt(buf, id)
+	}
+	return buf
 }
 
 // appendSection appends a section tag, domain-separating the serialisation
@@ -202,7 +245,9 @@ func unmarshalHashState(state []byte) hash.Hash {
 // used in wire responses and logs.
 func (s *Scenario) FingerprintHex() string {
 	fp := s.Fingerprint()
-	return hex.EncodeToString(fp[:])
+	var dst [2 * sha256.Size]byte
+	hex.Encode(dst[:], fp[:])
+	return string(dst[:])
 }
 
 // SortedBrokenNodes returns the broken node IDs in ascending order. Every

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -219,10 +220,10 @@ const primaryFraction = 0.6
 // fast-ISP fallback under the remaining budget, then a stale-but-served
 // cache entry. Every stage's outcome and timing is annotated on the
 // response; a served plan carries the stage's degradation level.
-func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *scenario.Scenario, alg string, params heuristics.Params, solver heuristics.Solver, deadline time.Duration) (*solveOutcome, *httpError) {
-	out := &solveOutcome{scenario: s, fp: s.FingerprintHex()}
+func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *scenario.Scenario, fp [32]byte, alg string, params heuristics.Params, solver heuristics.Solver, deadline time.Duration) (*solveOutcome, *httpError) {
+	out := &solveOutcome{scenario: s, fp: hex.EncodeToString(fp[:])}
 	primaryKey := plancache.Key{
-		Fingerprint: s.Fingerprint(),
+		Fingerprint: fp,
 		Algorithm:   alg,
 		Options:     plancache.ParamsDigest(params),
 	}
@@ -285,7 +286,7 @@ func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *s
 			return nil, &httpError{code: http.StatusInternalServerError, err: err}
 		}
 		fallbackKey = plancache.Key{
-			Fingerprint: s.Fingerprint(),
+			Fingerprint: fp,
 			Algorithm:   "ISP",
 			Options:     plancache.ParamsDigest(fallbackParams),
 		}

@@ -32,6 +32,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -358,15 +359,18 @@ func (srv *Server) solveRequest(ctx context.Context, req wire.PlanRequest, progr
 	if deadline <= 0 {
 		deadline = srv.cfg.DegradeDeadline
 	}
+	// One fingerprint serves both the cache key and the response's cache
+	// metadata; it is not stored on the (mutable) scenario.
+	fp := s.Fingerprint()
 	if deadline > 0 && !req.Options.NoDegrade {
-		return srv.solveDegraded(ctx, req, s, alg, params, solver, deadline)
+		return srv.solveDegraded(ctx, req, s, fp, alg, params, solver, deadline)
 	}
 
 	solve := func(ctx context.Context) (*scenario.Plan, error) {
 		return srv.retrySolve(ctx, alg, solver, s, prioPlan)
 	}
 
-	out := &solveOutcome{scenario: s, fp: s.FingerprintHex()}
+	out := &solveOutcome{scenario: s, fp: hex.EncodeToString(fp[:])}
 	if req.Options.NoCache {
 		plan, err := solve(ctx)
 		if herr := solveError(err); herr != nil {
@@ -376,7 +380,7 @@ func (srv *Server) solveRequest(ctx context.Context, req wire.PlanRequest, progr
 		return out, nil
 	}
 	key := plancache.Key{
-		Fingerprint: s.Fingerprint(),
+		Fingerprint: fp,
 		Algorithm:   alg,
 		Options:     plancache.ParamsDigest(params),
 	}
