@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -37,6 +38,11 @@ type benchRecord struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp uint64  `json:"allocs_per_op"`
 	BytesPerOp  uint64  `json:"bytes_per_op"`
+	// Work holds the row's deterministic work counters: OPT nodes, rounds,
+	// LP pivots and refactorisations, or ISP iterations, prunes, splits and
+	// repairs. The -compare gate requires every baseline counter to equal
+	// the fresh one.
+	Work map[string]int64 `json:"work,omitempty"`
 	// Skipped, when non-empty, records why this row was not measured on this
 	// host (e.g. a multi-worker row on a single-core machine, where it would
 	// measure scheduler round-barrier overhead instead of parallel speedup).
@@ -170,13 +176,29 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 	if err != nil {
 		return report, err
 	}
-	mustSolve := func(opts core.Options) func() {
+	// The counted rows keep their last solve's stats by value (no per-op
+	// allocation); the work counters are read once the row is measured.
+	mustSolve := func(opts core.Options, last *core.Stats) func() {
 		return func() {
-			if _, _, err := core.Solve(ctx, s, opts); err != nil {
+			_, st, err := core.Solve(ctx, s, opts)
+			if err != nil {
 				panic(err)
+			}
+			*last = st
+		}
+	}
+	ispWork := func(st *core.Stats) func() map[string]int64 {
+		return func() map[string]int64 {
+			return map[string]int64{
+				"isp_iterations": int64(st.Iterations),
+				"prunes":         int64(st.Prunes),
+				"splits":         int64(st.Splits),
+				"node_repairs":   int64(st.NodeRepairs),
+				"edge_repairs":   int64(st.EdgeRepairs),
 			}
 		}
 	}
+	var ispExact, ispFast core.Stats
 
 	prob := lpTransportation(3)
 	// The cold row and the warm row use SEPARATE solvers: the warm row needs
@@ -212,7 +234,7 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 	}
 
 	milpProb := heuristics.OptMILP(s)
-	milpSolve := func(workers int) func() {
+	milpSolve := func(workers int, last *milp.Stats) func() {
 		opts := milp.Options{MaxNodes: 300, TimeLimit: 5 * time.Minute, Workers: workers}
 		return func() {
 			// A limit status is fine — these are node-throughput rows, the
@@ -225,8 +247,20 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 			if sol.Status == milp.StatusUnbounded || sol.Status == milp.StatusInfeasible {
 				panic(sol.Status)
 			}
+			*last = *sol.Stats
 		}
 	}
+	optWork := func(st *milp.Stats) func() map[string]int64 {
+		return func() map[string]int64 {
+			return map[string]int64{
+				"nodes":               int64(st.Nodes),
+				"rounds":              int64(st.Rounds),
+				"lp_pivots":           st.LPIterations,
+				"lp_refactorisations": st.Refactorisations,
+			}
+		}
+	}
+	var optW1, optW4 milp.Stats
 
 	// replan_cold / replan_warm: the incremental re-planning rows. A 10-step
 	// repair sequence on the bench scenario (one broken node repaired per
@@ -346,17 +380,13 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 		name string
 		reps int
 		fn   func()
+		work func() map[string]int64 // nil: the row has no work counters
 	}{
 		{"lp_transportation_sparse_cold", 20, func() {
 			if sol := solver.Solve(prob, lp.Options{}); sol.Status != lp.StatusOptimal {
 				panic(sol.Status)
 			}
-		}},
-		{"lp_transportation_dense_cold", 5, func() {
-			if sol := prob.SolveWithOptions(lp.Options{Dense: true}); sol.Status != lp.StatusOptimal {
-				panic(sol.Status)
-			}
-		}},
+		}, nil},
 		{"lp_transportation_warm_resolve", 200, func() {
 			_ = prob.SetRHS(25+rng.Intn(25), 1+rng.Float64()*9)
 			sol := warmSolver.Solve(prob, lp.Options{WarmStart: basis})
@@ -364,9 +394,9 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 				panic(sol.Status)
 			}
 			basis = sol.Basis
-		}},
-		{"isp_iteration_exact", 3, mustSolve(core.Options{Routability: flow.Options{Mode: flow.ModeExact}})},
-		{"isp_iteration_fast", 10, mustSolve(core.FastOptions())},
+		}, nil},
+		{"isp_iteration_exact", 3, mustSolve(core.Options{Routability: flow.Options{Mode: flow.ModeExact}}, &ispExact), ispWork(&ispExact)},
+		{"isp_iteration_fast", 10, mustSolve(core.FastOptions(), &ispFast), ispWork(&ispFast)},
 		{"cached_plan_hit", 1000, func() {
 			_, outcome, _, err := cache.Do(ctx, hitKey(), func(context.Context) (*scenario.Plan, error) {
 				panic("cached_plan_hit must never solve")
@@ -374,26 +404,26 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 			if err != nil || outcome != plancache.Hit {
 				panic(fmt.Sprintf("cached_plan_hit: outcome=%v err=%v", outcome, err))
 			}
-		}},
+		}, nil},
 		{"replan_cold", 10, func() {
 			sc := replanScens[coldStep%len(replanScens)]
 			coldStep++
 			if _, _, err := core.Solve(ctx, sc.Clone(), exactOpts); err != nil {
 				panic(err)
 			}
-		}},
+		}, nil},
 		{"replan_warm", 30, func() {
 			sc := replanScens[warmStep%len(replanScens)]
 			warmStep++
 			if _, _, err := replanSess.Solve(ctx, sc.Clone(), exactOpts); err != nil {
 				panic(err)
 			}
-		}},
-		{"ensemble_64_fastisp_cold", 3, mustEnsemble(ensSpec)},
-		{"ensemble_64_fastisp_warm", 10, mustEnsemble(warmSpec)},
-		{"fallback_isp_under_budget", 10, degradedSolve},
-		{"opt_search300_w1", 1, milpSolve(1)},
-		{"opt_search300_w4", 1, milpSolve(4)},
+		}, nil},
+		{"ensemble_64_fastisp_cold", 3, mustEnsemble(ensSpec), nil},
+		{"ensemble_64_fastisp_warm", 10, mustEnsemble(warmSpec), nil},
+		{"fallback_isp_under_budget", 10, degradedSolve, nil},
+		{"opt_search300_w1", 1, milpSolve(1, &optW1), optWork(&optW1)},
+		{"opt_search300_w4", 1, milpSolve(4, &optW4), optWork(&optW4)},
 	}
 
 	// Every row is measured in TWO passes over the whole suite, keeping the
@@ -406,7 +436,11 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 			report.Benchmarks = append(report.Benchmarks, benchRecord{Name: row.name, Skipped: reason})
 			continue
 		}
-		report.Benchmarks = append(report.Benchmarks, measure(row.name, row.reps, row.fn))
+		rec := measure(row.name, row.reps, row.fn)
+		if row.work != nil {
+			rec.Work = row.work()
+		}
+		report.Benchmarks = append(report.Benchmarks, rec)
 	}
 	for i, row := range rows {
 		if report.Benchmarks[i].Skipped != "" {
@@ -457,11 +491,35 @@ const (
 	allocsFloor = 2
 )
 
+// workDiff lists the baseline work counters whose fresh value differs, as
+// "name base -> fresh". A baseline row without counters yields nothing, so
+// trajectory files recorded before the counters existed still load.
+func workDiff(base, got map[string]int64) []string {
+	var diffs []string
+	for _, k := range sortedKeys(base) {
+		if g, ok := got[k]; !ok || g != base[k] {
+			diffs = append(diffs, fmt.Sprintf("%s %d -> %d", k, base[k], g))
+		}
+	}
+	return diffs
+}
+
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // compareBench is the benchmark-regression gate: it checks every tracked
 // metric of the baseline file against the fresh report and returns an error
 // (non-zero exit) when any ns/op regressed by more than the tolerance
-// (fractional, e.g. 0.25 allows +25%) or any allocs/op grew past the
-// allocation gate. A baseline metric missing from the fresh run also fails —
+// (fractional, e.g. 0.25 allows +25%), any allocs/op grew past the
+// allocation gate, or any work counter differs from the baseline (status
+// WORK: the counted work is deterministic, so it is gated exactly). A
+// baseline metric missing from the fresh run also fails —
 // a silently dropped benchmark must not pass the gate — while new metrics
 // are reported informationally and pass. Every row prints its
 // baseline-vs-current allocations and bytes alongside ns/op.
@@ -503,6 +561,10 @@ func compareBench(w io.Writer, baselineName string, baseline, fresh benchReport,
 		if float64(got.AllocsPerOp) > float64(base.AllocsPerOp)*allocsSlack+allocsFloor {
 			failed = append(failed, "ALLOCS")
 		}
+		work := workDiff(base.Work, got.Work)
+		if len(work) > 0 {
+			failed = append(failed, "WORK")
+		}
 		status := "ok"
 		if len(failed) > 0 {
 			status = strings.Join(failed, ",")
@@ -511,6 +573,9 @@ func compareBench(w io.Writer, baselineName string, baseline, fresh benchReport,
 		fmt.Fprintf(w, "%-32s %14.0f %14.0f %+7.1f%% %19s %25s  %s\n",
 			base.Name, base.NsPerOp, got.NsPerOp, 100*delta,
 			pair(base.AllocsPerOp, got.AllocsPerOp), pair(base.BytesPerOp, got.BytesPerOp), status)
+		for _, d := range work {
+			fmt.Fprintf(w, "    work %s\n", d)
+		}
 	}
 	for _, b := range fresh.Benchmarks {
 		if _, isNew := freshByName[b.Name]; isNew {
@@ -518,10 +583,10 @@ func compareBench(w io.Writer, baselineName string, baseline, fresh benchReport,
 		}
 	}
 	if regressions > 0 {
-		return fmt.Errorf("benchmark regression gate: %d row(s) regressed beyond %.0f%% ns/op or %.0f%%+%d allocs/op of %s",
+		return fmt.Errorf("benchmark regression gate: %d row(s) regressed beyond %.0f%% ns/op or %.0f%%+%d allocs/op, or changed work counters, of %s",
 			regressions, 100*tolerance, 100*(allocsSlack-1), allocsFloor, baselineName)
 	}
-	fmt.Fprintf(w, "benchmark regression gate: all tracked rows within %.0f%% ns/op and %.0f%%+%d allocs/op of %s\n",
+	fmt.Fprintf(w, "benchmark regression gate: all tracked rows within %.0f%% ns/op and %.0f%%+%d allocs/op, with equal work counters, of %s\n",
 		100*tolerance, 100*(allocsSlack-1), allocsFloor, baselineName)
 	return nil
 }

@@ -234,6 +234,44 @@ func TestCompareBenchAllocsGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchWorkGate covers the exact work-counter gate: equal
+// counters pass, a single changed counter fails with WORK only, and a
+// baseline row without counters passes whatever the fresh run counted.
+func TestCompareBenchWorkGate(t *testing.T) {
+	withWork := func(r benchReport, work map[string]int64) benchReport {
+		for i := range r.Benchmarks {
+			r.Benchmarks[i].Work = work
+		}
+		return r
+	}
+	counters := map[string]int64{"nodes": 300, "rounds": 18, "lp_pivots": 1030, "lp_refactorisations": 300}
+	baseline := withWork(syntheticReport(map[string]float64{"a": 1000}), counters)
+
+	var out bytes.Buffer
+	if err := compareBench(&out, "base.json", baseline, withWork(syntheticReport(map[string]float64{"a": 900}), counters), 0.25); err != nil {
+		t.Fatalf("equal work counters failed the gate: %v\n%s", err, out.String())
+	}
+
+	changed := map[string]int64{"nodes": 300, "rounds": 18, "lp_pivots": 1031, "lp_refactorisations": 300}
+	out.Reset()
+	err := compareBench(&out, "base.json", baseline, withWork(syntheticReport(map[string]float64{"a": 900}), changed), 0.25)
+	if err == nil {
+		t.Fatalf("a changed pivot count passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "WORK") || strings.Contains(out.String(), "REGRESSED") || strings.Contains(out.String(), "ALLOCS") {
+		t.Errorf("want a WORK-only verdict: %q", out.String())
+	}
+	if !strings.Contains(out.String(), "lp_pivots 1030 -> 1031") {
+		t.Errorf("the changed counter is not named: %q", out.String())
+	}
+
+	out.Reset()
+	if err := compareBench(&out, "base.json", syntheticReport(map[string]float64{"a": 1000}),
+		withWork(syntheticReport(map[string]float64{"a": 900}), changed), 0.25); err != nil {
+		t.Fatalf("a baseline row without counters failed the gate: %v\n%s", err, out.String())
+	}
+}
+
 // TestCompareGateEndToEnd verifies the trajectory recorder and the CLI
 // wiring of the gate on ONE real suite run: the -bench-json output must be a
 // well-formed trajectory with every tracked row, and comparing a second run

@@ -76,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 		stages     = fs.Float64("stage-budget", 0, "if positive, also print a progressive repair schedule with this per-stage budget")
 		graphml    = fs.Bool("graphml", false, "parse -topology as an Internet Topology Zoo GraphML file")
 		jsonOut    = fs.Bool("json", false, "emit the plan as JSON in the exact schema the nrserved HTTP daemon returns (includes the stages when -stage-budget is set)")
-		solveStats = fs.Bool("solver-stats", false, "print solver depth statistics (simplex iterations, refactorisations, warm starts; branch-and-bound nodes, steals, incumbent timeline) as JSON on stderr")
+		solveStats = fs.Bool("solver-stats", false, "print solver depth statistics (simplex iterations, refactorisations, warm starts; branch-and-bound nodes, rounds, incumbent timeline) as JSON on stderr")
 		deadline   = fs.Duration("deadline", 0, "overall wall-clock budget for the solve: when the selected solver cannot answer inside it (or fails), degrade to fast ISP instead of erroring; with -json the output is wrapped as {plan, degradation} like a degraded daemon response (0 = off)")
 
 		ensembleN       = fs.Int("ensemble", 0, "draw this many disruption samples and print a robust-plan ensemble report instead of a single plan (0 = off)")

@@ -56,6 +56,7 @@ import (
 	"netrecovery/internal/obs"
 	"netrecovery/internal/plancache"
 	"netrecovery/internal/server"
+	"netrecovery/internal/splitmix"
 )
 
 func main() {
@@ -268,17 +269,10 @@ func debugMux(tracer *obs.Tracer) http.Handler {
 func hashString(s string) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for i := 0; i < len(s); i++ {
-		h = splitmix64(h ^ uint64(s[i]))
+		h = splitmix.Next(h ^ uint64(s[i]))
 	}
 	if h == 0 {
 		h = 1
 	}
 	return h
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

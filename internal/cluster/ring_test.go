@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"netrecovery/internal/splitmix"
 )
 
 // testFP derives a deterministic fingerprint for test key i.
@@ -97,7 +99,7 @@ func TestRingDedup(t *testing.T) {
 func TestRingTiebreak(t *testing.T) {
 	const pt = uint64(0x1234_5678_9abc_def0)
 	addrs := []string{"http://x:1", "http://y:1"}
-	rankOf := func(addr string) uint64 { return splitmix64(pt ^ addrHash64(addr)) }
+	rankOf := func(addr string) uint64 { return splitmix.Next(pt ^ addrHash64(addr)) }
 	want := addrs[0]
 	if rankOf(addrs[1]) > rankOf(addrs[0]) {
 		want = addrs[1]

@@ -56,12 +56,6 @@ func BenchmarkISP_Iteration(b *testing.B) {
 	benchISP(b, Options{Routability: flow.Options{Mode: flow.ModeExact}})
 }
 
-// BenchmarkISP_IterationDenseLP is the pre-rewrite comparison point: the
-// same run forced onto the legacy dense tableau LP solver (no warm starts).
-func BenchmarkISP_IterationDenseLP(b *testing.B) {
-	benchISP(b, Options{Routability: flow.Options{Mode: flow.ModeExact, DenseLP: true}})
-}
-
 // BenchmarkISP_FastGrid measures fast ISP (greedy split, auto routability)
 // over a fixed seeded population of grid:5x5 instances with two far-apart
 // pairs of six units, 15% of nodes and 25% of links broken at random: the

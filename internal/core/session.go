@@ -156,7 +156,6 @@ func (st *state) routKey() [32]byte {
 	sess.buf = st.appendDemands(sess.buf)
 	sess.buf = appendU64(sess.buf, uint64(st.opts.Routability.Mode))
 	sess.buf = appendU64(sess.buf, uint64(st.opts.Routability.MaxLPVariables))
-	sess.buf = appendBool(sess.buf, st.opts.Routability.DenseLP)
 	return sess.sum(st.topoKey)
 }
 

@@ -3,17 +3,9 @@ package degrade
 import (
 	"context"
 	"time"
-)
 
-// splitmix64 is the repo-wide deterministic PRNG step (same constants as
-// internal/ensemble's sample streams): a full-period 64-bit mixer whose
-// output sequence depends only on the seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+	"netrecovery/internal/splitmix"
+)
 
 // RetryPolicy bounds re-attempts of a transient failure with jittered
 // exponential backoff. The jitter stream is seeded, and the sleeper is
@@ -27,7 +19,8 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// Seed keys the jitter stream. The n-th retry sleeps
-	// backoff/2 + u·backoff/2 where u is drawn from splitmix64(seed, n).
+	// backoff/2 + u·backoff/2 where u is the splitmix64 output keyed by
+	// seed and n.
 	Seed uint64
 	// Sleep is called to wait between attempts; nil means a
 	// context-aware real sleep. Tests inject a recorder.
@@ -58,7 +51,7 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 		d = max
 	}
 	// Half fixed, half jittered: never less than d/2, never more than d.
-	u := splitmix64(p.Seed ^ uint64(retry)*0x9e3779b97f4a7c15)
+	u := splitmix.Next(p.Seed ^ uint64(retry)*0x9e3779b97f4a7c15)
 	jitter := time.Duration(u % uint64(d/2+1))
 	return d/2 + jitter
 }

@@ -19,6 +19,7 @@ import (
 
 	"netrecovery/internal/disruption"
 	"netrecovery/internal/graph"
+	"netrecovery/internal/splitmix"
 )
 
 // Sampler model names, the wire values of SamplerSpec.Model.
@@ -141,22 +142,11 @@ func (sp SamplerSpec) Sample(g *graph.Graph, rng *rand.Rand) disruption.Disrupti
 // sample 500 never depends on having drawn samples 0..499, so samples are
 // individually reproducible and the sequence is stable when Samples grows.
 func sampleRand(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(mix(seed, int64(i))))
+	return rand.New(rand.NewSource(splitmix.Mix(seed, int64(i))))
 }
 
 // reseedSample restarts r on sample i's stream: r then draws exactly what
 // sampleRand(seed, i) would, without allocating a new 4.9 KB source.
 func reseedSample(r *rand.Rand, seed int64, i int) {
-	r.Seed(mix(seed, int64(i)))
-}
-
-// mix combines a seed and a stream discriminator with the splitmix64
-// finalizer (the same derivation the sweep engine uses), so neighbouring
-// sample indices yield uncorrelated streams.
-func mix(seed, stream int64) int64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(stream)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	r.Seed(splitmix.Mix(seed, int64(i)))
 }

@@ -177,10 +177,6 @@ type Options struct {
 	// MaxLPVariables bounds the LP size in ModeAuto; above it the
 	// constructive test is used. Zero means 40000.
 	MaxLPVariables int
-	// DenseLP forces the legacy dense tableau LP solver (no warm starts).
-	// It is a testing fallback used to cross-check the sparse revised
-	// simplex end to end; production paths leave it false.
-	DenseLP bool
 }
 
 func (o Options) withDefaults() Options {

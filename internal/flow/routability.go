@@ -40,7 +40,7 @@ func CheckRoutability(in *Instance, opts Options) Result {
 		useExact = numVars <= opts.MaxLPVariables
 	}
 	if useExact {
-		return checkRoutabilityLP(in, usable, opts)
+		return checkRoutabilityLP(in, usable)
 	}
 	return constructiveResult(in.Graph, usable, in.Demands, ws)
 }
@@ -61,9 +61,9 @@ func passesSingleCommodityFilter(g *graph.Graph, usable []float64, active []dema
 // checkRoutabilityLP solves the exact feasibility LP of system (2) over the
 // usable capacities. usable is consumed: a constructive fallback routes on
 // it.
-func checkRoutabilityLP(in *Instance, usable []float64, opts Options) Result {
+func checkRoutabilityLP(in *Instance, usable []float64) Result {
 	prob, vars, edges := buildRoutabilityLP(in, usable)
-	sol := prob.SolveWithOptions(lp.Options{Dense: opts.DenseLP})
+	sol := prob.Solve()
 	switch sol.Status {
 	case lp.StatusOptimal:
 		return Result{

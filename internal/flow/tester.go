@@ -124,9 +124,9 @@ func (t *RoutabilityTester) Check(in *Instance, opts Options) Result {
 	// still exact, just without warm starts.
 	if fullVars := 2 * in.Graph.NumEdges() * len(active); fullVars > opts.MaxLPVariables {
 		t.Stats.OneShots++
-		return checkRoutabilityLP(in, t.consumable(), opts)
+		return checkRoutabilityLP(in, t.consumable())
 	}
-	return t.checkExact(in, active, opts)
+	return t.checkExact(in, active)
 }
 
 // consumable returns a copy of the call's usable capacities that a
@@ -249,19 +249,17 @@ func (t *RoutabilityTester) refresh(active []demand.Pair) {
 
 // checkExact solves the feasibility LP, warm-starting from the previous
 // basis when the layout is unchanged.
-func (t *RoutabilityTester) checkExact(in *Instance, active []demand.Pair, opts Options) Result {
+func (t *RoutabilityTester) checkExact(in *Instance, active []demand.Pair) Result {
 	if !t.sameLayout(in, active) {
 		t.build(in, active)
 	}
 	t.refresh(active)
 	t.Stats.Calls++
 
-	lpOpts := lp.Options{Dense: opts.DenseLP}
-	if t.basis != nil && !opts.DenseLP {
-		lpOpts.WarmStart = t.basis
+	if t.basis != nil {
 		t.Stats.WarmStarts++
 	}
-	sol := t.solver.Solve(t.prob, lpOpts)
+	sol := t.solver.Solve(t.prob, lp.Options{WarmStart: t.basis})
 	switch sol.Status {
 	case lp.StatusOptimal:
 		t.basis = sol.Basis

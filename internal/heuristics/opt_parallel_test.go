@@ -16,9 +16,9 @@ import (
 	"netrecovery/internal/topology"
 )
 
-// invariantScenario builds the same small MinR instances the OPT-vs-dense
-// equivalence test uses: the topologies where the exact search terminates
-// within the test budget.
+// invariantScenario builds small MinR instances: a 3x3 grid or a 10-node
+// Erdős–Rényi graph, where the exact search terminates within the test
+// budget.
 func invariantScenario(t *testing.T, topo string, seed int64) *scenario.Scenario {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -114,8 +114,8 @@ type SolveStats struct {
 	// routability tester's LP call and warm-start counts).
 	Core *core.Stats
 	// MILP carries OPT's branch-and-bound depth record: nodes, rounds,
-	// steal counts, aggregated LP iterations/refactorisations and the
-	// incumbent/bound timeline.
+	// aggregated LP iterations/refactorisations and the incumbent/bound
+	// timeline.
 	MILP *milp.Stats
 }
 

@@ -67,9 +67,17 @@ func BenchmarkLP_SparseCold(b *testing.B) {
 	benchSolve(b, benchTransportation(25, 25, 3), Options{})
 }
 
-// BenchmarkLP_DenseCold is the same LP on the legacy dense tableau.
+// BenchmarkLP_DenseCold is the same LP on the legacy dense tableau, the
+// test-only oracle the sparse solver replaced.
 func BenchmarkLP_DenseCold(b *testing.B) {
-	benchSolve(b, benchTransportation(25, 25, 3), Options{Dense: true})
+	prob := benchTransportation(25, 25, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sol := solveDense(prob, Options{}); sol.Status != StatusOptimal {
+			b.Fatalf("status = %v", sol.Status)
+		}
+	}
 }
 
 // BenchmarkLP_WarmResolve measures the warm-start path: re-solving after a

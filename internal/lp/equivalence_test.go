@@ -69,7 +69,7 @@ func TestSparseMatchesDenseOnRandomLPs(t *testing.T) {
 	counts := map[Status]int{}
 	for i := 0; i < 500; i++ {
 		p := randomProblem(rng)
-		dense := p.SolveWithOptions(Options{Dense: true})
+		dense := solveDense(p, Options{})
 		sparse := p.SolveWithOptions(Options{})
 		counts[sparse.Status]++
 		if dense.Status == StatusIterLimit || sparse.Status == StatusIterLimit {
@@ -140,7 +140,10 @@ func TestSparseLowerBounds(t *testing.T) {
 	}
 	mustConstrain(t, p, []Term{{x, 1}, {y, 1}}, GreaterEq, 5)
 	for _, dense := range []bool{false, true} {
-		sol := p.SolveWithOptions(Options{Dense: dense})
+		sol := p.Solve()
+		if dense {
+			sol = solveDense(p, Options{})
+		}
 		if sol.Status != StatusOptimal {
 			t.Fatalf("dense=%v status = %v", dense, sol.Status)
 		}
@@ -182,7 +185,10 @@ func TestNegativeLowerBounds(t *testing.T) {
 	// x + y >= -3 keeps the problem bounded away from the box corner.
 	mustConstrain(t, p, []Term{{x, 1}, {y, 1}}, GreaterEq, -3)
 	for _, dense := range []bool{false, true} {
-		sol := p.SolveWithOptions(Options{Dense: dense})
+		sol := p.Solve()
+		if dense {
+			sol = solveDense(p, Options{})
+		}
 		if sol.Status != StatusOptimal {
 			t.Fatalf("dense=%v status = %v", dense, sol.Status)
 		}

@@ -20,10 +20,9 @@
 // Options.WarmStart) so that factorisations, work buffers and bases survive
 // across related solves; one-shot callers use Problem.Solve.
 //
-// The previous dense two-phase tableau implementation is retained behind
-// Options.Dense as an internal fallback and as the reference oracle for the
-// differential tests in equivalence_test.go. It remains entirely
-// dependency-free, like the rest of the package.
+// A dense two-phase tableau solver in the package's test files is the
+// reference oracle of the differential tests in equivalence_test.go and of
+// FuzzSparseMatchesDense. The package is entirely dependency-free.
 package lp
 
 import (
@@ -283,8 +282,8 @@ type Solution struct {
 	// of a same-structured problem (bounds, costs and right-hand sides may
 	// differ) typically re-solves in a handful of pivots.
 	Basis *Basis
-	// Stats describes how the sparse solver got to the answer (solver-depth
-	// telemetry; zero for the dense fallback). It never affects the result.
+	// Stats describes how the solver got to the answer (solver-depth
+	// telemetry). It never affects the result.
 	Stats Stats
 }
 
@@ -331,11 +330,6 @@ type Options struct {
 	// a problem with identical structure. Invalid or stale bases are
 	// detected and silently fall back to a cold start.
 	WarmStart *Basis
-	// Dense forces the legacy dense two-phase tableau solver. It is kept as
-	// an internal fallback and for differential testing against the sparse
-	// revised simplex; it ignores WarmStart and expands finite bounds into
-	// explicit rows.
-	Dense bool
 	// Deterministic makes the solve a pure function of the problem data and
 	// the supplied warm-start basis, independent of the Solver's solve
 	// history: the rotating partial-pricing window restarts at column zero
@@ -364,62 +358,9 @@ func (p *Problem) Solve() Solution {
 }
 
 // SolveWithOptions solves the problem with the given options using the
-// sparse revised simplex (or the legacy dense tableau when opts.Dense is
-// set). Callers that solve many related problems should hold a Solver and
-// call its Solve method instead, which reuses buffers and factorisations
-// across solves.
+// sparse revised simplex. Callers that solve many related problems should
+// hold a Solver and call its Solve method instead, which reuses buffers and
+// factorisations across solves.
 func (p *Problem) SolveWithOptions(opts Options) Solution {
-	if opts.Dense {
-		return solveDense(p, opts)
-	}
 	return NewSolver().Solve(p, opts)
-}
-
-// solveDense runs the legacy dense two-phase tableau solver. The tableau
-// models only 0 <= x <= u, so non-zero lower bounds are handled by the exact
-// variable shift y = x - l (bounds become 0 <= y <= u-l, each row's RHS
-// drops sum(a_ij * l_j)), and the solution is shifted back afterwards. This
-// keeps the dense path a faithful oracle for any bounds the sparse solver
-// accepts, including negative lower bounds.
-func solveDense(p *Problem, opts Options) Solution {
-	shifted := false
-	if p.lower != nil {
-		for _, lo := range p.lower {
-			if lo != 0 {
-				shifted = true
-				break
-			}
-		}
-	}
-	orig := p
-	if shifted {
-		c := p.CloneStructure()
-		c.lower = nil
-		for v, lo := range p.lower {
-			if lo != 0 {
-				c.upper[v] = p.upper[v] - lo // +Inf stays +Inf
-			}
-		}
-		for i := range c.rows {
-			adj := 0.0
-			for _, t := range c.rows[i].Terms {
-				adj += t.Coef * p.lowerOf(t.Var)
-			}
-			c.rows[i].RHS -= adj
-		}
-		p = c
-	}
-	t := newTableau(p)
-	o := opts
-	o.WarmStart = nil
-	o = o.withDefaults(t.m, t.n)
-	sol := t.solve(o)
-	if shifted && sol.Status == StatusOptimal {
-		for v := range sol.Values {
-			lo := orig.lowerOf(v)
-			sol.Values[v] += lo
-			sol.Objective += orig.objective[v] * lo
-		}
-	}
-	return sol
 }

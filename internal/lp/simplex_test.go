@@ -4,6 +4,59 @@ import (
 	"math"
 )
 
+// This file holds the dense two-phase tableau solver. It is test-only: the
+// independent oracle of the differential tests (equivalence_test.go,
+// FuzzSparseMatchesDense) and the comparison point of BenchmarkLP_DenseCold.
+
+// solveDense runs the dense two-phase tableau solver. The tableau
+// models only 0 <= x <= u, so non-zero lower bounds are handled by the exact
+// variable shift y = x - l (bounds become 0 <= y <= u-l, each row's RHS
+// drops sum(a_ij * l_j)), and the solution is shifted back afterwards. This
+// keeps the dense path a faithful oracle for any bounds the sparse solver
+// accepts, including negative lower bounds.
+func solveDense(p *Problem, opts Options) Solution {
+	shifted := false
+	if p.lower != nil {
+		for _, lo := range p.lower {
+			if lo != 0 {
+				shifted = true
+				break
+			}
+		}
+	}
+	orig := p
+	if shifted {
+		c := p.CloneStructure()
+		c.lower = nil
+		for v, lo := range p.lower {
+			if lo != 0 {
+				c.upper[v] = p.upper[v] - lo // +Inf stays +Inf
+			}
+		}
+		for i := range c.rows {
+			adj := 0.0
+			for _, t := range c.rows[i].Terms {
+				adj += t.Coef * p.lowerOf(t.Var)
+			}
+			c.rows[i].RHS -= adj
+		}
+		p = c
+	}
+	t := newTableau(p)
+	o := opts
+	o.WarmStart = nil
+	o = o.withDefaults(t.m, t.n)
+	sol := t.solve(o)
+	if shifted && sol.Status == StatusOptimal {
+		for v := range sol.Values {
+			lo := orig.lowerOf(v)
+			sol.Values[v] += lo
+			sol.Objective += orig.objective[v] * lo
+		}
+	}
+	return sol
+}
+
 // tableau is the dense simplex tableau: constraint matrix rows with slack,
 // surplus and artificial columns appended, plus the phase-1 and phase-2
 // objective rows.

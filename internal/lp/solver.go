@@ -110,9 +110,6 @@ const (
 // Solve solves the problem with the given options, reusing the solver's
 // buffers and factorisation where possible.
 func (s *Solver) Solve(p *Problem, opts Options) Solution {
-	if opts.Dense {
-		return solveDense(p, opts)
-	}
 	s.statRefactors, s.statWarm = 0, false
 	if s.prob != p || s.version != p.version {
 		s.sf.build(p)

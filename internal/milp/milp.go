@@ -10,11 +10,11 @@
 // proof of optimality would take too long (exactly the behaviour reported in
 // Fig. 7(a) of the paper).
 //
-// The search is parallel: Options.Workers goroutines solve LP relaxations
-// concurrently over a lock-striped best-first node pool with work stealing,
-// each holding its own warm-started lp.Solver clone. The search trace is
-// deterministic — identical run to run and across worker counts — see the
-// package comment in search.go for the construction.
+// The search is parallel: Options.Workers goroutines solve each round's LP
+// relaxations concurrently, each holding its own warm-started lp.Solver
+// clone, while one coordinator owns the best-first heap of open nodes. The
+// search trace is deterministic — identical run to run and across worker
+// counts — see the package comment in search.go for the construction.
 package milp
 
 import (
@@ -101,10 +101,6 @@ type Options struct {
 	// the number of explored nodes. The callback runs on the coordinator
 	// goroutine at round barriers and must be cheap.
 	Progress func(incumbent, bound float64, nodes int, improved bool)
-	// DenseLP forces the legacy dense tableau solver for every LP
-	// relaxation (no warm starts). Testing fallback used to cross-check the
-	// sparse revised simplex; production paths leave it false.
-	DenseLP bool
 	// lpMaxIterations overrides the pivot budget of every LP relaxation
 	// (0 = solver default). Unexported: used by tests to exercise the
 	// iteration-limited-relaxation path deterministically.
@@ -116,7 +112,7 @@ type Options struct {
 const progressInterval = 100
 
 // warmBasisQueueCap bounds how many open nodes may carry a warm-start basis
-// snapshot: each basis is O(rows) in size, so an unbounded best-first pool
+// snapshot: each basis is O(rows) in size, so an unbounded best-first heap
 // would otherwise retain unbounded warm-start memory on hard instances.
 const warmBasisQueueCap = 8192
 
@@ -144,9 +140,8 @@ type Solution struct {
 	// incumbent exists.
 	Gap float64
 	// Stats carries the search-depth telemetry of the solve (see Stats).
-	// It never affects the answer; deterministic fields stay deterministic
-	// across worker counts, while Steals and the LP aggregates depend on
-	// scheduling and are telemetry only.
+	// It never affects the answer and, like the answer, is identical across
+	// worker counts unless a wall-clock limit cut the search.
 	Stats *Stats
 }
 
@@ -157,13 +152,8 @@ type Stats struct {
 	// rounds of the deterministic batch schedule.
 	Nodes  int `json:"nodes"`
 	Rounds int `json:"rounds"`
-	// Steals counts successful work-steals between worker deques. The
-	// value depends on scheduling and is NOT deterministic.
-	Steals int64 `json:"steals"`
 	// LPIterations/Refactorisations/WarmSolves/ColdSolves aggregate the
-	// per-node relaxation solves (scheduling-dependent only in so far as
-	// pruning order changes which nodes are solved; deterministic for the
-	// deterministic schedule).
+	// per-node relaxation solves.
 	LPIterations     int64 `json:"lp_iterations"`
 	Refactorisations int64 `json:"lp_refactorisations"`
 	WarmSolves       int64 `json:"lp_warm_solves"`
@@ -219,7 +209,6 @@ type relaxer struct {
 	baseLo []float64   // relaxation bounds of the binary variables
 	baseUp []float64
 	solver *lp.Solver
-	dense  bool
 	lpIter int // LP pivot budget override (0 = solver default); set by tests
 }
 
@@ -231,7 +220,6 @@ func newRelaxer(p Problem, opts Options) *relaxer {
 		baseLo: make([]float64, len(p.Binary)),
 		baseUp: make([]float64, len(p.Binary)),
 		solver: lp.NewSolver(),
-		dense:  opts.DenseLP,
 		lpIter: opts.lpMaxIterations,
 	}
 	for i, v := range p.Binary {
@@ -262,21 +250,11 @@ func (r *relaxer) solve(cur *node) lp.Solution {
 	for v, val := range cur.fixed {
 		_ = r.prob.SetBounds(v, val, val)
 	}
-	opts := lp.Options{Dense: r.dense, MaxIterations: r.lpIter, Deterministic: true}
-	if !r.dense {
-		opts.WarmStart = cur.basis
-	}
-	sol := r.solver.Solve(r.prob, opts)
+	sol := r.solver.Solve(r.prob, lp.Options{WarmStart: cur.basis, MaxIterations: r.lpIter, Deterministic: true})
 	for i, v := range r.binary {
 		if _, ok := cur.fixed[v]; ok {
 			_ = r.prob.SetBounds(v, r.baseLo[i], r.baseUp[i])
 		}
 	}
 	return sol
-}
-
-// senseOf exposes the optimisation sense of an lp.Problem via its public
-// clone helper (the lp package does not export the sense directly).
-func senseOf(p *lp.Problem) lp.Sense {
-	return p.Sense()
 }

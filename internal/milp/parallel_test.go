@@ -71,8 +71,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelDeterministicAcrossRepeats re-solves the same instance five
-// times at four workers: goroutine interleavings and steal schedules differ
-// per run, the result must not.
+// times at four workers: goroutine interleavings and which worker claims
+// which rank differ per run, the result must not.
 func TestParallelDeterministicAcrossRepeats(t *testing.T) {
 	ctx := context.Background()
 	p := randomKnapsack(42, 16)
@@ -102,25 +102,21 @@ func TestParallelNodeLimitDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelWarmStartAndDense covers the remaining option axes under
-// parallelism: an ISP-style warm start and the dense LP oracle must both
-// produce worker-count-independent results.
-func TestParallelWarmStartAndDense(t *testing.T) {
+// TestParallelWarmStart covers the remaining option axis under
+// parallelism: an ISP-style warm start must produce a
+// worker-count-independent result.
+func TestParallelWarmStart(t *testing.T) {
 	ctx := context.Background()
 	p := randomKnapsack(11, 12)
 	warm := make([]float64, len(p.Binary)) // all-zero is feasible for a knapsack
-	for _, opts := range []Options{
-		{WarmStart: warm, WarmStartObjective: 0},
-		{DenseLP: true},
-	} {
-		seq, par := opts, opts
-		seq.Workers, par.Workers = 1, 4
-		ref := Solve(ctx, p, seq)
-		got := Solve(ctx, p, par)
-		if !reflect.DeepEqual(fingerprint(got), fingerprint(ref)) {
-			t.Errorf("opts %+v: solution diverged\n got %+v\nwant %+v",
-				opts, fingerprint(got), fingerprint(ref))
-		}
+	opts := Options{WarmStart: warm, WarmStartObjective: 0}
+	seq, par := opts, opts
+	seq.Workers, par.Workers = 1, 4
+	ref := Solve(ctx, p, seq)
+	got := Solve(ctx, p, par)
+	if !reflect.DeepEqual(fingerprint(got), fingerprint(ref)) {
+		t.Errorf("opts %+v: solution diverged\n got %+v\nwant %+v",
+			opts, fingerprint(got), fingerprint(ref))
 	}
 }
 

@@ -1,31 +1,31 @@
-// Parallel branch and bound with deterministic work-stealing.
+// Parallel branch and bound with a deterministic search trace.
 //
-// The search runs in synchronous best-first rounds. Each round the
-// coordinator pops the batchSize globally best open nodes from the
-// lock-striped node pool — a deterministic selection, because nodes are
-// ordered by (bound, id) and IDs are unique — and hands them to N worker
-// goroutines through per-worker rank deques with steal-from-the-back for
-// idle workers. Every worker owns its own relaxer (problem clone + reusable
+// The search runs in synchronous best-first rounds. The coordinator owns all
+// search state: the open nodes live in one heap that only it pops and pushes,
+// at round barriers. Each round it pops the batchSize best open nodes — a
+// deterministic selection, because nodes are ordered by (bound, id) and IDs
+// are unique — and N worker goroutines claim the batch's ranks from a shared
+// counter. Every worker owns its own relaxer (problem clone + reusable
 // lp.Solver), so factorisations and work buffers stay thread-local, and the
-// LP solves run in lp.Options.Deterministic mode, so a node's relaxation is
-// a pure function of the node — not of which worker solves it after which
-// history. Workers read the shared atomic incumbent (stable mid-round: the
-// coordinator writes it only at round barriers) to skip dominated nodes and
-// push child nodes straight into the pool; integral candidates are carried
-// back to the barrier, where the coordinator commits incumbents in rank
-// order ("ordered incumbent acceptance").
+// LP solves run in lp.Options.Deterministic mode, so a node's relaxation is a
+// pure function of the node — not of which worker solves it after which
+// history. Workers skip nodes dominated by the round-start incumbent, which
+// they receive by value, and return each node's outcome, children and LP
+// stats in its batch item; at the barrier the coordinator pushes the children
+// and commits incumbents in rank order ("ordered incumbent acceptance").
 //
 // Because every decision that shapes the tree — batch composition, child
 // IDs, domination checks, incumbent acceptance — depends only on
 // round-barrier state and deterministic ordering, the full search trace
-// (explored nodes, incumbent sequence, final plan, node count) is identical
-// run to run AND across worker counts; only wall-clock varies. The one
-// caveat is wall-clock limits: a search cut short by TimeLimit or a context
-// deadline stops at a timing-dependent round, exactly as the sequential
-// search stopped at a timing-dependent node.
+// (explored nodes, incumbent sequence, final plan, node count, LP work) is
+// identical run to run AND across worker counts; only wall-clock varies. The
+// one caveat is wall-clock limits: a search cut short by TimeLimit or a
+// context deadline stops at a timing-dependent round, exactly as the
+// sequential search stopped at a timing-dependent node.
 package milp
 
 import (
+	"container/heap"
 	"context"
 	"math"
 	"runtime"
@@ -50,21 +50,33 @@ const batchSize = 32
 type batchItem struct {
 	node *node
 	// done is false when the context fired before any worker claimed the
-	// item; the coordinator returns such nodes to the pool.
+	// item; the coordinator returns such nodes to the open heap.
 	done bool
-	// pruned marks a node dominated by the shared incumbent at solve time
-	// (its LP was skipped).
+	// pruned marks a node dominated by the round-start incumbent (its LP
+	// was skipped).
 	pruned    bool
 	status    lp.Status
 	objective float64
+	lpStats   lp.Stats
 	// branchVar is the most fractional binary (-1 when the relaxation is
 	// integral); values carries the integral solution for incumbent
-	// acceptance at the barrier.
+	// acceptance at the barrier, children the two nodes of a branching.
 	branchVar int
 	values    []float64
+	children  [2]*node
 }
 
-// search carries the shared state of one Solve call.
+// round is the round-start state every worker reads: the first child ID
+// reserved for the round, the open-node count once the batch was popped, and
+// the incumbent committed at the last barrier.
+type round struct {
+	idBase    uint64
+	open      int
+	incumbent float64
+}
+
+// search carries the state of one Solve call. Apart from the per-worker
+// relaxers, only the coordinator goroutine touches it.
 type search struct {
 	p        Problem
 	opts     Options
@@ -73,27 +85,11 @@ type search struct {
 	workers  int
 	deadline time.Time
 
-	pool     *nodePool
+	open     nodeHeap
 	relaxers []*relaxer
 
-	// Shared atomic incumbent objective (float bits). The coordinator
-	// stores it at round barriers only, so worker reads are stable within
-	// a round — the shared state is concurrent but never racy-in-effect,
-	// which is what keeps mid-round pruning deterministic. It uses +Inf
-	// (minimisation) / -Inf (maximisation) as the "none yet" sentinel,
-	// which every finite objective improves on. (The best open bound needs
-	// no twin: workers prune on their node's own bound, and the pool's
-	// stripe heads yield the global bound on demand.)
-	incumbentBits atomic.Uint64
-
-	// Depth telemetry (Solution.Stats). steals is scheduling-dependent;
-	// the LP aggregates are deterministic for the deterministic schedule
-	// (atomics only because workers write them concurrently).
-	steals      atomic.Int64
-	lpIters     atomic.Int64
-	lpRefactors atomic.Int64
-	lpWarm      atomic.Int64
-	lpCold      atomic.Int64
+	// LP work summed over the solved relaxations (Solution.Stats).
+	lpIters, lpRefactors, lpWarm, lpCold int64
 }
 
 func newSearch(p Problem, opts Options) *search {
@@ -104,14 +100,14 @@ func newSearch(p Problem, opts Options) *search {
 	if workers < 1 {
 		workers = 1
 	}
-	minimize := senseOf(p.LP) == lp.Minimize
+	minimize := p.LP.Sense() == lp.Minimize
 	return &search{
 		p:        p,
 		opts:     opts,
 		minimize: minimize,
 		tol:      opts.Tolerance,
 		workers:  workers,
-		pool:     newNodePool(minimize),
+		open:     nodeHeap{min: minimize},
 		relaxers: make([]*relaxer, workers),
 	}
 }
@@ -122,14 +118,6 @@ func (s *search) better(a, b float64) bool {
 		return a < b-s.tol
 	}
 	return a > b+s.tol
-}
-
-func (s *search) loadIncumbent() float64 {
-	return math.Float64frombits(s.incumbentBits.Load())
-}
-
-func (s *search) storeIncumbent(v float64) {
-	s.incumbentBits.Store(math.Float64bits(v))
 }
 
 // relaxer returns worker w's private relaxer, creating it on first use.
@@ -157,10 +145,9 @@ func (s *search) run(ctx context.Context) Solution {
 	if s.opts.WarmStart != nil {
 		incumbentObj = s.opts.WarmStartObjective
 	}
-	s.storeIncumbent(incumbentObj)
 	var incumbentValues []float64
 
-	s.pool.push(&node{id: 0, fixed: map[int]float64{}, bound: rootBound})
+	heap.Push(&s.open, &node{id: 0, fixed: map[int]float64{}, bound: rootBound})
 	nextID := uint64(1)
 
 	nodes := 0
@@ -171,7 +158,7 @@ func (s *search) run(ctx context.Context) Solution {
 	hitLimit := false
 	items := make([]batchItem, 0, batchSize)
 
-	for s.pool.len() > 0 {
+	for s.open.Len() > 0 {
 		if ctx.Err() != nil || nodes >= s.opts.MaxNodes || (s.opts.TimeLimit > 0 && time.Since(start) > s.opts.TimeLimit) {
 			hitLimit = true
 			break
@@ -180,14 +167,28 @@ func (s *search) run(ctx context.Context) Solution {
 		if rem := s.opts.MaxNodes - nodes; rem < limit {
 			limit = rem
 		}
-		items = s.pool.popBatch(items[:0], limit)
+		items = items[:0]
+		for len(items) < limit && s.open.Len() > 0 {
+			items = append(items, batchItem{node: heap.Pop(&s.open).(*node), branchVar: -1})
+		}
 		// Child IDs are reserved per rank up front (2 per node, taken or
 		// not), so workers can mint them without coordination and the IDs
 		// are independent of solve order.
-		roundBase := nextID
+		rd := round{idBase: nextID, open: s.open.Len(), incumbent: incumbentObj}
 		nextID += 2 * uint64(len(items))
 		rounds++
-		s.solveBatch(ctx, items, roundBase, s.pool.len())
+		s.solveBatch(ctx, items, rd)
+
+		for i := range items {
+			it := &items[i]
+			if it.done && !it.pruned {
+				s.addLPStats(it.lpStats)
+			}
+			if it.children[0] != nil {
+				heap.Push(&s.open, it.children[0])
+				heap.Push(&s.open, it.children[1])
+			}
+		}
 
 		// Ordered commit: results are applied in rank (= best-first
 		// selection) order, so the incumbent sequence does not depend on
@@ -196,7 +197,7 @@ func (s *search) run(ctx context.Context) Solution {
 		for rank := range items {
 			it := &items[rank]
 			if !it.done {
-				s.pool.push(it.node)
+				heap.Push(&s.open, it.node)
 				aborted = true
 				continue
 			}
@@ -247,7 +248,6 @@ func (s *search) run(ctx context.Context) Solution {
 				}
 			}
 		}
-		s.storeIncumbent(incumbentObj)
 		if aborted {
 			hitLimit = true
 			break
@@ -257,9 +257,10 @@ func (s *search) run(ctx context.Context) Solution {
 	// Best remaining bound: the better of the open-node bounds (if the
 	// search stopped early) or the incumbent itself (if the tree was
 	// exhausted), weakened by any subtree dropped on an LP iteration limit.
+	// The heap orders primarily by bound, so its head holds the best one.
 	bestBound := incumbentObj
-	if s.pool.len() > 0 {
-		bestBound = s.pool.bestBound()
+	if s.open.Len() > 0 {
+		bestBound = s.open.items[0].bound
 	}
 	if sawIterLimit {
 		if s.minimize {
@@ -280,7 +281,7 @@ func (s *search) run(ctx context.Context) Solution {
 	}
 
 	status := StatusOptimal
-	if (hitLimit && s.pool.len() > 0) || sawIterLimit {
+	if (hitLimit && s.open.Len() > 0) || sawIterLimit {
 		// A drained tree with dropped subtrees is NOT a proof of
 		// optimality: a better integer solution may live in a discarded
 		// subtree.
@@ -302,40 +303,53 @@ func (s *search) run(ctx context.Context) Solution {
 	}
 }
 
-// stats assembles the Solution.Stats record from the search's telemetry
-// counters (called at every exit path of run).
+// addLPStats adds one relaxation solve to the search's LP work totals.
+func (s *search) addLPStats(st lp.Stats) {
+	s.lpIters += int64(st.Iterations)
+	s.lpRefactors += int64(st.Refactorisations)
+	if st.Warm {
+		s.lpWarm++
+	} else {
+		s.lpCold++
+	}
+}
+
+// stats assembles the Solution.Stats record (called at every exit path of
+// run).
 func (s *search) stats(nodes, rounds int, incumbents []IncumbentEvent) *Stats {
 	return &Stats{
 		Nodes:            nodes,
 		Rounds:           rounds,
-		Steals:           s.steals.Load(),
-		LPIterations:     s.lpIters.Load(),
-		Refactorisations: s.lpRefactors.Load(),
-		WarmSolves:       s.lpWarm.Load(),
-		ColdSolves:       s.lpCold.Load(),
+		LPIterations:     s.lpIters,
+		Refactorisations: s.lpRefactors,
+		WarmSolves:       s.lpWarm,
+		ColdSolves:       s.lpCold,
 		Incumbents:       incumbents,
 	}
 }
 
-// solveBatch processes one round's items on up to s.workers goroutines.
-// With one worker (or a one-item batch) it runs inline on the coordinator.
-func (s *search) solveBatch(ctx context.Context, items []batchItem, roundBase uint64, poolLen0 int) {
-	n := s.workers
-	if n > len(items) {
-		n = len(items)
+// solveBatch processes one round's items on up to s.workers goroutines,
+// which claim ranks in order from a shared counter until the batch is
+// exhausted or the context fires; unclaimed items are left !done for the
+// coordinator to return to the open heap. With one worker (or a one-item
+// batch) it runs inline on the coordinator.
+func (s *search) solveBatch(ctx context.Context, items []batchItem, rd round) {
+	var next atomic.Int64
+	work := func(w int) {
+		for {
+			rank := int(next.Add(1) - 1)
+			if rank >= len(items) {
+				return
+			}
+			if ctx.Err() != nil || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
+				return
+			}
+			s.processItem(w, &items[rank], rank, rd)
+		}
 	}
-	deques := make([]*rankDeque, n)
-	for w := range deques {
-		deques[w] = &rankDeque{}
-	}
-	// Round-robin assignment interleaves the best-first order across
-	// workers so every worker starts on a good node.
-	for rank := range items {
-		d := deques[rank%n]
-		d.ranks = append(d.ranks, rank)
-	}
+	n := min(s.workers, len(items))
 	if n == 1 {
-		s.runWorker(ctx, 0, items, deques, roundBase, poolLen0)
+		work(0)
 		return
 	}
 	var wg sync.WaitGroup
@@ -343,45 +357,20 @@ func (s *search) solveBatch(ctx context.Context, items []batchItem, roundBase ui
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s.runWorker(ctx, w, items, deques, roundBase, poolLen0)
+			work(w)
 		}(w)
 	}
 	wg.Wait()
 }
 
-// runWorker drains its own deque front-to-back, then steals from the back
-// of the other workers' deques until the round is exhausted or the context
-// fires. Unclaimed items are left !done for the coordinator to return to
-// the pool.
-func (s *search) runWorker(ctx context.Context, w int, items []batchItem, deques []*rankDeque, roundBase uint64, poolLen0 int) {
-	for {
-		rank, ok := deques[w].popFront()
-		if !ok {
-			for off := 1; !ok && off < len(deques); off++ {
-				rank, ok = deques[(w+off)%len(deques)].popBack()
-			}
-			if ok {
-				s.steals.Add(1)
-			}
-		}
-		if !ok {
-			return
-		}
-		if ctx.Err() != nil || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
-			return
-		}
-		s.processItem(w, &items[rank], rank, roundBase, poolLen0)
-	}
-}
-
-// processItem solves one node's relaxation and pushes its children. Every
-// input it consults — the node, the round-stable atomic incumbent, the
-// rank-derived child IDs, the round-start pool length — is independent of
-// worker identity and timing, so the item's outcome is too.
-func (s *search) processItem(w int, it *batchItem, rank int, roundBase uint64, poolLen0 int) {
+// processItem solves one node's relaxation and records its outcome and
+// children in the item. Every input it consults — the node, the round-start
+// incumbent, the rank-derived child IDs, the round-start open-node count —
+// is independent of worker identity and timing, so the item's outcome is
+// too.
+func (s *search) processItem(w int, it *batchItem, rank int, rd round) {
 	it.done = true
-	incumbent := s.loadIncumbent()
-	if !s.better(it.node.bound, incumbent) {
+	if !s.better(it.node.bound, rd.incumbent) {
 		// The subtree cannot improve on the incumbent committed at the last
 		// barrier: skip the LP entirely. (The sequential search solved such
 		// nodes and pruned on the relaxation objective; pruning on the
@@ -392,17 +381,11 @@ func (s *search) processItem(w int, it *batchItem, rank int, roundBase uint64, p
 	sol := s.relaxer(w).solve(it.node)
 	it.status = sol.Status
 	it.objective = sol.Objective
-	s.lpIters.Add(int64(sol.Stats.Iterations))
-	s.lpRefactors.Add(int64(sol.Stats.Refactorisations))
-	if sol.Stats.Warm {
-		s.lpWarm.Add(1)
-	} else {
-		s.lpCold.Add(1)
-	}
+	it.lpStats = sol.Stats
 	if sol.Status != lp.StatusOptimal {
 		return
 	}
-	if !s.better(sol.Objective, incumbent) {
+	if !s.better(sol.Objective, rd.incumbent) {
 		// Dominated: no children. The barrier's incumbent is at least as
 		// good as the round-start one, so the coordinator reaches the same
 		// verdict.
@@ -435,12 +418,12 @@ func (s *search) processItem(w int, it *batchItem, rank int, roundBase uint64, p
 	// explored) so warm-start memory stays bounded; the cap test uses only
 	// round-start state plus the rank, keeping the decision deterministic.
 	childBasis := sol.Basis
-	if poolLen0+2*rank >= warmBasisQueueCap {
+	if rd.open+2*rank >= warmBasisQueueCap {
 		childBasis = nil
 	}
 	for d, fixVal := range []float64{0, 1} {
 		child := &node{
-			id:    roundBase + 2*uint64(rank) + uint64(d),
+			id:    rd.idBase + 2*uint64(rank) + uint64(d),
 			fixed: make(map[int]float64, len(it.node.fixed)+1),
 			bound: sol.Objective,
 			basis: childBasis,
@@ -449,6 +432,39 @@ func (s *search) processItem(w int, it *batchItem, rank int, roundBase uint64, p
 			child.fixed[k] = v
 		}
 		child.fixed[branchVar] = fixVal
-		s.pool.push(child)
+		it.children[d] = child
 	}
+}
+
+// before reports whether n precedes m in best-first order: better bound
+// first, smaller node ID on ties. Node IDs are unique, so this is a strict
+// total order — the deterministic tie-break of the parallel search.
+func (n *node) before(m *node, min bool) bool {
+	if n.bound != m.bound {
+		if min {
+			return n.bound < m.bound
+		}
+		return n.bound > m.bound
+	}
+	return n.id < m.id
+}
+
+// nodeHeap is the open-node queue, a container/heap in the order defined by
+// node.before.
+type nodeHeap struct {
+	items []*node
+	min   bool
+}
+
+func (h nodeHeap) Len() int            { return len(h.items) }
+func (h nodeHeap) Less(i, j int) bool  { return h.items[i].before(h.items[j], h.min) }
+func (h nodeHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *nodeHeap) Push(x interface{}) { h.items = append(h.items, x.(*node)) }
+func (h *nodeHeap) Pop() interface{} {
+	old := h.items
+	n := len(old)
+	item := old[n-1]
+	old[n-1] = nil
+	h.items = old[:n-1]
+	return item
 }

@@ -171,7 +171,7 @@ func (srv *Server) runSolve(ctx context.Context, alg string, solver heuristics.S
 	srv.solves.Add(1)
 	srv.inFlight.Add(1)
 	// The solve span's context is what the solver's OnStats hook sees, so
-	// depth attributes (LP pivots, B&B nodes, steals) land on this span.
+	// depth attributes (LP pivots, B&B nodes, rounds) land on this span.
 	solveCtx, sp := obs.StartSpan(ctx, "solve")
 	sp.SetAttr("algorithm", alg)
 	plan, err := solver.Solve(solveCtx, sc)

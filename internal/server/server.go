@@ -451,7 +451,7 @@ func solveError(err error) *httpError {
 
 // solveStatsAttrs is the heuristics.StatsFunc the server installs on every
 // solve: it lands solver depth telemetry (simplex iterations,
-// refactorisations, warm starts; branch-and-bound nodes, rounds, steals,
+// refactorisations, warm starts; branch-and-bound nodes, rounds,
 // incumbent timeline) as attributes on the enclosing "solve" span. The
 // solver calls it with its own Solve ctx, which runSolve arranged to carry
 // that span; with tracing disabled SpanFromContext is nil and every Set is
@@ -472,7 +472,6 @@ func solveStatsAttrs(ctx context.Context, st heuristics.SolveStats) {
 	if m := st.MILP; m != nil {
 		sp.SetInt("opt_nodes", int64(m.Nodes))
 		sp.SetInt("opt_rounds", int64(m.Rounds))
-		sp.SetInt("opt_steals", int64(m.Steals))
 		sp.SetInt("opt_incumbents", int64(len(m.Incumbents)))
 		sp.SetInt("lp_iterations", int64(m.LPIterations))
 		sp.SetInt("lp_refactorisations", int64(m.Refactorisations))

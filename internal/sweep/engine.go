@@ -13,6 +13,7 @@ import (
 	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/scenario"
+	"netrecovery/internal/splitmix"
 	"netrecovery/internal/topology"
 )
 
@@ -172,17 +173,7 @@ const (
 
 // jobRand returns the deterministic random stream of one aspect of a job.
 func jobRand(seed, stream int64) *rand.Rand {
-	return rand.New(rand.NewSource(mix(seed, stream)))
-}
-
-// mix combines a seed and a stream discriminator with the splitmix64 finalizer,
-// so that neighbouring seeds yield uncorrelated streams.
-func mix(seed, stream int64) int64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(stream)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return rand.New(rand.NewSource(splitmix.Mix(seed, stream)))
 }
 
 // BuildScenario deterministically constructs the MinR instance of a job from

@@ -3,6 +3,7 @@ package netrecovery
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -132,4 +133,38 @@ func TestRepairedIDsSorted(t *testing.T) {
 			break
 		}
 	}
+}
+
+// TestOptCertificate checks OPT's optimality certificate on the invariants
+// instances at node budgets from 3 to 300: the reported bound is a valid
+// lower bound on the plan's repair cost, and a plan claimed optimal meets
+// its bound.
+func TestOptCertificate(t *testing.T) {
+	plans, limited := 0, 0
+	for _, topology := range []string{"bell-canada", "grid", "erdos-renyi"} {
+		for seed := int64(1); seed <= 20; seed++ {
+			for _, maxNodes := range []int{3, 10, 50, 300} {
+				plan, err := planWith(invariantNetwork(t, topology, seed), WithAlgorithm(OPT),
+					WithOPTBudget(time.Minute, maxNodes))
+				if err != nil {
+					t.Fatalf("%s/seed%d/%d nodes: %v", topology, seed, maxNodes, err)
+				}
+				cost, bound := plan.Cost(), plan.inner.Bound
+				tol := 1e-6 * (1 + math.Abs(cost))
+				if cost < bound-tol {
+					t.Errorf("%s/seed%d/%d nodes: repair cost %g below the reported bound %g",
+						topology, seed, maxNodes, cost, bound)
+				}
+				if plan.Optimal() && math.Abs(cost-bound) > tol {
+					t.Errorf("%s/seed%d/%d nodes: optimal plan costs %g but the bound is %g",
+						topology, seed, maxNodes, cost, bound)
+				}
+				plans++
+				if !plan.Optimal() {
+					limited++
+				}
+			}
+		}
+	}
+	t.Logf("%d OPT plans, %d budget-limited", plans, limited)
 }
