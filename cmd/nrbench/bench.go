@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -26,7 +29,9 @@ import (
 	"netrecovery/internal/milp"
 	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
+	"netrecovery/internal/server"
 	"netrecovery/internal/topology"
+	"netrecovery/internal/wire"
 )
 
 // benchRecord is one row of the BENCH_lp.json trajectory file: a named
@@ -233,6 +238,25 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 		return report, fmt.Errorf("bench: cache priming solve failed: %w", err)
 	}
 
+	// plan_hit_handler: the whole hit path of POST /v1/plan — request
+	// decode, wire-derived cache key, lookup, response encode — through
+	// server.Handler with an httptest recorder (no socket), on a cache
+	// warmed by one solve of the same Bell-Canada fast-ISP body.
+	hitBody, err := json.Marshal(wire.PlanRequest{Scenario: wire.FromScenario("bench", s), Algorithm: "ISP", Options: wire.SolveOptions{Fast: true}})
+	if err != nil {
+		return report, err
+	}
+	planHandler := server.New(server.Config{}).Handler()
+	postPlan := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		planHandler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(hitBody)))
+		return rec
+	}
+	if rec := postPlan(); rec.Code != http.StatusOK {
+		return report, fmt.Errorf("bench: handler priming solve: status %d: %s", rec.Code, rec.Body)
+	}
+	hitStatus := []byte(`"status":"hit"`)
+
 	milpProb := heuristics.OptMILP(s)
 	milpSolve := func(workers int, last *milp.Stats) func() {
 		opts := milp.Options{MaxNodes: 300, TimeLimit: 5 * time.Minute, Workers: workers}
@@ -403,6 +427,11 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 			})
 			if err != nil || outcome != plancache.Hit {
 				panic(fmt.Sprintf("cached_plan_hit: outcome=%v err=%v", outcome, err))
+			}
+		}, nil},
+		{"plan_hit_handler", 1000, func() {
+			if rec := postPlan(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), hitStatus) {
+				panic(fmt.Sprintf("plan_hit_handler: status %d: %s", rec.Code, rec.Body))
 			}
 		}, nil},
 		{"replan_cold", 10, func() {

@@ -307,7 +307,7 @@ func TestCompareGateEndToEnd(t *testing.T) {
 			t.Errorf("benchmark %s has non-positive metrics: %+v", b.Name, b)
 		}
 	}
-	for _, want := range []string{"lp_transportation_sparse_cold", "lp_transportation_warm_resolve", "isp_iteration_exact", "replan_cold", "replan_warm", "ensemble_64_fastisp_cold", "ensemble_64_fastisp_warm", "fallback_isp_under_budget", "opt_search300_w1", "opt_search300_w4"} {
+	for _, want := range []string{"lp_transportation_sparse_cold", "lp_transportation_warm_resolve", "isp_iteration_exact", "plan_hit_handler", "replan_cold", "replan_warm", "ensemble_64_fastisp_cold", "ensemble_64_fastisp_warm", "fallback_isp_under_budget", "opt_search300_w1", "opt_search300_w4"} {
 		if !names[want] {
 			t.Errorf("missing benchmark %q in %v", want, names)
 		}

@@ -79,7 +79,7 @@ func run(args []string, stdout io.Writer) error {
 		solveStats = fs.Bool("solver-stats", false, "print solver depth statistics (simplex iterations, refactorisations, warm starts; branch-and-bound nodes, rounds, incumbent timeline) as JSON on stderr")
 		deadline   = fs.Duration("deadline", 0, "overall wall-clock budget for the solve: when the selected solver cannot answer inside it (or fails), degrade to fast ISP instead of erroring; with -json the output is wrapped as {plan, degradation} like a degraded daemon response (0 = off)")
 
-		ensembleN       = fs.Int("ensemble", 0, "draw this many disruption samples and print a robust-plan ensemble report instead of a single plan (0 = off)")
+		ensembleN       = fs.Int("ensemble", 0, "draw this many disruption samples and print a robust-plan ensemble report instead of a single plan (0 = off, at most 100000)")
 		ensembleModel   = fs.String("ensemble-model", "geographic", "ensemble failure model: geographic | bernoulli | cascade")
 		ensembleAlpha   = fs.Float64("ensemble-alpha", 0.95, "CVaR confidence level of the ensemble report")
 		ensembleCons    = fs.Float64("ensemble-consensus", 0.9, "repair-frequency threshold of the ensemble consensus plan")

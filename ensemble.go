@@ -58,7 +58,7 @@ type EnsembleSpec struct {
 	Scenario *Scenario
 	// Sampler is the failure model to draw from.
 	Sampler EnsembleSampler
-	// Samples is the ensemble size (0 = 1000).
+	// Samples is the ensemble size (0 = 1000, at most 100,000).
 	Samples int
 	// Seed roots the per-sample random streams: the same
 	// (scenario, sampler, seed) triple reproduces the exact sample set and

@@ -21,6 +21,11 @@ import (
 const (
 	// DefaultSamples is the ensemble size when Spec.Samples is zero.
 	DefaultSamples = 1000
+	// MaxSamples bounds Spec.Samples, 100 times the default: a run draws,
+	// fingerprints and keeps every sample, so the count sizes its time and
+	// memory, and one request must not be able to ask for more than a box
+	// can give.
+	MaxSamples = 100_000
 	// DefaultAlpha is the CVaR confidence level when Spec.Alpha is zero.
 	DefaultAlpha = 0.95
 	// DefaultConsensusThreshold is the repair-frequency cut-off of the
@@ -44,7 +49,7 @@ type Spec struct {
 	Scenario *scenario.Scenario
 	// Sampler is the failure model to draw from.
 	Sampler SamplerSpec
-	// Samples is the ensemble size (0 = DefaultSamples).
+	// Samples is the ensemble size (0 = DefaultSamples, at most MaxSamples).
 	Samples int
 	// Seed is the root of the per-sample random streams. The same
 	// (scenario, sampler, seed) triple reproduces the exact sample set.
@@ -116,8 +121,8 @@ func (spec Spec) Validate() error {
 	if err := spec.Sampler.Validate(); err != nil {
 		return err
 	}
-	if spec.Samples < 1 {
-		return fmt.Errorf("ensemble: samples must be >= 1, got %d", spec.Samples)
+	if spec.Samples < 1 || spec.Samples > MaxSamples {
+		return fmt.Errorf("ensemble: samples must be in [1, %d], got %d", MaxSamples, spec.Samples)
 	}
 	if spec.Alpha <= 0 || spec.Alpha >= 1 {
 		return fmt.Errorf("ensemble: alpha must be in (0, 1), got %g", spec.Alpha)
@@ -161,8 +166,11 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	// Draw the ensemble and deduplicate by fingerprint in one sequential
 	// pass; first-occurrence order is the canonical unique order everything
 	// downstream iterates in.
-	uniques := make([]*unique, 0, spec.Samples)
-	index := make(map[[32]byte]*unique, spec.Samples)
+	// The unique count is not known before the draw; size for the default
+	// ensemble and let larger ones grow.
+	hint := min(spec.Samples, DefaultSamples)
+	uniques := make([]*unique, 0, hint)
+	index := make(map[[32]byte]*unique, hint)
 	rng := sampleRand(spec.Seed, 0)
 	for i := 0; i < spec.Samples; i++ {
 		if err := ctx.Err(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -227,6 +228,26 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(context.Background(), tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
 		}
+	}
+}
+
+// TestSampleCountBound: counts above MaxSamples are refused by Validate, so
+// Run returns the error before sizing anything from the count (a count
+// near 2^62 used to panic in makeslice); MaxSamples itself is accepted.
+func TestSampleCountBound(t *testing.T) {
+	base := tinyScenario(t)
+	sampler := SamplerSpec{Model: ModelBernoulli, NodeProb: 0.1}
+	for _, n := range []int{MaxSamples + 1, 1 << 33, 1 << 62} {
+		spec := Spec{Scenario: base, Sampler: sampler, Samples: n}
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxSamples)) {
+			t.Errorf("Validate(samples=%d): want an error naming the bound %d, got %v", n, MaxSamples, err)
+		}
+		if _, err := Run(context.Background(), spec); err == nil {
+			t.Errorf("Run(samples=%d) succeeded", n)
+		}
+	}
+	if err := (Spec{Scenario: base, Sampler: sampler, Samples: MaxSamples}).Validate(); err != nil {
+		t.Errorf("Validate(samples=MaxSamples): %v", err)
 	}
 }
 

@@ -135,8 +135,10 @@ type Stats struct {
 
 // entry is one cached plan.
 type entry struct {
-	key    Key
-	plan   *scenario.Plan
+	key  Key
+	plan *scenario.Plan
+	// view is the plan's rendered form, replaced with the plan.
+	view   *view
 	stored time.Time
 	// ttl is this entry's jittered effective TTL (0 = never expires),
 	// fixed at store time so the entry's lifetime is a deterministic
@@ -174,7 +176,56 @@ func (e *UnavailableError) Transient() bool { return true }
 type call struct {
 	done chan struct{}
 	plan *scenario.Plan
+	view *view
 	err  error
+}
+
+// Answer is the result of Fetch: the plan, how it was obtained, and the
+// rendering slot of the entry that holds it.
+type Answer struct {
+	// Plan is shared with every other caller of the key and must not be
+	// mutated.
+	Plan    *scenario.Plan
+	Outcome Outcome
+	// Age is the time the plan spent in the cache (zero for Miss and
+	// Coalesced).
+	Age  time.Duration
+	view *view
+}
+
+// view is one stored plan's rendered form: whatever response form the
+// caller derives from the plan (the server's wire.Plan), which is a
+// deterministic function of the key and the plan. It is computed at most
+// once per stored plan and dropped with it, on eviction or when a re-solve
+// replaces the plan.
+type view struct {
+	once sync.Once
+	done atomic.Bool
+	v    any
+}
+
+// Rendered returns the plan's rendered form if a caller has produced it.
+func (a Answer) Rendered() (any, bool) {
+	if a.view == nil || !a.view.done.Load() {
+		return nil, false
+	}
+	return a.view.v, true
+}
+
+// Render returns the plan's rendered form, calling render only if no caller
+// has produced it yet; the result stays with the cache entry for every
+// later Answer of the same stored plan. An Answer no entry holds (the zero
+// value with just a Plan, as the server builds for bypassed and stale
+// plans) calls render every time.
+func (a Answer) Render(render func() any) any {
+	if a.view == nil {
+		return render()
+	}
+	a.view.once.Do(func() {
+		a.view.v = render()
+		a.view.done.Store(true)
+	})
+	return a.view.v
 }
 
 // shard is one independently locked slice of the key space.
@@ -281,6 +332,13 @@ func (c *Cache) shardIndex(k Key) int {
 // The returned plan is shared with every other caller of the same key and
 // must not be mutated.
 func (c *Cache) Do(ctx context.Context, key Key, solve func(ctx context.Context) (*scenario.Plan, error)) (plan *scenario.Plan, outcome Outcome, age time.Duration, err error) {
+	a, err := c.Fetch(ctx, key, solve)
+	return a.Plan, a.Outcome, a.Age, err
+}
+
+// Fetch is Do returning an Answer, which also carries the stored plan's
+// rendering slot (see Answer.Render).
+func (c *Cache) Fetch(ctx context.Context, key Key, solve func(ctx context.Context) (*scenario.Plan, error)) (a Answer, err error) {
 	ctx, sp := obs.StartSpan(ctx, "cache.lookup")
 	if sp != nil {
 		sp.SetAttr("algorithm", key.Algorithm)
@@ -289,32 +347,32 @@ func (c *Cache) Do(ctx context.Context, key Key, solve func(ctx context.Context)
 			if err != nil {
 				sp.SetError(err)
 			} else {
-				sp.SetAttr("outcome", outcome.String())
+				sp.SetAttr("outcome", a.Outcome.String())
 				// The miss leader is the caller that executed the solve
 				// (coalesced followers shared its result).
-				sp.SetBool("leader", outcome == Miss)
+				sp.SetBool("leader", a.Outcome == Miss)
 			}
 			sp.End()
 		}()
 	}
-	return c.do(ctx, key, solve)
+	return c.fetch(ctx, key, solve)
 }
 
-// do is Do minus the tracing shell.
-func (c *Cache) do(ctx context.Context, key Key, solve func(ctx context.Context) (*scenario.Plan, error)) (plan *scenario.Plan, outcome Outcome, age time.Duration, err error) {
+// fetch is Fetch minus the tracing shell.
+func (c *Cache) fetch(ctx context.Context, key Key, solve func(ctx context.Context) (*scenario.Plan, error)) (Answer, error) {
 	if err := faultinject.Fire(ctx, faultinject.PointCacheShard); err != nil {
 		var ie *faultinject.InjectedError
 		if errors.As(err, &ie) {
 			c.unavailable.Add(1)
-			return nil, Miss, 0, &UnavailableError{Err: err}
+			return Answer{}, &UnavailableError{Err: err}
 		}
 		// A context error out of an injected delay.
-		return nil, Miss, 0, err
+		return Answer{}, err
 	}
 	s := c.shardFor(key)
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, Miss, 0, err
+			return Answer{}, err
 		}
 		s.mu.Lock()
 		if e, ok := s.entries[key]; ok {
@@ -330,10 +388,10 @@ func (c *Cache) do(ctx context.Context, key Key, solve func(ctx context.Context)
 				}
 			} else {
 				s.lru.MoveToFront(e.element)
-				age := c.now().Sub(e.stored)
+				a := Answer{Plan: e.plan, Outcome: Hit, Age: c.now().Sub(e.stored), view: e.view}
 				s.mu.Unlock()
 				c.hits.Add(1)
-				return e.plan, Hit, age, nil
+				return a, nil
 			}
 		}
 		if cl, ok := s.inflight[key]; ok {
@@ -341,11 +399,11 @@ func (c *Cache) do(ctx context.Context, key Key, solve func(ctx context.Context)
 			select {
 			case <-cl.done:
 			case <-ctx.Done():
-				return nil, Coalesced, 0, ctx.Err()
+				return Answer{Outcome: Coalesced}, ctx.Err()
 			}
 			if cl.err == nil {
 				c.coalesced.Add(1)
-				return cl.plan, Coalesced, 0, nil
+				return Answer{Plan: cl.plan, Outcome: Coalesced, view: cl.view}, nil
 			}
 			// The leader failed. Its own cancellation must not poison this
 			// follower: retry (and typically become the new leader). Any
@@ -354,7 +412,7 @@ func (c *Cache) do(ctx context.Context, key Key, solve func(ctx context.Context)
 				c.reelections.Add(1)
 				continue
 			}
-			return nil, Coalesced, 0, cl.err
+			return Answer{Outcome: Coalesced}, cl.err
 		}
 		cl := &call{done: make(chan struct{})}
 		s.inflight[key] = cl
@@ -371,16 +429,16 @@ func (c *Cache) do(ctx context.Context, key Key, solve func(ctx context.Context)
 		s.mu.Lock()
 		delete(s.inflight, key)
 		if cl.err == nil {
-			s.storeLocked(c, key, cl.plan)
+			cl.view = s.storeLocked(c, key, cl.plan)
 		}
 		s.mu.Unlock()
 		close(cl.done)
 
 		if cl.err != nil {
-			return nil, Miss, 0, cl.err
+			return Answer{}, cl.err
 		}
 		c.misses.Add(1)
-		return cl.plan, Miss, 0, nil
+		return Answer{Plan: cl.plan, Outcome: Miss, view: cl.view}, nil
 	}
 }
 
@@ -455,14 +513,16 @@ func (c *Cache) GetStale(key Key) (plan *scenario.Plan, age time.Duration, stale
 }
 
 // storeLocked inserts (or refreshes) an entry, evicting the shard's LRU tail
-// when full. Callers hold s.mu.
-func (s *shard) storeLocked(c *Cache, key Key, plan *scenario.Plan) {
+// when full, and returns the stored plan's rendering slot. Callers hold
+// s.mu.
+func (s *shard) storeLocked(c *Cache, key Key, plan *scenario.Plan) *view {
 	if e, ok := s.entries[key]; ok {
 		e.plan = plan
+		e.view = new(view)
 		e.stored = c.now()
 		e.expireCounted = false
 		s.lru.MoveToFront(e.element)
-		return
+		return e.view
 	}
 	for s.lru.Len() >= c.shardMax {
 		tail := s.lru.Back()
@@ -472,9 +532,10 @@ func (s *shard) storeLocked(c *Cache, key Key, plan *scenario.Plan) {
 		s.removeLocked(tail.Value.(*entry))
 		c.evictions.Add(1)
 	}
-	e := &entry{key: key, plan: plan, stored: c.now(), ttl: c.effectiveTTL(key)}
+	e := &entry{key: key, plan: plan, view: new(view), stored: c.now(), ttl: c.effectiveTTL(key)}
 	e.element = s.lru.PushFront(e)
 	s.entries[key] = e
+	return e.view
 }
 
 // effectiveTTL is the configured TTL shortened by the key's deterministic

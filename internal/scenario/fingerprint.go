@@ -69,6 +69,64 @@ type fpScratch struct {
 
 var fpScratchPool = sync.Pool{New: func() any { return new(fpScratch) }}
 
+// Canonical writes the canonical serialisation Fingerprint hashes from
+// element values, through the same section appenders, for callers that
+// hold a scenario in another form (the wire schema) and want its
+// fingerprint without building it. Write the node, edge and demand sections
+// in that order, each header followed by exactly its count of elements,
+// then call Sum. Canonical does not validate: the sum equals the
+// fingerprint of the scenario those values build into whenever they build
+// into one. A Canonical must not be used after Sum.
+type Canonical struct {
+	sc *fpScratch
+}
+
+// NewCanonical starts a canonical serialisation in pooled scratch.
+func NewCanonical() Canonical {
+	sc := fpScratchPool.Get().(*fpScratch)
+	sc.buf = append(sc.buf[:0], fingerprintDomain...)
+	return Canonical{sc: sc}
+}
+
+// Nodes opens the node section with its node count.
+func (c Canonical) Nodes(n int) { c.sc.buf = appendHeader(c.sc.buf, 'N', n) }
+
+// Node writes the next node, in ID order.
+func (c Canonical) Node(name string, x, y, repairCost float64) {
+	c.sc.buf = appendNode(c.sc.buf, name, x, y, repairCost)
+}
+
+// Edges opens the edge section with its edge count.
+func (c Canonical) Edges(n int) { c.sc.buf = appendHeader(c.sc.buf, 'E', n) }
+
+// Edge writes the next edge, in ID order.
+func (c Canonical) Edge(from, to int, capacity, repairCost float64) {
+	c.sc.buf = appendEdge(c.sc.buf, from, to, capacity, repairCost)
+}
+
+// Demands opens the demand section with its pair count.
+func (c Canonical) Demands(n int) { c.sc.buf = appendHeader(c.sc.buf, 'D', n) }
+
+// Demand writes the next demand pair, in ID order.
+func (c Canonical) Demand(source, target int, flow float64) {
+	c.sc.buf = appendPair(c.sc.buf, source, target, flow)
+}
+
+// Sum writes the broken-set sections — the IDs in any order, repeats
+// allowed, as a set holds them — hashes the serialisation and returns the
+// scratch to its pool.
+func (c Canonical) Sum(brokenNodes, brokenEdges []int) [32]byte {
+	sc := c.sc
+	sc.ids = append(sc.ids[:0], brokenNodes...)
+	buf := appendSortedIDs(sc.buf, 'B', sc.ids)
+	sc.ids = append(sc.ids[:0], brokenEdges...)
+	buf = appendSortedIDs(buf, 'b', sc.ids)
+	sum := sha256.Sum256(buf)
+	sc.buf = buf
+	fpScratchPool.Put(sc)
+	return sum
+}
+
 // fpState is the cached fingerprint machinery carried by scenarios produced
 // by Apply. Deltas never change the topology, so the hash midstate after the
 // domain/node/edge sections is shared by every snapshot of one recovery run;
@@ -133,24 +191,15 @@ func (s *Scenario) deriveFingerprint(next *Scenario, demandChanged bool) *fpStat
 
 // appendTopologySections appends the 'N' (node) and 'E' (edge) sections.
 func appendTopologySections(buf []byte, g *graph.Graph) []byte {
-	buf = appendSection(buf, 'N')
-	buf = appendInt(buf, g.NumNodes())
+	buf = appendHeader(buf, 'N', g.NumNodes())
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(graph.NodeID(i))
-		buf = appendInt(buf, len(n.Name))
-		buf = append(buf, n.Name...)
-		buf = appendFloat(buf, n.X)
-		buf = appendFloat(buf, n.Y)
-		buf = appendFloat(buf, n.RepairCost)
+		buf = appendNode(buf, n.Name, n.X, n.Y, n.RepairCost)
 	}
-	buf = appendSection(buf, 'E')
-	buf = appendInt(buf, g.NumEdges())
+	buf = appendHeader(buf, 'E', g.NumEdges())
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(graph.EdgeID(i))
-		buf = appendInt(buf, int(e.From))
-		buf = appendInt(buf, int(e.To))
-		buf = appendFloat(buf, e.Capacity)
-		buf = appendFloat(buf, e.RepairCost)
+		buf = appendEdge(buf, int(e.From), int(e.To), e.Capacity, e.RepairCost)
 	}
 	return buf
 }
@@ -159,13 +208,10 @@ func appendTopologySections(buf []byte, g *graph.Graph) []byte {
 // ID order (tombstones included), as endpoint IDs plus the IEEE-754 bits of
 // the residual flow.
 func appendDemandSection(buf []byte, d *demand.Graph) []byte {
-	buf = appendSection(buf, 'D')
-	buf = appendInt(buf, d.NumPairs())
+	buf = appendHeader(buf, 'D', d.NumPairs())
 	for i := 0; i < d.NumPairs(); i++ {
 		p, _ := d.Pair(demand.PairID(i))
-		buf = appendInt(buf, int(p.Source))
-		buf = appendInt(buf, int(p.Target))
-		buf = appendFloat(buf, p.Flow)
+		buf = appendPair(buf, int(p.Source), int(p.Target), p.Flow)
 	}
 	return buf
 }
@@ -190,16 +236,45 @@ func (sc *fpScratch) appendBrokenSections(buf []byte, s *Scenario) []byte {
 	return appendSortedIDs(buf, 'b', sc.ids)
 }
 
-// appendSortedIDs sorts ids in place and appends them as one tagged,
-// length-prefixed section.
+// appendSortedIDs sorts ids in place, drops repeats (a set lists each member
+// once) and appends them as one tagged, length-prefixed section.
 func appendSortedIDs(buf []byte, tag byte, ids []int) []byte {
 	slices.Sort(ids)
-	buf = appendSection(buf, tag)
-	buf = appendInt(buf, len(ids))
+	ids = slices.Compact(ids)
+	buf = appendHeader(buf, tag, len(ids))
 	for _, id := range ids {
 		buf = appendInt(buf, id)
 	}
 	return buf
+}
+
+// appendHeader opens a section: its tag, then its element count.
+func appendHeader(buf []byte, tag byte, n int) []byte {
+	return appendInt(appendSection(buf, tag), n)
+}
+
+// appendNode appends one 'N' section element.
+func appendNode(buf []byte, name string, x, y, repairCost float64) []byte {
+	buf = appendInt(buf, len(name))
+	buf = append(buf, name...)
+	buf = appendFloat(buf, x)
+	buf = appendFloat(buf, y)
+	return appendFloat(buf, repairCost)
+}
+
+// appendEdge appends one 'E' section element.
+func appendEdge(buf []byte, from, to int, capacity, repairCost float64) []byte {
+	buf = appendInt(buf, from)
+	buf = appendInt(buf, to)
+	buf = appendFloat(buf, capacity)
+	return appendFloat(buf, repairCost)
+}
+
+// appendPair appends one 'D' section element.
+func appendPair(buf []byte, source, target int, flow float64) []byte {
+	buf = appendInt(buf, source)
+	buf = appendInt(buf, target)
+	return appendFloat(buf, flow)
 }
 
 // appendSection appends a section tag, domain-separating the serialisation

@@ -154,6 +154,43 @@ func TestFingerprintAllocs(t *testing.T) {
 	}
 }
 
+// canonicalFingerprint writes s through Canonical, the way a caller holding
+// the scenario's element values (the wire schema) does.
+func canonicalFingerprint(s *Scenario) [32]byte {
+	c := NewCanonical()
+	c.Nodes(s.Supply.NumNodes())
+	for _, n := range s.Supply.Nodes() {
+		c.Node(n.Name, n.X, n.Y, n.RepairCost)
+	}
+	c.Edges(s.Supply.NumEdges())
+	for _, e := range s.Supply.Edges() {
+		c.Edge(int(e.From), int(e.To), e.Capacity, e.RepairCost)
+	}
+	c.Demands(s.Demand.NumPairs())
+	for _, p := range s.Demand.All() {
+		c.Demand(int(p.Source), int(p.Target), p.Flow)
+	}
+	var nodes, edges []int
+	for _, v := range s.SortedBrokenNodes() {
+		nodes = append(nodes, int(v), int(v)) // a repeat is one member
+	}
+	for _, e := range s.SortedBrokenEdges() {
+		edges = append([]int{int(e)}, edges...) // any order
+	}
+	return c.Sum(nodes, edges)
+}
+
+// TestCanonicalMatchesFingerprint: Canonical reproduces Fingerprint's bytes
+// from element values, with broken IDs in any order and repeated.
+func TestCanonicalMatchesFingerprint(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		s := referenceScenario(seed)
+		if got, want := canonicalFingerprint(s), s.Fingerprint(); got != want {
+			t.Fatalf("seed %d: Canonical %x, Fingerprint %x", seed, got, want)
+		}
+	}
+}
+
 func BenchmarkFingerprint(b *testing.B) {
 	s := referenceScenario(1)
 	b.ReportAllocs()

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -219,41 +218,42 @@ const primaryFraction = 0.6
 // chain: the requested solver under a slice of the deadline, then a
 // fast-ISP fallback under the remaining budget, then a stale-but-served
 // cache entry. Every stage's outcome and timing is annotated on the
-// response; a served plan carries the stage's degradation level.
-func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *scenario.Scenario, fp [32]byte, alg string, params heuristics.Params, solver heuristics.Solver, deadline time.Duration) (*solveOutcome, *httpError) {
-	out := &solveOutcome{scenario: s, fp: hex.EncodeToString(fp[:])}
-	primaryKey := plancache.Key{
-		Fingerprint: fp,
-		Algorithm:   alg,
-		Options:     plancache.ParamsDigest(params),
-	}
+// response; a served plan carries the stage's degradation level. A rung
+// answered from the cache builds nothing; a rung that solves builds the
+// request scenario on first use.
+func (srv *Server) solveDegraded(ctx context.Context, in *planInput, deadline time.Duration) (*solveOutcome, *httpError) {
+	out := &solveOutcome{}
+	noCache := in.req.Options.NoCache
+	primaryKey := in.key
 
 	// solveStage runs one solver stage through the cache (unless bypassed),
 	// falling back to a direct solve when the cache shard itself is the
 	// injected failure; it records how the serving stage obtained the plan.
-	solveStage := func(stageCtx context.Context, stageAlg string, stageSolver heuristics.Solver, key plancache.Key) (*scenario.Plan, error) {
-		if req.Options.NoCache {
-			plan, err := srv.runSolve(stageCtx, stageAlg, stageSolver, s, prioPlan)
-			if err == nil {
-				out.status, out.age = "bypass", 0
-			}
-			return plan, err
+	solveStage := func(stageCtx context.Context, key plancache.Key, solve func(context.Context) (*scenario.Plan, error)) (*scenario.Plan, error) {
+		var a plancache.Answer
+		var err error
+		if !noCache {
+			a, err = srv.cache.Fetch(stageCtx, key, solve)
 		}
-		plan, outcome, age, err := srv.cache.Do(stageCtx, key, func(c context.Context) (*scenario.Plan, error) {
-			return srv.runSolve(c, stageAlg, stageSolver, s, prioPlan)
-		})
 		var unavailable *plancache.UnavailableError
-		if errors.As(err, &unavailable) {
-			plan, err = srv.runSolve(stageCtx, stageAlg, stageSolver, s, prioPlan)
+		if noCache || errors.As(err, &unavailable) {
+			plan, err := solve(stageCtx)
 			if err == nil {
-				out.status, out.age = "bypass", 0
+				out.answer, out.status = plancache.Answer{Plan: plan}, "bypass"
 			}
 			return plan, err
 		}
 		if err == nil {
-			out.status, out.age = outcome.String(), age
+			out.answer, out.status = a, a.Outcome.String()
 		}
-		return plan, err
+		return a.Plan, err
+	}
+	alg, params := in.alg, in.params
+	primarySolve := func(c context.Context) (*scenario.Plan, error) {
+		if herr := in.build(); herr != nil {
+			return nil, herr
+		}
+		return srv.runSolve(c, alg, in.solver, in.s, prioPlan)
 	}
 
 	stages := []degrade.Stage{{
@@ -268,7 +268,7 @@ func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *s
 			return ""
 		},
 		Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-			return solveStage(stageCtx, alg, solver, primaryKey)
+			return solveStage(stageCtx, primaryKey, primarySolve)
 		},
 	}}
 
@@ -281,14 +281,20 @@ func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *s
 	var fallbackKey plancache.Key
 	if haveFallback {
 		stages[0].Fraction = primaryFraction
-		fallbackSolver, err := heuristics.New("ISP", fallbackParams)
-		if err != nil {
-			return nil, &httpError{code: http.StatusInternalServerError, err: err}
-		}
 		fallbackKey = plancache.Key{
-			Fingerprint: fp,
+			Fingerprint: primaryKey.Fingerprint,
 			Algorithm:   "ISP",
 			Options:     plancache.ParamsDigest(fallbackParams),
+		}
+		fallbackSolve := func(c context.Context) (*scenario.Plan, error) {
+			if herr := in.build(); herr != nil {
+				return nil, herr
+			}
+			solver, err := heuristics.New("ISP", fallbackParams)
+			if err != nil {
+				return nil, err
+			}
+			return srv.runSolve(c, "ISP", solver, in.s, prioPlan)
 		}
 		stages = append(stages, degrade.Stage{
 			Name:  "fallback_isp",
@@ -301,7 +307,7 @@ func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *s
 				return ""
 			},
 			Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-				return solveStage(stageCtx, "ISP", fallbackSolver, fallbackKey)
+				return solveStage(stageCtx, fallbackKey, fallbackSolve)
 			},
 		})
 	}
@@ -311,19 +317,19 @@ func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *s
 		Level: degrade.LevelStale,
 		Free:  true,
 		Skip: func() string {
-			if req.Options.NoCache {
+			if noCache {
 				return "cache disabled by request"
 			}
 			return ""
 		},
 		Run: func(context.Context) (*scenario.Plan, error) {
 			if plan, age, _, ok := srv.cache.GetStale(primaryKey); ok {
-				out.status, out.age = "stale", age
+				out.answer, out.status = plancache.Answer{Plan: plan, Age: age}, "stale"
 				return plan, nil
 			}
 			if haveFallback {
 				if plan, age, _, ok := srv.cache.GetStale(fallbackKey); ok {
-					out.status, out.age = "stale", age
+					out.answer, out.status = plancache.Answer{Plan: plan, Age: age}, "stale"
 					return plan, nil
 				}
 			}
@@ -355,7 +361,6 @@ func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *s
 	case degrade.LevelStale:
 		srv.degradedStale.Add(1)
 	}
-	out.plan = res.Plan
 	out.degradation = wire.FromDegradation(res, deadline)
 	return out, nil
 }

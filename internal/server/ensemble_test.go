@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"netrecovery/internal/ensemble"
 	"netrecovery/internal/wire"
 )
 
@@ -144,6 +145,32 @@ func TestEnsembleBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// TestEnsembleSampleBound: a sample count beyond ensemble.MaxSamples is a
+// 400 naming the bound, not a panic that drops the connection.
+func TestEnsembleSampleBound(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, n := range []int{ensemble.MaxSamples + 1, 4611686018427387904} {
+		resp, err := http.Post(ts.URL+"/v1/ensemble", "application/json", bytes.NewReader(ensembleRequestBody(t, n)))
+		if err != nil {
+			t.Fatalf("samples=%d: %v", n, err)
+		}
+		var e wire.Error
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("samples=%d: undecodable error body: %v", n, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, fmt.Sprint(ensemble.MaxSamples)) {
+			t.Errorf("samples=%d: status %d error %q, want 400 naming the bound %d", n, resp.StatusCode, e.Error, ensemble.MaxSamples)
+		}
+	}
+	if srv.SolveCount() != 0 {
+		t.Fatalf("refused ensembles ran %d solves", srv.SolveCount())
 	}
 }
 

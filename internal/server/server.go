@@ -32,7 +32,6 @@ package server
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -301,16 +300,97 @@ func (srv *Server) requestContext(r *http.Request) (context.Context, context.Can
 	return context.WithCancel(r.Context())
 }
 
-// solveOutcome is the result of solveRequest: the solved scenario and plan
-// plus the cache disposition and (when the fallback chain ran) the
-// degradation annotation.
+// solveOutcome is the result of solveRequest: the answer with its cache
+// disposition and (when the fallback chain ran) the degradation annotation.
 type solveOutcome struct {
-	scenario    *scenario.Scenario
-	plan        *scenario.Plan
+	answer      plancache.Answer
 	status      string // miss | hit | coalesced | bypass | stale | peer
-	age         time.Duration
-	fp          string
 	degradation *wire.Degradation
+}
+
+// planRequests recycles decoded plan requests: a Bell-Canada body decodes
+// into about a hundred slice elements, and a hit needs nothing else.
+var planRequests = sync.Pool{New: func() any { return new(wire.PlanRequest) }}
+
+// planInput is one plan request: its cache key, computed from the wire
+// scenario, and the scenario and solver it names, built only when a solve,
+// a first rendering or a stage timeline needs them. A key the cache holds
+// was stored for a scenario that built and validated, and every check Build
+// makes reads a value the key's canonical bytes carry, so a request whose
+// key is cached cannot be invalid; any other request is built up front and
+// refused exactly as before the cache existed. A request runs its lookups,
+// chain stages and solves one after another, so planInput needs no lock.
+// It reads the pooled request and must not outlive its handler.
+type planInput struct {
+	req    *wire.PlanRequest
+	alg    string
+	params heuristics.Params
+	key    plancache.Key
+	s      *scenario.Scenario
+	solver heuristics.Solver
+}
+
+// newPlanInput derives the request's solver parameters and cache key.
+// progress, when non-nil, receives solver events if (and only if) this
+// request ends up executing the solve itself.
+func (srv *Server) newPlanInput(req *wire.PlanRequest, progress heuristics.ProgressFunc) *planInput {
+	in := &planInput{req: req, alg: req.Algorithm}
+	if in.alg == "" {
+		in.alg = "ISP"
+	}
+	in.params = heuristics.Params{
+		Fast:         req.Options.Fast,
+		OPTTimeLimit: time.Duration(req.Options.OptTimeLimitMS) * time.Millisecond,
+		OPTMaxNodes:  req.Options.OptMaxNodes,
+		OPTWorkers:   srv.resolveWorkers(req.Options.Workers),
+		Progress:     progress,
+		OnStats:      solveStatsAttrs,
+	}
+	in.key = plancache.Key{
+		Fingerprint: req.Scenario.Fingerprint(),
+		Algorithm:   in.alg,
+		Options:     plancache.ParamsDigest(in.params),
+	}
+	return in
+}
+
+// build builds and validates the scenario, then the solver — the order and
+// the 400s of every request before the cache answered from keys.
+func (in *planInput) build() *httpError {
+	if in.s != nil {
+		return nil
+	}
+	s, err := in.req.Scenario.Build()
+	if err != nil {
+		return badRequest("invalid scenario: %v", err)
+	}
+	solver, err := heuristics.New(in.alg, in.params)
+	if err != nil {
+		return badRequest("%v", err)
+	}
+	in.s, in.solver = s, solver
+	return nil
+}
+
+// solve runs the requested solver on the request scenario.
+func (srv *Server) solve(ctx context.Context, in *planInput) (*scenario.Plan, error) {
+	if herr := in.build(); herr != nil {
+		return nil, herr
+	}
+	return srv.retrySolve(ctx, in.alg, in.solver, in.s, prioPlan)
+}
+
+// render returns the wire form of an answer's plan: the one its cache entry
+// keeps once any request rendered it, else rendered against the request
+// scenario and kept for every later hit.
+func (in *planInput) render(a plancache.Answer) (wire.Plan, *httpError) {
+	if v, ok := a.Rendered(); ok {
+		return v.(wire.Plan), nil
+	}
+	if herr := in.build(); herr != nil {
+		return wire.Plan{}, herr
+	}
+	return a.Render(func() any { return wire.FromPlan(in.s, a.Plan) }).(wire.Plan), nil
 }
 
 // httpError carries a status code with an error; retryAfter, when positive,
@@ -328,61 +408,35 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-// solveRequest validates and solves one wire.PlanRequest through the cache.
-// progress, when non-nil, receives solver events if (and only if) this
-// request ends up executing the solve itself.
-func (srv *Server) solveRequest(ctx context.Context, req wire.PlanRequest, progress heuristics.ProgressFunc) (*solveOutcome, *httpError) {
-	s, err := req.Scenario.Build()
-	if err != nil {
-		return nil, badRequest("invalid scenario: %v", err)
+// solveRequest answers one plan request through the cache.
+func (srv *Server) solveRequest(ctx context.Context, in *planInput) (*solveOutcome, *httpError) {
+	opts := in.req.Options
+	cached := false
+	if !opts.NoCache {
+		_, _, cached = srv.cache.Peek(in.key)
 	}
-	alg := req.Algorithm
-	if alg == "" {
-		alg = "ISP"
-	}
-	params := heuristics.Params{
-		Fast:         req.Options.Fast,
-		OPTTimeLimit: time.Duration(req.Options.OptTimeLimitMS) * time.Millisecond,
-		OPTMaxNodes:  req.Options.OptMaxNodes,
-		OPTWorkers:   srv.resolveWorkers(req.Options.Workers),
-		Progress:     progress,
-		OnStats:      solveStatsAttrs,
-	}
-	solver, err := heuristics.New(alg, params)
-	if err != nil {
-		return nil, badRequest("%v", err)
+	if !cached {
+		if herr := in.build(); herr != nil {
+			return nil, herr
+		}
 	}
 
 	// A deadline (per request, or the server-wide default) routes the solve
 	// through the budgeted fallback chain unless the request opts out.
-	deadline := time.Duration(req.Options.DeadlineMS) * time.Millisecond
+	deadline := time.Duration(opts.DeadlineMS) * time.Millisecond
 	if deadline <= 0 {
 		deadline = srv.cfg.DegradeDeadline
 	}
-	// One fingerprint serves both the cache key and the response's cache
-	// metadata; it is not stored on the (mutable) scenario.
-	fp := s.Fingerprint()
-	if deadline > 0 && !req.Options.NoDegrade {
-		return srv.solveDegraded(ctx, req, s, fp, alg, params, solver, deadline)
+	if deadline > 0 && !opts.NoDegrade {
+		return srv.solveDegraded(ctx, in, deadline)
 	}
 
-	solve := func(ctx context.Context) (*scenario.Plan, error) {
-		return srv.retrySolve(ctx, alg, solver, s, prioPlan)
-	}
-
-	out := &solveOutcome{scenario: s, fp: hex.EncodeToString(fp[:])}
-	if req.Options.NoCache {
-		plan, err := solve(ctx)
+	if opts.NoCache {
+		plan, err := srv.solve(ctx, in)
 		if herr := solveError(err); herr != nil {
 			return nil, herr
 		}
-		out.plan, out.status = plan, "bypass"
-		return out, nil
-	}
-	key := plancache.Key{
-		Fingerprint: fp,
-		Algorithm:   alg,
-		Options:     plancache.ParamsDigest(params),
+		return &solveOutcome{answer: plancache.Answer{Plan: plan}, status: "bypass"}, nil
 	}
 	// In multi-node mode a local miss on a non-owner first asks the
 	// fingerprint's owning peer for its cached plan — a plan computed
@@ -393,33 +447,34 @@ func (srv *Server) solveRequest(ctx context.Context, req wire.PlanRequest, progr
 	// timeout, or the owner just not having it — falls back to the local
 	// solve. NoCache requests never peer-fill: bypass means "solve here".
 	peerFilled := false
-	cachedSolve := solve
+	cachedSolve := func(ctx context.Context) (*scenario.Plan, error) {
+		return srv.solve(ctx, in)
+	}
 	if srv.cfg.Cluster != nil {
 		cachedSolve = func(ctx context.Context) (*scenario.Plan, error) {
-			if plan, _, ok := srv.cfg.Cluster.Fill(ctx, key); ok {
+			if plan, _, ok := srv.cfg.Cluster.Fill(ctx, in.key); ok {
 				peerFilled = true
 				srv.peerFilledPlans.Add(1)
 				return plan, nil
 			}
-			return solve(ctx)
+			return srv.solve(ctx, in)
 		}
 	}
-	plan, outcome, age, err := srv.cache.Do(ctx, key, cachedSolve)
+	a, err := srv.cache.Fetch(ctx, in.key, cachedSolve)
 	var unavailable *plancache.UnavailableError
 	if errors.As(err, &unavailable) {
 		// The cache shard itself failed; the solver is fine — bypass.
-		plan, err = solve(ctx)
+		plan, err := srv.solve(ctx, in)
 		if herr := solveError(err); herr != nil {
 			return nil, herr
 		}
-		out.plan, out.status = plan, "bypass"
-		return out, nil
+		return &solveOutcome{answer: plancache.Answer{Plan: plan}, status: "bypass"}, nil
 	}
 	if herr := solveError(err); herr != nil {
 		return nil, herr
 	}
-	out.plan, out.status, out.age = plan, outcome.String(), age
-	if peerFilled && outcome == plancache.Miss {
+	out := &solveOutcome{answer: a, status: a.Outcome.String()}
+	if peerFilled && a.Outcome == plancache.Miss {
 		// This request led the solve but answered from a peer's cache;
 		// surface that in the response's cache metadata.
 		out.status = "peer"
@@ -494,10 +549,17 @@ func formatFloatAttr(f float64) string {
 
 // buildResponse converts a solve outcome into the wire response, attaching
 // the progressive timeline and (on request) the traced timing breakdown.
-func (srv *Server) buildResponse(ctx context.Context, out *solveOutcome, opts wire.SolveOptions) (wire.PlanResponse, *httpError) {
-	wp := wire.FromPlan(out.scenario, out.plan)
+func (srv *Server) buildResponse(ctx context.Context, in *planInput, out *solveOutcome) (wire.PlanResponse, *httpError) {
+	opts := in.req.Options
+	wp, herr := in.render(out.answer)
+	if herr != nil {
+		return wire.PlanResponse{}, herr
+	}
 	if opts.StageBudget > 0 {
-		staged, err := wp.WithStages(out.scenario, out.plan, opts.StageBudget)
+		if herr := in.build(); herr != nil {
+			return wire.PlanResponse{}, herr
+		}
+		staged, err := wp.WithStages(in.s, out.answer.Plan, opts.StageBudget)
 		if err != nil {
 			return wire.PlanResponse{}, badRequest("%v", err)
 		}
@@ -507,8 +569,8 @@ func (srv *Server) buildResponse(ctx context.Context, out *solveOutcome, opts wi
 		Plan: wp,
 		Cache: wire.CacheInfo{
 			Status:      out.status,
-			Fingerprint: out.fp,
-			AgeMS:       out.age.Milliseconds(),
+			Fingerprint: wp.ScenarioFingerprint,
+			AgeMS:       out.answer.Age.Milliseconds(),
 		},
 		Degradation: out.degradation,
 	}
@@ -552,19 +614,22 @@ func (srv *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, &httpError{code: http.StatusMethodNotAllowed, err: errors.New("use POST")})
 		return
 	}
-	var req wire.PlanRequest
-	if herr := decodeJSON(r, &req); herr != nil {
+	req := planRequests.Get().(*wire.PlanRequest)
+	defer planRequests.Put(req)
+	req.Reset()
+	if herr := decodeJSON(r, req); herr != nil {
 		srv.writeError(w, herr)
 		return
 	}
 	ctx, cancel := srv.requestContext(r)
 	defer cancel()
-	out, herr := srv.solveRequest(ctx, req, nil)
+	in := srv.newPlanInput(req, nil)
+	out, herr := srv.solveRequest(ctx, in)
 	if herr != nil {
 		srv.writeError(w, herr)
 		return
 	}
-	resp, herr := srv.buildResponse(ctx, out, req.Options)
+	resp, herr := srv.buildResponse(ctx, in, out)
 	if herr != nil {
 		srv.writeError(w, herr)
 		return
@@ -594,8 +659,10 @@ func (srv *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, &httpError{code: http.StatusMethodNotAllowed, err: errors.New("use GET or POST with a JSON body")})
 		return
 	}
-	var req wire.PlanRequest
-	if herr := decodeJSON(r, &req); herr != nil {
+	req := planRequests.Get().(*wire.PlanRequest)
+	defer planRequests.Put(req)
+	req.Reset()
+	if herr := decodeJSON(r, req); herr != nil {
 		srv.writeError(w, herr)
 		return
 	}
@@ -645,13 +712,14 @@ func (srv *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := srv.requestContext(r)
 	defer cancel()
-	out, herr := srv.solveRequest(ctx, req, progress)
+	in := srv.newPlanInput(req, progress)
+	out, herr := srv.solveRequest(ctx, in)
 	if herr != nil {
 		srv.errorsTot.Add(1)
 		emit("error", wire.Error{Error: herr.Error()})
 		return
 	}
-	resp, herr := srv.buildResponse(ctx, out, req.Options)
+	resp, herr := srv.buildResponse(ctx, in, out)
 	if herr != nil {
 		srv.errorsTot.Add(1)
 		emit("error", wire.Error{Error: herr.Error()})

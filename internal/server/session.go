@@ -13,6 +13,7 @@ import (
 
 	"netrecovery/internal/faultinject"
 	"netrecovery/internal/heuristics"
+	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
 	"netrecovery/internal/wire"
 )
@@ -31,11 +32,15 @@ type session struct {
 	id  string
 	alg string
 
-	mu       sync.Mutex
-	ispSess  *heuristics.ISPSession // warm ISP state; nil for other algorithms
-	params   heuristics.Params
+	mu      sync.Mutex
+	ispSess *heuristics.ISPSession // warm ISP state; nil for other algorithms
+	params  heuristics.Params
+	// digest keys the session's plans in the plan cache (with the current
+	// fingerprint and the algorithm); noCache bypasses the cache.
+	digest   [32]byte
+	noCache  bool
 	cur      *scenario.Scenario
-	lastPlan *scenario.Plan
+	lastPlan wire.Plan // valid once plans > 0
 	plans    int
 	deltas   int
 	lastUsed time.Time
@@ -167,30 +172,45 @@ func (srv *Server) lookupSession(r *http.Request) (*session, *httpError) {
 	return s, nil
 }
 
-// sessionSolve runs one (re-)plan of the session's current scenario under
-// the server's admission control; the caller holds s.mu. Warm sessions
-// solve through their memo; other algorithms construct a fresh registry
-// solver per re-plan.
-func (srv *Server) sessionSolve(ctx context.Context, s *session) (*scenario.Plan, *httpError) {
-	var solver heuristics.Solver
-	if s.ispSess != nil {
-		solver = s.ispSess
-	} else {
-		var err error
-		solver, err = heuristics.New(s.alg, s.params)
-		if err != nil {
-			return nil, &httpError{code: http.StatusInternalServerError, err: err}
+// sessionSolve answers one (re-)plan of the session's current scenario
+// through the plan cache, like /v1/plan: a hit or a coalesced wait skips
+// the solve, and a miss solves under the server's admission control and
+// stores the plan for every later request. The caller holds s.mu. Warm
+// sessions solve through their memo; other algorithms construct a fresh
+// registry solver per solve.
+func (srv *Server) sessionSolve(ctx context.Context, s *session) (wire.Plan, *httpError) {
+	solve := func(ctx context.Context) (*scenario.Plan, error) {
+		var solver heuristics.Solver
+		if s.ispSess != nil {
+			solver = s.ispSess
+		} else {
+			var err error
+			solver, err = heuristics.New(s.alg, s.params)
+			if err != nil {
+				return nil, &httpError{code: http.StatusInternalServerError, err: err}
+			}
 		}
+		// Sessions solve at the highest priority class: their warm state
+		// makes a shed replan the most expensive kind of rejected work.
+		return srv.retrySolve(ctx, s.alg, solver, s.cur, prioSession)
 	}
-	// Sessions solve at the highest priority class: their warm state makes
-	// a shed replan the most expensive kind of rejected work.
-	plan, err := srv.retrySolve(ctx, s.alg, solver, s.cur, prioSession)
+	var a plancache.Answer
+	var err error
+	if !s.noCache {
+		key := plancache.Key{Fingerprint: s.cur.Fingerprint(), Algorithm: s.alg, Options: s.digest}
+		a, err = srv.cache.Fetch(ctx, key, solve)
+	}
+	var unavailable *plancache.UnavailableError
+	if s.noCache || errors.As(err, &unavailable) {
+		a = plancache.Answer{}
+		a.Plan, err = solve(ctx)
+	}
 	if herr := solveError(err); herr != nil {
-		return nil, herr
+		return wire.Plan{}, herr
 	}
 	s.plans++
-	s.lastPlan = plan
-	return plan, nil
+	s.lastPlan = a.Render(func() any { return wire.FromPlan(s.cur, a.Plan) }).(wire.Plan)
+	return s.lastPlan, nil
 }
 
 // handleSessionCreate implements POST /v1/session: validate the scenario and
@@ -228,6 +248,8 @@ func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		id:       newSessionID(),
 		alg:      alg,
 		params:   params,
+		digest:   plancache.ParamsDigest(params),
+		noCache:  req.Options.NoCache,
 		cur:      sc,
 		lastUsed: srv.now(),
 		subs:     make(map[chan []byte]struct{}),
@@ -264,7 +286,7 @@ func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := wire.SessionResponse{
 		Session: s.infoLocked(srv.sessionTTL()),
-		Plan:    wire.FromPlan(s.cur, plan),
+		Plan:    plan,
 	}
 	s.mu.Unlock()
 	srv.writeJSON(w, http.StatusCreated, resp)
@@ -290,8 +312,8 @@ func (srv *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	resp := wire.SessionResponse{Session: s.infoLocked(srv.sessionTTL())}
-	if s.lastPlan != nil {
-		resp.Plan = wire.FromPlan(s.cur, s.lastPlan)
+	if s.plans > 0 {
+		resp.Plan = s.lastPlan
 	}
 	s.mu.Unlock()
 	srv.writeJSON(w, http.StatusOK, resp)
@@ -370,7 +392,7 @@ func (srv *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := wire.DeltaResponse{
 		Session:  s.infoLocked(srv.sessionTTL()),
-		Plan:     wire.FromPlan(s.cur, plan),
+		Plan:     plan,
 		ReplanMS: float64(srv.now().Sub(solveStart)) / float64(time.Millisecond),
 	}
 	s.broadcastLocked(sseFrame("plan", resp))
@@ -408,10 +430,10 @@ func (srv *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var initial []byte
-	if s.lastPlan != nil {
+	if s.plans > 0 {
 		initial = sseFrame("plan", wire.SessionResponse{
 			Session: s.infoLocked(srv.sessionTTL()),
-			Plan:    wire.FromPlan(s.cur, s.lastPlan),
+			Plan:    s.lastPlan,
 		})
 	}
 	s.subs[ch] = struct{}{}

@@ -282,7 +282,9 @@ func TestSessionCapacity(t *testing.T) {
 
 // TestSessionAdmissionAccounting: session re-plans consume the same
 // admission tokens as /v1/plan solves — with MaxInFlight=1, two concurrent
-// deltas on two sessions never solve at the same time.
+// deltas on two sessions never solve at the same time. The two deltas
+// differ: identical re-plans would share one cache key and coalesce into a
+// single solve.
 func TestSessionAdmissionAccounting(t *testing.T) {
 	srv := New(Config{MaxInFlight: 1})
 	ts := httptest.NewServer(srv.Handler())
@@ -298,16 +300,19 @@ func TestSessionAdmissionAccounting(t *testing.T) {
 	gate.Store(g)
 	defer gate.Store(nil)
 
-	delta := wire.DeltaRequest{Deltas: []wire.Delta{{Kind: wire.DeltaRepairNode, Node: 3}}}
+	deltas := map[string]wire.Delta{
+		a.Session.ID: {Kind: wire.DeltaRepairNode, Node: 3},
+		b.Session.ID: {Kind: wire.DeltaRepairLink, Link: 2},
+	}
 	var wg sync.WaitGroup
-	for _, id := range []string{a.Session.ID, b.Session.ID} {
+	for id, d := range deltas {
 		wg.Add(1)
-		go func(id string) {
+		go func(id string, d wire.Delta) {
 			defer wg.Done()
-			if code := postJSON(t, ts.URL+"/v1/session/"+id+"/delta", delta, nil); code != http.StatusOK {
+			if code := postJSON(t, ts.URL+"/v1/session/"+id+"/delta", wire.DeltaRequest{Deltas: []wire.Delta{d}}, nil); code != http.StatusOK {
 				t.Errorf("delta on %s: status %d", id, code)
 			}
-		}(id)
+		}(id, d)
 	}
 	<-g.started
 	time.Sleep(50 * time.Millisecond)
@@ -318,6 +323,50 @@ func TestSessionAdmissionAccounting(t *testing.T) {
 	wg.Wait()
 	if got := srv.SolveCount() - solvesBefore; got != 2 {
 		t.Fatalf("session re-plans recorded %d solves, want 2", got)
+	}
+}
+
+// TestSessionAnswersFromPlanCache: a session opened on a scenario /v1/plan
+// already solved answers from the plan cache without a solve, with the
+// plan's bytes (runtime aside), and the session's first re-plan stores its
+// plan for a later /v1/plan request, which hits.
+func TestSessionAnswersFromPlanCache(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var cold wire.PlanResponse
+	if code := postJSON(t, ts.URL+"/v1/plan", wire.PlanRequest{Scenario: testScenarioJSON()}, &cold); code != http.StatusOK {
+		t.Fatalf("cold plan: status %d", code)
+	}
+	solves := srv.SolveCount()
+	created := openSession(t, ts, "")
+	if n := srv.SolveCount() - solves; n != 0 {
+		t.Fatalf("session on a solved scenario ran %d solves, want 0", n)
+	}
+	if got, want := planBytes(t, created.Plan), planBytes(t, cold.Plan); got != want {
+		t.Fatalf("session plan differs from the /v1/plan answer:\nsession %s\nplan    %s", got, want)
+	}
+
+	var dresp wire.DeltaResponse
+	delta := wire.DeltaRequest{Deltas: []wire.Delta{{Kind: wire.DeltaRepairNode, Node: 3}}}
+	if code := postJSON(t, ts.URL+"/v1/session/"+created.Session.ID+"/delta", delta, &dresp); code != http.StatusOK {
+		t.Fatalf("delta: status %d", code)
+	}
+	if n := srv.SolveCount() - solves; n != 1 {
+		t.Fatalf("re-plan ran %d solves, want 1", n)
+	}
+	sc := testScenarioJSON()
+	sc.BrokenNodes = []int{1}
+	var hit wire.PlanResponse
+	if code := postJSON(t, ts.URL+"/v1/plan", wire.PlanRequest{Scenario: sc}, &hit); code != http.StatusOK {
+		t.Fatalf("plan after re-plan: status %d", code)
+	}
+	if hit.Cache.Status != "hit" || srv.SolveCount()-solves != 1 {
+		t.Fatalf("plan of the re-planned scenario: cache %+v after %d solves, want a hit", hit.Cache, srv.SolveCount()-solves)
+	}
+	if got, want := planBytes(t, hit.Plan), planBytes(t, dresp.Plan); got != want {
+		t.Fatalf("hit differs from the session re-plan:\nplan    %s\nsession %s", got, want)
 	}
 }
 

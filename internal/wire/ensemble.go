@@ -24,7 +24,8 @@ type EnsembleReport = ensemble.Report
 type EnsembleRequest struct {
 	Scenario Scenario        `json:"scenario"`
 	Sampler  EnsembleSampler `json:"sampler"`
-	// Samples is the ensemble size (0 = the engine default, 1000).
+	// Samples is the ensemble size (0 = the engine default, 1000; at most
+	// ensemble.MaxSamples).
 	Samples int `json:"samples,omitempty"`
 	// Seed roots the per-sample random streams.
 	Seed int64 `json:"seed,omitempty"`

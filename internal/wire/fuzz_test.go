@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"netrecovery/internal/demand"
@@ -17,10 +18,29 @@ import (
 // JSON value, unknown fields rejected.
 func decodePlanRequest(data []byte) (PlanRequest, error) {
 	var req PlanRequest
+	err := decodeInto(data, &req)
+	return req, err
+}
+
+// decodeInto decodes a /v1/plan body into req the way the server does.
+func decodeInto(data []byte, req *PlanRequest) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	return req, err
+	return dec.Decode(req)
+}
+
+// withEmptyLists copies the request's lists into new storage, nil lists as
+// empty ones: a reset request keeps its storage, so lists the input leaves
+// out come back empty rather than nil, which no reader of a request tells
+// apart.
+func withEmptyLists(req PlanRequest) PlanRequest {
+	ws := &req.Scenario
+	ws.Nodes = append([]Node{}, ws.Nodes...)
+	ws.Links = append([]Link{}, ws.Links...)
+	ws.Demands = append([]Demand{}, ws.Demands...)
+	ws.BrokenNodes = append([]int{}, ws.BrokenNodes...)
+	ws.BrokenLinks = append([]int{}, ws.BrokenLinks...)
+	return req
 }
 
 // fuzzSeedBody renders a plan request for a damaged scenario on g.
@@ -41,11 +61,15 @@ func fuzzSeedBody(f *testing.F, g *graph.Graph, pairs int, seed int64) []byte {
 }
 
 // FuzzPlanRequestJSON drives the request → scenario → fingerprint path with
-// arbitrary bodies. Invariants: decoding and building never panic; a built
-// scenario survives FromScenario → json.Marshal → decode → Build with its
-// fingerprint intact; Fingerprint equals Clone().Fingerprint(); and the
-// fingerprint Apply derives incrementally after repairing the first broken
-// link (or node) equals a from-scratch recompute on a clone.
+// arbitrary bodies. Invariants: decoding, the wire-derived fingerprint and
+// building never panic; decoding into a reset, previously used request
+// reads what decoding into a new one does; whenever Build succeeds the
+// wire-derived fingerprint (the server's cache key) equals the built
+// scenario's; a built scenario survives FromScenario → json.Marshal →
+// decode → Build with its fingerprint intact; Fingerprint equals
+// Clone().Fingerprint(); and the fingerprint Apply derives incrementally
+// after repairing the first broken link (or node) equals a from-scratch
+// recompute on a clone.
 func FuzzPlanRequestJSON(f *testing.F) {
 	grid, err := topology.Grid(5, 5, topology.DefaultConfig(10))
 	if err != nil {
@@ -54,16 +78,33 @@ func FuzzPlanRequestJSON(f *testing.F) {
 	f.Add(fuzzSeedBody(f, topology.BellCanada(), 4, 1))
 	f.Add(fuzzSeedBody(f, grid, 2, 2))
 	f.Add([]byte(`{"scenario":{"nodes":[{"x":0,"y":0,"repairCost":1},{"x":1,"y":0,"repairCost":-0}],"links":[{"from":0,"to":1,"capacity":5,"repairCost":2}],"demands":[{"source":0,"target":1,"flow":1e-300}],"broken_nodes":[1,1],"broken_links":[0]}}`))
+	used, err := decodePlanRequest(fuzzSeedBody(f, topology.BellCanada(), 4, 3))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := decodePlanRequest(data)
+		// A copy of a decoded request: every slot holds a previous value.
+		reused := withEmptyLists(used)
+		reused.Reset()
+		if rerr := decodeInto(data, &reused); (rerr == nil) != (err == nil) {
+			t.Fatalf("decode error %v, into a reset request %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
+		if !reflect.DeepEqual(withEmptyLists(reused), withEmptyLists(req)) {
+			t.Fatalf("decoding into a reset request read %+v, into a new one %+v", reused, req)
+		}
+		wireFP := req.Scenario.Fingerprint()
 		s, err := req.Scenario.Build()
 		if err != nil {
 			return
 		}
 		fp := s.Fingerprint()
+		if wireFP != fp {
+			t.Fatalf("wire-derived fingerprint %x, built scenario's %x", wireFP, fp)
+		}
 
 		body, err := json.Marshal(PlanRequest{Scenario: FromScenario(req.Scenario.Name, s), Algorithm: req.Algorithm, Options: req.Options})
 		if err != nil {

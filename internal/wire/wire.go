@@ -122,6 +122,30 @@ func (ws Scenario) Build() (*scenario.Scenario, error) {
 	return s, nil
 }
 
+// Fingerprint returns the fingerprint of the scenario Build returns,
+// computed from the wire values through scenario.Canonical without
+// building it: the same canonical bytes, so the same plan-cache key
+// (FuzzPlanRequestJSON pins the equality). It does not validate. A value
+// Build rejects still hashes, but cannot match a fingerprint of a built
+// scenario, because every check Build makes reads a value the canonical
+// bytes carry.
+func (ws Scenario) Fingerprint() [32]byte {
+	c := scenario.NewCanonical()
+	c.Nodes(len(ws.Nodes))
+	for _, n := range ws.Nodes {
+		c.Node(n.Name, n.X, n.Y, n.RepairCost)
+	}
+	c.Edges(len(ws.Links))
+	for _, l := range ws.Links {
+		c.Edge(l.From, l.To, l.Capacity, l.RepairCost)
+	}
+	c.Demands(len(ws.Demands))
+	for _, d := range ws.Demands {
+		c.Demand(d.Source, d.Target, d.Flow)
+	}
+	return c.Sum(ws.BrokenNodes, ws.BrokenLinks)
+}
+
 // Stage is one step of a progressive recovery timeline.
 type Stage struct {
 	Index          int     `json:"index"`
@@ -229,6 +253,30 @@ type PlanRequest struct {
 	// Algorithm is a solver-registry name (default ISP).
 	Algorithm string       `json:"algorithm,omitempty"`
 	Options   SolveOptions `json:"options,omitempty"`
+}
+
+// Reset empties the request for reuse while keeping its slices' storage.
+// encoding/json decodes array elements into the slots a slice already has,
+// keeping fields the new input leaves out, so Reset zeroes every slot up to
+// the capacity (a decode may have filled slots it then trimmed off).
+// Decoding into a reset request reads what decoding into a new one reads,
+// except that a list the input leaves out comes back empty, not nil.
+func (r *PlanRequest) Reset() {
+	ws := r.Scenario
+	*r = PlanRequest{Scenario: Scenario{
+		Nodes:       emptied(ws.Nodes),
+		Links:       emptied(ws.Links),
+		Demands:     emptied(ws.Demands),
+		BrokenNodes: emptied(ws.BrokenNodes),
+		BrokenLinks: emptied(ws.BrokenLinks),
+	}}
+}
+
+// emptied zeroes s up to its capacity and returns it with length zero.
+func emptied[T any](s []T) []T {
+	s = s[:0]
+	clear(s[:cap(s)])
+	return s
 }
 
 // SolveOptions carries the per-request solver knobs.

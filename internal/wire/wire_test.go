@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"netrecovery/internal/demand"
+	"netrecovery/internal/disruption"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/scenario"
+	"netrecovery/internal/topology"
 )
 
 func testScenario(t *testing.T) *scenario.Scenario {
@@ -195,5 +198,38 @@ func TestPlanWithStages(t *testing.T) {
 	}
 	if _, err := FromPlan(s, plan).WithStages(s, plan, 0.001); err == nil {
 		t.Fatal("WithStages accepted a budget smaller than the largest repair")
+	}
+}
+
+// TestScenarioFingerprintMatchesBuild: the wire-derived fingerprint equals
+// the built scenario's on random damaged grids whose broken lists arrive
+// shuffled and with repeats, as a client may send them.
+func TestScenarioFingerprintMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		g, err := topology.Grid(2+rng.Intn(4), 2+rng.Intn(4), topology.DefaultConfig(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := demand.GenerateUniformPairs(g, 1+rng.Intn(3), 5, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := disruption.Random(g, 0.3, 0.3, rng)
+		s := &scenario.Scenario{Supply: g, Demand: dg, BrokenNodes: d.Nodes, BrokenEdges: d.Edges}
+		ws := FromScenario("grid", s)
+		for _, ids := range []*[]int{&ws.BrokenNodes, &ws.BrokenLinks} {
+			if len(*ids) > 0 {
+				*ids = append(*ids, (*ids)[rng.Intn(len(*ids))])
+				rng.Shuffle(len(*ids), func(a, b int) { (*ids)[a], (*ids)[b] = (*ids)[b], (*ids)[a] })
+			}
+		}
+		built, err := ws.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ws.Fingerprint(), s.Fingerprint(); got != want || built.Fingerprint() != want {
+			t.Fatalf("scenario %d: wire fingerprint %x, built %x, original %x", i, got, built.Fingerprint(), want)
+		}
 	}
 }
