@@ -8,7 +8,6 @@ import (
 	"hash"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"netrecovery/internal/demand"
@@ -328,25 +327,19 @@ func (s *Scenario) FingerprintHex() string {
 // SortedBrokenNodes returns the broken node IDs in ascending order. Every
 // emitter of broken-ID lists (fingerprints, wire encodings, reports) must go
 // through this so output never depends on map iteration order.
-func (s *Scenario) SortedBrokenNodes() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(s.BrokenNodes))
-	for v, broken := range s.BrokenNodes {
-		if broken {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *Scenario) SortedBrokenNodes() []graph.NodeID { return sortedIDs(s.BrokenNodes) }
 
 // SortedBrokenEdges returns the broken edge IDs in ascending order.
-func (s *Scenario) SortedBrokenEdges() []graph.EdgeID {
-	out := make([]graph.EdgeID, 0, len(s.BrokenEdges))
-	for e, broken := range s.BrokenEdges {
-		if broken {
-			out = append(out, e)
+func (s *Scenario) SortedBrokenEdges() []graph.EdgeID { return sortedIDs(s.BrokenEdges) }
+
+// sortedIDs returns the IDs a set maps to true, in ascending order.
+func sortedIDs[ID graph.NodeID | graph.EdgeID](set map[ID]bool) []ID {
+	out := make([]ID, 0, len(set))
+	for id, in := range set {
+		if in {
+			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

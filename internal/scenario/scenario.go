@@ -92,14 +92,7 @@ func (s *Scenario) NumBroken() (nodes, edges int) {
 
 // TotalRepairCost returns the cost of repairing every broken element.
 func (s *Scenario) TotalRepairCost() float64 {
-	cost := 0.0
-	for v := range s.BrokenNodes {
-		cost += s.Supply.Node(v).RepairCost
-	}
-	for e := range s.BrokenEdges {
-		cost += s.Supply.Edge(e).RepairCost
-	}
-	return cost
+	return repairCost(s.Supply, s.BrokenNodes, s.BrokenEdges)
 }
 
 // WorkingNodes returns the predicate map of nodes that are usable before any
@@ -219,12 +212,19 @@ func (p *Plan) NumRepairs() (nodes, edges, total int) {
 
 // RepairCost returns the total cost of the plan's repairs on scenario s.
 func (p *Plan) RepairCost(s *Scenario) float64 {
+	return repairCost(s.Supply, p.RepairedNodes, p.RepairedEdges)
+}
+
+// repairCost sums the repair costs of the nodes and then the edges its sets
+// hold, each in ascending ID order: float addition is not associative, so
+// a sum in map order could differ in its last bits from call to call.
+func repairCost(g *graph.Graph, nodes map[graph.NodeID]bool, edges map[graph.EdgeID]bool) float64 {
 	cost := 0.0
-	for v := range p.RepairedNodes {
-		cost += s.Supply.Node(v).RepairCost
+	for _, v := range sortedIDs(nodes) {
+		cost += g.Node(v).RepairCost
 	}
-	for e := range p.RepairedEdges {
-		cost += s.Supply.Edge(e).RepairCost
+	for _, e := range sortedIDs(edges) {
+		cost += g.Edge(e).RepairCost
 	}
 	return cost
 }

@@ -12,13 +12,17 @@ import (
 	"netrecovery/internal/wire"
 )
 
+// ensembleRequests recycles decoded ensemble requests, as planRequests
+// does plan requests; nothing may read one after its handler returns.
+var ensembleRequests = sync.Pool{New: func() any { return new(wire.EnsembleRequest) }}
+
 // buildEnsembleSpec validates an ensemble request and prepares the engine
 // spec under the server's admission policy: the solve pool is clamped to the
 // admission capacity, per-solve parallelism defaults to 1 (each pool worker
 // owns exactly the one admission token it holds), and unique-scenario solves
 // route through the shared plan cache — an ensemble repeated, or one
 // overlapping plan traffic, hits instead of solving.
-func (srv *Server) buildEnsembleSpec(req wire.EnsembleRequest) (ensemble.Spec, *httpError) {
+func (srv *Server) buildEnsembleSpec(req *wire.EnsembleRequest) (ensemble.Spec, *httpError) {
 	spec, err := req.BuildSpec()
 	if err != nil {
 		return ensemble.Spec{}, badRequest("invalid ensemble request: %v", err)
@@ -75,8 +79,10 @@ func (srv *Server) handleEnsemble(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, &httpError{code: http.StatusMethodNotAllowed, err: errors.New("use POST")})
 		return
 	}
-	var req wire.EnsembleRequest
-	if herr := decodeJSON(r, &req); herr != nil {
+	req := ensembleRequests.Get().(*wire.EnsembleRequest)
+	defer ensembleRequests.Put(req)
+	req.Reset()
+	if herr := decodeJSON(r, req); herr != nil {
 		srv.writeError(w, herr)
 		return
 	}
@@ -103,8 +109,10 @@ func (srv *Server) handleEnsembleStream(w http.ResponseWriter, r *http.Request) 
 		srv.writeError(w, &httpError{code: http.StatusMethodNotAllowed, err: errors.New("use GET or POST with a JSON body")})
 		return
 	}
-	var req wire.EnsembleRequest
-	if herr := decodeJSON(r, &req); herr != nil {
+	req := ensembleRequests.Get().(*wire.EnsembleRequest)
+	defer ensembleRequests.Put(req)
+	req.Reset()
+	if herr := decodeJSON(r, req); herr != nil {
 		srv.writeError(w, herr)
 		return
 	}

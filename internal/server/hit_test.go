@@ -143,11 +143,13 @@ func TestPlanHitRendersOnce(t *testing.T) {
 	}
 }
 
-// TestHitPathRace runs plain hits and misses, deadline_ms requests and
-// session re-plans over shared scenarios from several goroutines. Every
-// answer for one scenario and algorithm must carry the same plan, and the
-// race detector checks that no pooled request is read after its handler
-// returned (the next decode into it would race with that read).
+// TestHitPathRace runs plain hits and misses, deadline_ms requests,
+// session re-plans and bodies that retire their pooled decoder over shared
+// scenarios from several goroutines. Every answer for one scenario and
+// algorithm must carry the same plan, a body a new decoder rejects gets
+// that decoder's error, and the race detector checks that no pooled
+// request or decoder is used after its handler returned (the next decode
+// into it would race with that use).
 func TestHitPathRace(t *testing.T) {
 	srv := New(Config{})
 	h := srv.Handler()
@@ -197,6 +199,21 @@ func TestHitPathRace(t *testing.T) {
 					return
 				}
 				if err := check(pr.Plan); err != nil {
+					errs <- err
+					return
+				}
+				retiring := retiringBodies(body)
+				bad := retiring[(w+r)%len(retiring)]
+				code, raw = serve(h, http.MethodPost, "/v1/plan", bad.body)
+				if want := freshDecodeError(bad.body); want != nil {
+					if code != http.StatusBadRequest || !bytes.Equal(raw, want) {
+						errs <- fmt.Errorf("%s: status %d: %s, want 400: %s", bad.name, code, raw, want)
+						return
+					}
+				} else if err := json.Unmarshal(raw, &pr); err != nil || code != http.StatusOK {
+					errs <- fmt.Errorf("%s: status %d: %s", bad.name, code, raw)
+					return
+				} else if err := check(pr.Plan); err != nil {
 					errs <- err
 					return
 				}

@@ -35,7 +35,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -152,6 +151,10 @@ type Server struct {
 	// routeHists are the per-route request-duration histograms behind
 	// nrserved_request_duration_seconds.
 	routeHists []*routeHistogram
+
+	// lookups counts answered plan-cache lookups by request kind and cache
+	// status (nrserved_cache_lookups_total).
+	lookups [len(lookupKinds)][len(lookupOutcomes)]atomic.Uint64
 
 	solves            atomic.Uint64
 	peerLookups       atomic.Uint64
@@ -308,8 +311,9 @@ type solveOutcome struct {
 	degradation *wire.Degradation
 }
 
-// planRequests recycles decoded plan requests: a Bell-Canada body decodes
-// into about a hundred slice elements, and a hit needs nothing else.
+// planRequests recycles decoded plan and session-create requests: a
+// Bell-Canada body decodes into about a hundred slice elements, and a hit
+// needs nothing else.
 var planRequests = sync.Pool{New: func() any { return new(wire.PlanRequest) }}
 
 // planInput is one plan request: its cache key, computed from the wire
@@ -428,7 +432,11 @@ func (srv *Server) solveRequest(ctx context.Context, in *planInput) (*solveOutco
 		deadline = srv.cfg.DegradeDeadline
 	}
 	if deadline > 0 && !opts.NoDegrade {
-		return srv.solveDegraded(ctx, in, deadline)
+		out, herr := srv.solveDegraded(ctx, in, deadline)
+		if herr == nil {
+			srv.countLookup(lookupPlan, out.status)
+		}
+		return out, herr
 	}
 
 	if opts.NoCache {
@@ -479,7 +487,33 @@ func (srv *Server) solveRequest(ctx context.Context, in *planInput) (*solveOutco
 		// surface that in the response's cache metadata.
 		out.status = "peer"
 	}
+	srv.countLookup(lookupPlan, out.status)
 	return out, nil
+}
+
+// The labels of nrserved_cache_lookups_total, in exposition order: the
+// request kinds that look up plans (indexed by the lookup* constants) and
+// the cache statuses that answer a lookup (peer: filled from the owning
+// peer's cache).
+var (
+	lookupKinds    = [...]string{"plan", "session"}
+	lookupOutcomes = [...]string{"hit", "miss", "coalesced", "peer"}
+)
+
+const (
+	lookupPlan = iota
+	lookupSession
+)
+
+// countLookup counts one answered lookup of the given kind by its cache
+// status; bypass and stale answers looked nothing up and are not counted.
+func (srv *Server) countLookup(kind int, status string) {
+	for i, outcome := range lookupOutcomes {
+		if outcome == status {
+			srv.lookups[kind][i].Add(1)
+			return
+		}
+	}
 }
 
 // solveError maps a solve failure to an HTTP status: 499 when the client
@@ -904,6 +938,12 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	header := func(name, help, typ string) {
 		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)...)
 	}
+	header("nrserved_cache_lookups_total", "Plan-cache lookups answered, by request kind and cache status (peer: filled from the owning peer's cache).", "counter")
+	for k, kind := range lookupKinds {
+		for o, outcome := range lookupOutcomes {
+			b = append(b, fmt.Sprintf("nrserved_cache_lookups_total{kind=%q,outcome=%q} %g\n", kind, outcome, float64(srv.lookups[k][o].Load()))...)
+		}
+	}
 	header("nrserved_shed_total", "Requests shed by the bounded priority admission queue.", "counter")
 	for i, class := range prioNames {
 		b = append(b, fmt.Sprintf("nrserved_shed_total{class=%q} %g\n", class, float64(srv.shed[i].Load()))...)
@@ -960,20 +1000,6 @@ func (srv *Server) resolveWorkers(requested int) int {
 		return w
 	}
 	return -1 // negative = sequential, see heuristics.Params.OPTWorkers
-}
-
-// decodeJSON parses a request body into v.
-func decodeJSON(r *http.Request, v any) *httpError {
-	body := http.MaxBytesReader(nil, r.Body, maxRequestBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return badRequest("empty request body (expected JSON)")
-		}
-		return badRequest("invalid JSON request: %v", err)
-	}
-	return nil
 }
 
 // writeJSON writes a compact JSON response: the wire carries no

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -483,6 +484,62 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestCacheLookupMetrics pins the nrserved_cache_lookups_total series: one
+// line per request kind and cache status, in a fixed order, counted where
+// plan requests (plain and deadline_ms) and session creates and re-plans
+// receive their answers. Bypassed requests look nothing up.
+func TestCacheLookupMetrics(t *testing.T) {
+	srv := New(Config{})
+	h := srv.Handler()
+	body := planRequestBody(t, "ISP", wire.SolveOptions{})
+	for _, b := range [][]byte{
+		body, // miss
+		body, // hit
+		planRequestBody(t, "ISP", wire.SolveOptions{DeadlineMS: 10000}), // hit
+		planRequestBody(t, "ISP", wire.SolveOptions{NoCache: true}),     // bypass
+	} {
+		if code, raw := serve(h, http.MethodPost, "/v1/plan", b); code != http.StatusOK {
+			t.Fatalf("plan: status %d: %s", code, raw)
+		}
+	}
+	// Two sessions on the cached scenario (hits), each repairing link 0:
+	// the first re-plan misses, the second hits.
+	delta, _ := json.Marshal(wire.DeltaRequest{Deltas: []wire.Delta{{Kind: wire.DeltaRepairLink, Link: 0}}})
+	for i := 0; i < 2; i++ {
+		code, raw := serve(h, http.MethodPost, "/v1/session", body)
+		var sr wire.SessionResponse
+		if err := json.Unmarshal(raw, &sr); err != nil || code != http.StatusCreated {
+			t.Fatalf("session: status %d: %s", code, raw)
+		}
+		if code, raw := serve(h, http.MethodPost, "/v1/session/"+sr.Session.ID+"/delta", delta); code != http.StatusOK {
+			t.Fatalf("delta: status %d: %s", code, raw)
+		}
+	}
+	_, metrics := serve(h, http.MethodGet, "/metrics", nil)
+	var got []string
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if strings.HasPrefix(line, "nrserved_cache_lookups_total") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		`nrserved_cache_lookups_total{kind="plan",outcome="hit"} 2`,
+		`nrserved_cache_lookups_total{kind="plan",outcome="miss"} 1`,
+		`nrserved_cache_lookups_total{kind="plan",outcome="coalesced"} 0`,
+		`nrserved_cache_lookups_total{kind="plan",outcome="peer"} 0`,
+		`nrserved_cache_lookups_total{kind="session",outcome="hit"} 3`,
+		`nrserved_cache_lookups_total{kind="session",outcome="miss"} 1`,
+		`nrserved_cache_lookups_total{kind="session",outcome="coalesced"} 0`,
+		`nrserved_cache_lookups_total{kind="session",outcome="peer"} 0`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("lookup series:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if !strings.Contains(string(metrics), "# TYPE nrserved_cache_lookups_total counter\n") {
+		t.Fatal("nrserved_cache_lookups_total has no counter TYPE line")
 	}
 }
 

@@ -199,6 +199,9 @@ func (srv *Server) sessionSolve(ctx context.Context, s *session) (wire.Plan, *ht
 	if !s.noCache {
 		key := plancache.Key{Fingerprint: s.cur.Fingerprint(), Algorithm: s.alg, Options: s.digest}
 		a, err = srv.cache.Fetch(ctx, key, solve)
+		if err == nil {
+			srv.countLookup(lookupSession, a.Outcome.String())
+		}
 	}
 	var unavailable *plancache.UnavailableError
 	if s.noCache || errors.As(err, &unavailable) {
@@ -219,8 +222,10 @@ func (srv *Server) sessionSolve(ctx context.Context, s *session) (wire.Plan, *ht
 func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	srv.requests.Add(1)
 	srv.evictIdleSessions()
-	var req wire.SessionRequest
-	if herr := decodeJSON(r, &req); herr != nil {
+	req := planRequests.Get().(*wire.PlanRequest)
+	defer planRequests.Put(req)
+	req.Reset()
+	if herr := decodeJSON(r, req); herr != nil {
 		srv.writeError(w, herr)
 		return
 	}

@@ -42,6 +42,12 @@ type EnsembleRequest struct {
 	ConsensusThreshold float64 `json:"consensus_threshold,omitempty"`
 }
 
+// Reset empties the request for reuse while keeping its scenario's list
+// storage, as PlanRequest.Reset does.
+func (req *EnsembleRequest) Reset() {
+	*req = EnsembleRequest{Scenario: req.Scenario.emptied()}
+}
+
 // BuildSpec converts the wire request into an engine spec (without Cache,
 // Workers clamping or progress wiring, which the server layers on).
 func (req EnsembleRequest) BuildSpec() (ensemble.Spec, error) {

@@ -247,7 +247,8 @@ func finiteOrZero(f float64) float64 {
 	return f
 }
 
-// PlanRequest is the request body of POST /v1/plan and GET /v1/plan/stream.
+// PlanRequest is the request body of POST /v1/plan, GET /v1/plan/stream
+// and POST /v1/session.
 type PlanRequest struct {
 	Scenario Scenario `json:"scenario"`
 	// Algorithm is a solver-registry name (default ISP).
@@ -262,14 +263,19 @@ type PlanRequest struct {
 // Decoding into a reset request reads what decoding into a new one reads,
 // except that a list the input leaves out comes back empty, not nil.
 func (r *PlanRequest) Reset() {
-	ws := r.Scenario
-	*r = PlanRequest{Scenario: Scenario{
+	*r = PlanRequest{Scenario: r.Scenario.emptied()}
+}
+
+// emptied returns an empty scenario that keeps ws's list storage, zeroed
+// up to capacity.
+func (ws Scenario) emptied() Scenario {
+	return Scenario{
 		Nodes:       emptied(ws.Nodes),
 		Links:       emptied(ws.Links),
 		Demands:     emptied(ws.Demands),
 		BrokenNodes: emptied(ws.BrokenNodes),
 		BrokenLinks: emptied(ws.BrokenLinks),
-	}}
+	}
 }
 
 // emptied zeroes s up to its capacity and returns it with length zero.
@@ -474,11 +480,7 @@ func FromDelta(d scenario.Delta) Delta {
 // SessionRequest is the request body of POST /v1/session: the initial
 // scenario of an evolving recovery run plus the solver configuration, which
 // is fixed for the session's lifetime.
-type SessionRequest struct {
-	Scenario  Scenario     `json:"scenario"`
-	Algorithm string       `json:"algorithm,omitempty"`
-	Options   SolveOptions `json:"options,omitempty"`
-}
+type SessionRequest = PlanRequest
 
 // SessionInfo describes an open planning session.
 type SessionInfo struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -231,5 +232,43 @@ func TestScenarioFingerprintMatchesBuild(t *testing.T) {
 		if got, want := ws.Fingerprint(), s.Fingerprint(); got != want || built.Fingerprint() != want {
 			t.Fatalf("scenario %d: wire fingerprint %x, built %x, original %x", i, got, built.Fingerprint(), want)
 		}
+	}
+}
+
+// TestFractionalCostDeterministic: a plan repairing eight nodes with
+// fractional repair costs reads one cost bit pattern, and renders to the
+// same bytes, on every call. Summed in map order, these costs read
+// 10.611 on some calls and 10.610999999999999 on others.
+func TestFractionalCostDeterministic(t *testing.T) {
+	costs := []float64{0.1, 0.2, 0.3, 1.7, 2.11, 3.001, 0.5, 2.7}
+	ws := Scenario{Demands: []Demand{{Source: 0, Target: 7, Flow: 1}}}
+	for i, c := range costs {
+		ws.Nodes = append(ws.Nodes, Node{X: float64(i), RepairCost: c})
+		ws.BrokenNodes = append(ws.BrokenNodes, i)
+		if i > 0 {
+			ws.Links = append(ws.Links, Link{From: i - 1, To: i, Capacity: 1, RepairCost: 1})
+		}
+	}
+	s, err := ws.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := scenario.NewPlan("ISP")
+	for v := range s.BrokenNodes {
+		plan.RepairedNodes[v] = true
+	}
+	bits := map[uint64]int{}
+	renderings := map[string]int{}
+	for i := 0; i < 2000; i++ {
+		bits[math.Float64bits(plan.RepairCost(s))]++
+		bits[math.Float64bits(s.TotalRepairCost())]++
+		raw, err := json.Marshal(FromPlan(s, plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		renderings[string(raw)]++
+	}
+	if len(bits) != 1 || len(renderings) != 1 {
+		t.Fatalf("%d cost bit patterns %v and %d renderings over 2,000 calls, want one each", len(bits), bits, len(renderings))
 	}
 }
