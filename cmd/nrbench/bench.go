@@ -362,25 +362,29 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 		}
 	}
 
-	// fallback_isp_under_budget: the graceful-degradation serving row — a
-	// deadline-budgeted fallback chain whose primary stage fails immediately
-	// (a downed exact solver) and whose fast-ISP fallback answers inside the
-	// budget. It measures the chain machinery plus the fallback solve: the
-	// latency a degraded /v1/plan response pays over a plain fast-ISP one
-	// (compare against isp_iteration_fast).
+	// fallback_isp_under_budget: the graceful-degradation serving row — the
+	// deadline-budgeted fallback chain (heuristics.Chain) of an OPT request
+	// whose primary stage fails immediately (a downed exact solver) and
+	// whose fast-ISP fallback answers inside the budget. It measures the
+	// chain machinery plus the fallback solve: the latency a degraded
+	// /v1/plan response pays over a plain fast-ISP one (compare against
+	// isp_iteration_fast).
 	fallbackSolver, err := heuristics.New("ISP", fastParams)
 	if err != nil {
 		return report, err
 	}
 	errPrimaryDown := errors.New("bench: primary solver down")
+	fallbackChain := heuristics.Chain{
+		Primary: heuristics.Rung{Algorithm: "OPT"},
+		Solve: func(c context.Context, r heuristics.Rung) (*scenario.Plan, error) {
+			if !r.Fallback {
+				return nil, errPrimaryDown
+			}
+			return fallbackSolver.Solve(c, s)
+		},
+	}
 	degradedSolve := func() {
-		stages := []degrade.Stage{
-			{Name: "primary", Level: degrade.LevelNone, Fraction: 0.6,
-				Run: func(context.Context) (*scenario.Plan, error) { return nil, errPrimaryDown }},
-			{Name: "fallback_isp", Level: degrade.LevelFallback,
-				Run: func(c context.Context) (*scenario.Plan, error) { return fallbackSolver.Solve(c, s) }},
-		}
-		res, err := degrade.Execute(ctx, stages, degrade.Options{Deadline: 30 * time.Second})
+		res, err := degrade.Execute(ctx, fallbackChain.Stages(), degrade.Options{Deadline: 30 * time.Second})
 		if err != nil {
 			panic(err)
 		}

@@ -213,7 +213,8 @@ func run(args []string, stdout io.Writer) error {
 		deg  *degrade.Result
 	)
 	if *deadline > 0 {
-		deg, err = solveWithDeadline(context.Background(), s, solver, *solverName, *fast, *optWorkers, onStats, *deadline)
+		primary := heuristics.Rung{Algorithm: *solverName, Params: heuristics.Params{Fast: *fast, OPTTimeLimit: *optTime, OPTWorkers: *optWorkers, OnStats: onStats}}
+		deg, err = solveWithDeadline(context.Background(), s, solver, primary, *deadline)
 		if deg != nil {
 			plan = deg.Plan
 		}
@@ -243,27 +244,23 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // solveWithDeadline runs the CLI solve through the deadline-budgeted
-// fallback chain: the selected solver under the bulk of the budget, then
-// fast ISP. The CLI has no plan cache, so there is no stale stage.
-func solveWithDeadline(ctx context.Context, s *scenario.Scenario, solver heuristics.Solver, name string, fast bool, optWorkers int, onStats heuristics.StatsFunc, deadline time.Duration) (*degrade.Result, error) {
-	stages := []degrade.Stage{{
-		Name:  "primary",
-		Level: degrade.LevelNone,
-		Run:   func(c context.Context) (*scenario.Plan, error) { return solver.Solve(c, s) },
-	}}
-	if !(name == "ISP" && fast) {
-		stages[0].Fraction = 0.6
-		fallback, err := heuristics.New("ISP", heuristics.Params{Fast: true, OPTWorkers: optWorkers, OnStats: onStats})
-		if err != nil {
-			return nil, err
-		}
-		stages = append(stages, degrade.Stage{
-			Name:  "fallback_isp",
-			Level: degrade.LevelFallback,
-			Run:   func(c context.Context) (*scenario.Plan, error) { return fallback.Solve(c, s) },
-		})
+// fallback chain (heuristics.Chain). The CLI has no plan cache, so there is
+// no stale stage.
+func solveWithDeadline(ctx context.Context, s *scenario.Scenario, solver heuristics.Solver, primary heuristics.Rung, deadline time.Duration) (*degrade.Result, error) {
+	chain := heuristics.Chain{
+		Primary: primary,
+		Solve: func(ctx context.Context, r heuristics.Rung) (*scenario.Plan, error) {
+			if r.Fallback {
+				fallback, err := heuristics.New(r.Algorithm, r.Params)
+				if err != nil {
+					return nil, err
+				}
+				return fallback.Solve(ctx, s)
+			}
+			return solver.Solve(ctx, s)
+		},
 	}
-	return degrade.Execute(ctx, stages, degrade.Options{Deadline: deadline})
+	return degrade.Execute(ctx, chain.Stages(), degrade.Options{Deadline: deadline})
 }
 
 // printDegradation summarises the fallback chain after the plan (text mode).

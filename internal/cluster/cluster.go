@@ -420,7 +420,7 @@ func (c *Cluster) fetch(req *fillReq) fillResult {
 	if !pr.Found {
 		return fillResult{found: false}
 	}
-	plan, err := pr.Plan.Build()
+	plan, err := pr.BuildPlan()
 	if err != nil {
 		return fillResult{err: fmt.Errorf("cluster: invalid peer plan: %w", err)}
 	}

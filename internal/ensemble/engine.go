@@ -77,8 +77,8 @@ type Spec struct {
 	// cache: an ensemble re-run (or one overlapping another request's
 	// scenarios) answers repeats in ~µs. Within one run fingerprint dedup
 	// already guarantees at most one solve per unique scenario. A cache
-	// shard fault (plancache.UnavailableError) downgrades that unique to a
-	// direct uncached solve instead of failing its samples.
+	// shard refused by an injected fault downgrades that unique to a direct
+	// uncached solve instead of failing its samples (plancache.Cache.Solve).
 	Cache *plancache.Cache
 	// Retry, when configured with MaxAttempts > 1, retries transient
 	// per-unique solve failures (injected faults, shard hiccups) with the
@@ -142,7 +142,6 @@ type unique struct {
 
 	plan    *scenario.Plan
 	outcome plancache.Outcome
-	cached  bool // plan came through the cache (outcome meaningful)
 	errStr  string
 }
 
@@ -265,24 +264,9 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 			})
 			return plan, err
 		}
-		var (
-			plan *scenario.Plan
-			err  error
-		)
-		if spec.Cache != nil {
-			key := plancache.Key{Fingerprint: u.fp, Algorithm: spec.Algorithm, Options: optionsDigest}
-			plan, u.outcome, _, err = spec.Cache.Do(ctx, key, solve)
-			u.cached = true
-			var unavailable *plancache.UnavailableError
-			if errors.As(err, &unavailable) {
-				// The cache shard failed, not the solver: downgrade this
-				// unique to a direct uncached solve.
-				u.cached = false
-				plan, err = solve(ctx)
-			}
-		} else {
-			plan, err = solve(ctx)
-		}
+		key := plancache.Key{Fingerprint: u.fp, Algorithm: spec.Algorithm, Options: optionsDigest}
+		a, err := spec.Cache.Solve(ctx, key, solve)
+		u.outcome = a.Outcome
 		if err != nil {
 			// Cancellation aborts the whole run; any other failure is
 			// isolated to this unique scenario's samples.
@@ -293,7 +277,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 			advance(u.count)
 			return nil
 		}
-		u.plan = plan
+		u.plan = a.Plan
 		advance(u.count)
 		return nil
 	})
@@ -322,17 +306,13 @@ func aggregate(spec Spec, uniques []*unique) *Report {
 	evaluated := make([]*unique, 0, len(uniques))
 	evaluatedSamples := 0
 	for _, u := range uniques {
-		if !u.cached {
-			rep.Solves++ // direct solve (attempted even when it failed)
-		} else {
-			switch u.outcome {
-			case plancache.Hit:
-				rep.CacheHits++
-			case plancache.Coalesced:
-				rep.Coalesced++
-			default:
-				rep.Solves++
-			}
+		switch u.outcome {
+		case plancache.Hit:
+			rep.CacheHits++
+		case plancache.Coalesced:
+			rep.Coalesced++
+		default:
+			rep.Solves++ // a miss or a direct solve (attempted even when it failed)
 		}
 		if u.plan == nil {
 			rep.Failures++

@@ -93,31 +93,6 @@ func routeConstructively(g *graph.Graph, residual []float64, demands []demand.Pa
 	return true
 }
 
-// RouteSingleDemand routes one demand on the usable residual capacities and
-// returns the signed flow of every edge (indexed by EdgeID) and the amount
-// actually routable (up to the requested flow). It returns a nil flow when
-// nothing can be routed and does not mutate the instance.
-func RouteSingleDemand(in *Instance, source, target graph.NodeID, flowWanted float64) ([]float64, float64) {
-	flows := make([]float64, in.Graph.NumEdges())
-	value := in.Graph.MaxFlowInto(source, target, in.usableInto(nil), flows, nil)
-	routed := math.Min(value, flowWanted)
-	if routed <= capacityEpsilon {
-		return nil, 0
-	}
-	scale := 1.0
-	if value > routed {
-		scale = routed / value
-	}
-	for eid, f := range flows {
-		if scaled := f * scale; math.Abs(scaled) > capacityEpsilon {
-			flows[eid] = scaled
-		} else {
-			flows[eid] = 0
-		}
-	}
-	return flows, routed
-}
-
 // SatisfiedAfterRepairs measures the demand scenario s serves once the
 // given elements are repaired, with the greedy sequential router: per active
 // demand pair, in ID order, route min(max-flow, flow) on the capacity that

@@ -170,26 +170,6 @@ func TestConstructiveRoutingFailure(t *testing.T) {
 	}
 }
 
-func TestRouteSingleDemand(t *testing.T) {
-	g := diamond([4]float64{10, 10, 5, 5})
-	in := &Instance{Graph: g}
-	flows, routed := RouteSingleDemand(in, 0, 3, 7)
-	if math.Abs(routed-7) > 1e-9 {
-		t.Errorf("routed = %f, want 7", routed)
-	}
-	if len(flows) == 0 {
-		t.Error("expected a flow vector")
-	}
-	_, routed = RouteSingleDemand(in, 0, 3, 100)
-	if math.Abs(routed-15) > 1e-9 {
-		t.Errorf("routed = %f, want max flow 15", routed)
-	}
-	flows, routed = RouteSingleDemand(in, 0, 3, 0)
-	if routed != 0 || flows != nil {
-		t.Error("zero request should route nothing")
-	}
-}
-
 func TestMaxSplitBasic(t *testing.T) {
 	// Path 0-1-2 with capacity 10; demand 0->2 of 6. Splitting through node
 	// 1 should allow the full 6 units.
@@ -201,7 +181,7 @@ func TestMaxSplitBasic(t *testing.T) {
 	g.MustAddEdge(1, 2, 10, 1)
 	d := demand.Pair{ID: 0, Source: 0, Target: 2, Flow: 6}
 	in := &Instance{Graph: g, Demands: pairs(d)}
-	dx, err := MaxSplit(in, d, 1)
+	dx, err := MaxSplitUsing(nil, in, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +197,7 @@ func TestMaxSplitLimitedByCapacity(t *testing.T) {
 	g := diamond([4]float64{4, 4, 10, 10})
 	d := demand.Pair{ID: 0, Source: 0, Target: 3, Flow: 10}
 	in := &Instance{Graph: g, Demands: pairs(d)}
-	dx, err := MaxSplit(in, d, 1)
+	dx, err := MaxSplitUsing(nil, in, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +215,12 @@ func TestMaxSplitRespectsOtherDemands(t *testing.T) {
 	d1 := demand.Pair{ID: 1, Source: 1, Target: 3, Flow: 8}
 
 	alone := &Instance{Graph: g, Demands: pairs(d0)}
-	dxAlone, err := MaxSplit(alone, d0, 1)
+	dxAlone, err := MaxSplitUsing(nil, alone, d0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	contended := &Instance{Graph: g, Demands: pairs(d0, d1)}
-	dx, err := MaxSplit(contended, d0, 1)
+	dx, err := MaxSplitUsing(nil, contended, d0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +232,7 @@ func TestMaxSplitRespectsOtherDemands(t *testing.T) {
 	}
 
 	// Apply the split and confirm the resulting demand set is still
-	// routable (the invariant MaxSplit is defined to preserve).
+	// routable (the invariant MaxSplitUsing is defined to preserve).
 	post := &Instance{Graph: g, Demands: pairs(
 		demand.Pair{ID: 0, Source: 0, Target: 3, Flow: 10 - dx},
 		d1,
@@ -268,13 +248,13 @@ func TestMaxSplitErrors(t *testing.T) {
 	g := diamond([4]float64{1, 1, 1, 1})
 	d := demand.Pair{ID: 0, Source: 0, Target: 3, Flow: 1}
 	in := &Instance{Graph: g, Demands: pairs(d)}
-	if _, err := MaxSplit(in, d, 99); err == nil {
+	if _, err := MaxSplitUsing(nil, in, d, 99); err == nil {
 		t.Error("expected error for unknown split node")
 	}
-	if _, err := MaxSplit(in, d, 0); err == nil {
+	if _, err := MaxSplitUsing(nil, in, d, 0); err == nil {
 		t.Error("expected error for endpoint split node")
 	}
-	if dx, err := MaxSplit(in, demand.Pair{ID: 0, Source: 0, Target: 3, Flow: 0}, 1); err != nil || dx != 0 {
+	if dx, err := MaxSplitUsing(nil, in, demand.Pair{ID: 0, Source: 0, Target: 3, Flow: 0}, 1); err != nil || dx != 0 {
 		t.Errorf("zero-flow split: dx=%f err=%v", dx, err)
 	}
 }
@@ -287,7 +267,7 @@ func TestMaxSplitNoUsableEdges(t *testing.T) {
 		Demands:       pairs(d),
 		ExcludedEdges: map[graph.EdgeID]bool{0: true, 1: true, 2: true, 3: true},
 	}
-	dx, err := MaxSplit(in, d, 1)
+	dx, err := MaxSplitUsing(nil, in, d, 1)
 	if err != nil || dx != 0 {
 		t.Errorf("dx = %f err = %v, want 0, nil", dx, err)
 	}

@@ -9,26 +9,21 @@ import (
 	"netrecovery/internal/lp"
 )
 
-// MaxSplit implements Decision (2) of §IV-C: given the current instance and
-// a chosen demand pair h = (s_h, t_h) to be split over the node via, it
-// computes the maximum amount dx (0 <= dx <= d_h) such that replacing dx
-// units of h with the two derived demands (s_h, via) and (via, t_h) keeps
-// the whole demand set routable on the usable graph.
+// MaxSplitUsing implements Decision (2) of §IV-C: given the current
+// instance and a chosen demand pair h = (s_h, t_h) to be split over the
+// node via, it computes the maximum amount dx (0 <= dx <= d_h) such that
+// replacing dx units of h with the two derived demands (s_h, via) and
+// (via, t_h) keeps the whole demand set routable on the usable graph.
 //
 // The computation is a single LP: flow variables for every demand (with the
 // split pair's conservation right-hand sides expressed linearly in dx) plus
 // the scalar dx, maximising dx subject to system (2).
 //
 // It returns dx = 0 (with no error) when nothing can be split through via.
-func MaxSplit(in *Instance, split demand.Pair, via graph.NodeID) (float64, error) {
-	return MaxSplitUsing(nil, in, split, via)
-}
-
-// MaxSplitUsing is MaxSplit with a caller-supplied reusable LP solver. The
-// split LP is rebuilt on every call (its commodity set changes between ISP
-// iterations), but a long-lived solver keeps its factorisation and work
-// buffers, eliminating the dominant per-call allocations. A nil solver
-// behaves like MaxSplit.
+// The split LP is rebuilt on every call (its commodity set changes between
+// ISP iterations), but a long-lived solver keeps its factorisation and work
+// buffers, eliminating the dominant per-call allocations; a nil solver uses
+// a fresh one.
 func MaxSplitUsing(solver *lp.Solver, in *Instance, split demand.Pair, via graph.NodeID) (float64, error) {
 	if split.Flow <= capacityEpsilon {
 		return 0, nil

@@ -7,43 +7,11 @@ import (
 // EdgeLength is a pluggable edge-length metric used by shortest-path
 // computations. Returning math.Inf(1) excludes the edge from consideration.
 // The network-recovery core uses the dynamic metric of §IV-D; simpler callers
-// can use UnitLength or CapacityLength.
+// can use UnitLength.
 type EdgeLength func(e Edge) float64
 
 // UnitLength assigns length 1 to every edge (hop-count metric).
 func UnitLength(Edge) float64 { return 1 }
-
-// CapacityLength assigns length 1/capacity so that shortest paths prefer
-// high-capacity edges. Zero-capacity edges are excluded.
-func CapacityLength(e Edge) float64 {
-	if e.Capacity <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / e.Capacity
-}
-
-// ExcludeNodes wraps a length metric so that edges incident to any node in
-// the excluded set become unusable. It is used by the bubble search and by
-// shortest-path computations on the working sub-graph.
-func ExcludeNodes(base EdgeLength, excluded map[NodeID]bool) EdgeLength {
-	return func(e Edge) float64 {
-		if excluded[e.From] || excluded[e.To] {
-			return math.Inf(1)
-		}
-		return base(e)
-	}
-}
-
-// ExcludeEdges wraps a length metric so that edges in the excluded set become
-// unusable.
-func ExcludeEdges(base EdgeLength, excluded map[EdgeID]bool) EdgeLength {
-	return func(e Edge) float64 {
-		if excluded[e.ID] {
-			return math.Inf(1)
-		}
-		return base(e)
-	}
-}
 
 // pqItem is an entry of the Dijkstra priority queue.
 type pqItem struct {

@@ -150,7 +150,7 @@ func TestShortestPathUnitLength(t *testing.T) {
 		t.Fatalf("unit-length path = %v, want single edge", p)
 	}
 
-	p2, dist2 := g.ShortestPath(0, 3, CapacityLength)
+	p2, dist2 := g.ShortestPath(0, 3, capacityLength)
 	if p2.Len() != 3 {
 		t.Fatalf("capacity-length path = %v, want 3 edges", p2)
 	}
@@ -184,15 +184,24 @@ func TestShortestPathExclusions(t *testing.T) {
 	g.MustAddEdge(0, 2, 1, 0)
 	g.MustAddEdge(2, 3, 1, 0)
 
-	// Excluding node 1 forces the 0-2-3 route.
-	metric := ExcludeNodes(UnitLength, map[NodeID]bool{1: true})
-	p, _ := g.ShortestPath(0, 3, metric)
+	// Excluding node 1 (an infinite length on its edges) forces the 0-2-3
+	// route.
+	p, _ := g.ShortestPath(0, 3, func(e Edge) float64 {
+		if e.From == 1 || e.To == 1 {
+			return math.Inf(1)
+		}
+		return 1
+	})
 	if p.ContainsNode(1) {
 		t.Errorf("path %v traverses excluded node", p)
 	}
 	// Excluding the top edge forces the same.
-	metric = ExcludeEdges(UnitLength, map[EdgeID]bool{top: true})
-	p, _ = g.ShortestPath(0, 3, metric)
+	p, _ = g.ShortestPath(0, 3, func(e Edge) float64 {
+		if e.ID == top {
+			return math.Inf(1)
+		}
+		return 1
+	})
 	if p.ContainsEdge(top) {
 		t.Errorf("path %v traverses excluded edge", p)
 	}
@@ -501,7 +510,7 @@ func TestSurplusAndCuts(t *testing.T) {
 
 func TestPathHelpers(t *testing.T) {
 	g := buildTriangle(t)
-	p, _ := g.ShortestPath(0, 2, CapacityLength)
+	p, _ := g.ShortestPath(0, 2, capacityLength)
 	if p.Source() != 0 || p.Target() != 2 {
 		t.Errorf("endpoints = %d, %d", p.Source(), p.Target())
 	}
@@ -616,7 +625,7 @@ func TestShortestPathTriangleInequality(t *testing.T) {
 				g.MustAddEdge(u, v, 1+rng.Float64()*5, 0)
 			}
 		}
-		length := CapacityLength
+		length := capacityLength
 		dist0 := g.ShortestDistances(0, length)
 		mid := NodeID(rng.Intn(n))
 		distMid := g.ShortestDistances(mid, length)
@@ -659,4 +668,13 @@ func TestNodesEdgesCopies(t *testing.T) {
 	if len(inc) != 2 {
 		t.Errorf("IncidentEdges(0) = %v", inc)
 	}
+}
+
+// capacityLength is the 1/capacity metric: shortest paths prefer
+// high-capacity edges, and zero-capacity edges are excluded.
+func capacityLength(e Edge) float64 {
+	if e.Capacity <= 0 {
+		return math.Inf(1)
+	}
+	return 1 / e.Capacity
 }

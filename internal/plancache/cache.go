@@ -60,10 +60,10 @@ func ParamsDigest(p heuristics.Params) [32]byte {
 	return sha256.Sum256(buf[:])
 }
 
-// Outcome reports how a Do call obtained its plan.
+// Outcome reports how a lookup obtained its plan.
 type Outcome int
 
-// Do outcomes.
+// Lookup outcomes.
 const (
 	// Miss: this call was the leader and executed the solve.
 	Miss Outcome = iota
@@ -72,6 +72,10 @@ const (
 	// Coalesced: another in-flight call was already solving the same key;
 	// this call waited for it and shares its plan.
 	Coalesced
+	// Bypass: no cache answered (Solve without a cache, or with the key's
+	// shard refused by an injected fault); the plan came from a direct
+	// solve and was not stored.
+	Bypass
 )
 
 // String renders the outcome as the wire/metrics label.
@@ -83,6 +87,8 @@ func (o Outcome) String() string {
 		return "hit"
 	case Coalesced:
 		return "coalesced"
+	case Bypass:
+		return "bypass"
 	default:
 		return fmt.Sprintf("outcome(%d)", int(o))
 	}
@@ -158,7 +164,7 @@ func (e *entry) expiredLocked(now time.Time) bool {
 
 // UnavailableError reports a cache shard refused by an injected fault.
 // It is transient: the caller may retry, or bypass the cache and solve
-// directly.
+// directly, as Solve does.
 type UnavailableError struct {
 	Err error
 }
@@ -214,9 +220,9 @@ func (a Answer) Rendered() (any, bool) {
 
 // Render returns the plan's rendered form, calling render only if no caller
 // has produced it yet; the result stays with the cache entry for every
-// later Answer of the same stored plan. An Answer no entry holds (the zero
-// value with just a Plan, as the server builds for bypassed and stale
-// plans) calls render every time.
+// later Answer of the same stored plan. An Answer no entry holds (a
+// bypassed plan, or the one the server builds for a stale plan) calls
+// render every time.
 func (a Answer) Render(render func() any) any {
 	if a.view == nil {
 		return render()
@@ -440,6 +446,26 @@ func (c *Cache) fetch(ctx context.Context, key Key, solve func(ctx context.Conte
 		c.misses.Add(1)
 		return Answer{Plan: cl.plan, Outcome: Miss, view: cl.view}, nil
 	}
+}
+
+// Solve is the cached solve of every plan entry point: Fetch, except that
+// a nil c, or a shard refused by an injected fault, answers with a direct
+// solve reported as Outcome Bypass — the solver is healthy, only the cache
+// is not, so the request is served uncached instead of failed. Every other
+// failure is Fetch's.
+func (c *Cache) Solve(ctx context.Context, key Key, solve func(ctx context.Context) (*scenario.Plan, error)) (Answer, error) {
+	if c != nil {
+		a, err := c.Fetch(ctx, key, solve)
+		if err == nil {
+			return a, nil
+		}
+		var unavailable *UnavailableError
+		if !errors.As(err, &unavailable) {
+			return a, err
+		}
+	}
+	plan, err := solve(ctx)
+	return Answer{Plan: plan, Outcome: Bypass}, err
 }
 
 // leaderSolve executes the leader's solve with panic recovery, converting

@@ -249,3 +249,52 @@ func TestDoShardFault(t *testing.T) {
 		t.Fatalf("post-fault Do: outcome=%v err=%v", outcome, err)
 	}
 }
+
+// TestSolveBypass: Solve is Fetch through a healthy cache. Without a cache,
+// or with the key's shard refused by an injected fault, it solves directly
+// and reports Bypass, storing nothing; a bypassed solve's error is the
+// solver's.
+func TestSolveBypass(t *testing.T) {
+	ctx := context.Background()
+	key := testKey(1)
+	solves := 0
+	solve := func(context.Context) (*scenario.Plan, error) {
+		solves++
+		return testPlan("ISP"), nil
+	}
+
+	var none *Cache
+	if a, err := none.Solve(ctx, key, solve); err != nil || a.Outcome != Bypass || a.Plan == nil || solves != 1 {
+		t.Fatalf("nil cache: outcome=%v plan=%v err=%v solves=%d", a.Outcome, a.Plan, err, solves)
+	}
+
+	c := New(Config{})
+	faultinject.Arm(faultinject.Profile{Seed: 1, Points: map[faultinject.Point]faultinject.Spec{
+		faultinject.PointCacheShard: {ErrorRate: 1},
+	}})
+	a, err := c.Solve(ctx, key, solve)
+	faultinject.Disarm()
+	if err != nil || a.Outcome != Bypass || a.Plan == nil || solves != 2 {
+		t.Fatalf("shard fault: outcome=%v plan=%v err=%v solves=%d", a.Outcome, a.Plan, err, solves)
+	}
+	if st := c.Stats(); st.Unavailable != 1 || st.Entries != 0 {
+		t.Fatalf("shard fault: Unavailable=%d Entries=%d, want 1 and 0", st.Unavailable, st.Entries)
+	}
+
+	for _, want := range []Outcome{Miss, Hit} {
+		if a, err := c.Solve(ctx, key, solve); err != nil || a.Outcome != want {
+			t.Fatalf("healthy cache: outcome=%v err=%v, want %v", a.Outcome, err, want)
+		}
+	}
+	if solves != 3 {
+		t.Fatalf("solves = %d, want 3", solves)
+	}
+
+	boom := errors.New("boom")
+	if a, err := none.Solve(ctx, key, func(context.Context) (*scenario.Plan, error) { return nil, boom }); !errors.Is(err, boom) || a.Outcome != Bypass {
+		t.Fatalf("bypassed failure: outcome=%v err=%v, want bypass and the solver's error", a.Outcome, err)
+	}
+	if Bypass.String() != "bypass" {
+		t.Fatalf("Bypass renders as %q", Bypass.String())
+	}
+}

@@ -9,6 +9,8 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"netrecovery/internal/demand"
@@ -151,11 +153,12 @@ func (r Routing) AddFlow(pid demand.PairID, eid graph.EdgeID, flow float64) {
 }
 
 // EdgeLoad returns the total absolute flow crossing each edge, summed over
-// all demand pairs (the left-hand side of the capacity constraint 1(b)).
+// all demand pairs (the left-hand side of the capacity constraint 1(b)) in
+// ascending pair ID order, so a load is the same float on every call.
 func (r Routing) EdgeLoad() map[graph.EdgeID]float64 {
 	load := make(map[graph.EdgeID]float64)
-	for _, edges := range r {
-		for eid, f := range edges {
+	for _, pid := range slices.Sorted(maps.Keys(r)) {
+		for eid, f := range r[pid] {
 			if f < 0 {
 				f = -f
 			}

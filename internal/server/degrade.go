@@ -209,135 +209,63 @@ func (srv *Server) retrySolve(ctx context.Context, alg string, solver heuristics
 	return plan, nil
 }
 
-// primaryFraction is the slice of the degradation deadline granted to the
-// requested solver when a cheaper fallback stage exists behind it; the
-// fallback gets whatever the primary leaves.
-const primaryFraction = 0.6
-
 // solveDegraded runs a plan request through the deadline-budgeted fallback
-// chain: the requested solver under a slice of the deadline, then a
-// fast-ISP fallback under the remaining budget, then a stale-but-served
-// cache entry. Every stage's outcome and timing is annotated on the
-// response; a served plan carries the stage's degradation level. A rung
-// answered from the cache builds nothing; a rung that solves builds the
-// request scenario on first use.
+// chain (heuristics.Chain) with the server's admission slots, breakers and
+// retry policy: each solver rung answers through the cache, and the stale
+// rung looks up an expired entry of either rung's key. Every stage's
+// outcome and timing is annotated on the response; a served plan carries
+// the stage's degradation level. A rung answered from the cache builds
+// nothing; a rung that solves builds the request scenario on first use.
 func (srv *Server) solveDegraded(ctx context.Context, in *planInput, deadline time.Duration) (*solveOutcome, *httpError) {
 	out := &solveOutcome{}
-	noCache := in.req.Options.NoCache
-	primaryKey := in.key
-
-	// solveStage runs one solver stage through the cache (unless bypassed),
-	// falling back to a direct solve when the cache shard itself is the
-	// injected failure; it records how the serving stage obtained the plan.
-	solveStage := func(stageCtx context.Context, key plancache.Key, solve func(context.Context) (*scenario.Plan, error)) (*scenario.Plan, error) {
-		var a plancache.Answer
-		var err error
-		if !noCache {
-			a, err = srv.cache.Fetch(stageCtx, key, solve)
+	cache := srv.planCache(in.req.Options.NoCache)
+	// keyOf is a rung's cache key; the primary's is the request's own.
+	keyOf := func(r heuristics.Rung) plancache.Key {
+		if !r.Fallback {
+			return in.key
 		}
-		var unavailable *plancache.UnavailableError
-		if noCache || errors.As(err, &unavailable) {
-			plan, err := solve(stageCtx)
+		return plancache.Key{Fingerprint: in.key.Fingerprint, Algorithm: r.Algorithm, Options: plancache.ParamsDigest(r.Params)}
+	}
+	chain := heuristics.Chain{
+		Primary: heuristics.Rung{Algorithm: in.alg, Params: in.params},
+		Solve: func(ctx context.Context, r heuristics.Rung) (*scenario.Plan, error) {
+			a, err := cache.Solve(ctx, keyOf(r), func(ctx context.Context) (*scenario.Plan, error) {
+				if herr := in.build(); herr != nil {
+					return nil, herr
+				}
+				solver := in.solver
+				if r.Fallback {
+					var err error
+					if solver, err = heuristics.New(r.Algorithm, r.Params); err != nil {
+						return nil, err
+					}
+				}
+				return srv.runSolve(ctx, r.Algorithm, solver, in.s, prioPlan)
+			})
 			if err == nil {
-				out.answer, out.status = plancache.Answer{Plan: plan}, "bypass"
+				out.answer, out.status = a, a.Outcome.String()
 			}
-			return plan, err
-		}
-		if err == nil {
-			out.answer, out.status = a, a.Outcome.String()
-		}
-		return a.Plan, err
-	}
-	alg, params := in.alg, in.params
-	primarySolve := func(c context.Context) (*scenario.Plan, error) {
-		if herr := in.build(); herr != nil {
-			return nil, herr
-		}
-		return srv.runSolve(c, alg, in.solver, in.s, prioPlan)
-	}
-
-	stages := []degrade.Stage{{
-		Name:     "primary",
-		Level:    degrade.LevelNone,
-		Fraction: 0, // adjusted below when a fallback stage exists
-		Retry:    true,
-		Skip: func() string {
+			return a.Plan, err
+		},
+		Blocked: func(alg string) string {
 			if srv.breakerFor(alg).Blocked() {
 				return "circuit breaker open for " + alg
 			}
 			return ""
 		},
-		Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-			return solveStage(stageCtx, primaryKey, primarySolve)
+		Stale: func(r heuristics.Rung) *scenario.Plan {
+			plan, age, _, ok := srv.cache.GetStale(keyOf(r))
+			if ok {
+				out.answer, out.status = plancache.Answer{Plan: plan, Age: age}, "stale"
+			}
+			return plan
 		},
-	}}
-
-	// The fallback stage is fast ISP — the paper's polynomial heuristic in
-	// greedy split mode, the cheapest solver that still optimises. When the
-	// request already asks for exactly that, a separate fallback stage
-	// would re-run the identical solve, so it is omitted.
-	fallbackParams := heuristics.Params{Fast: true, OPTWorkers: params.OPTWorkers, OnStats: params.OnStats}
-	haveFallback := !(alg == "ISP" && params.Fast)
-	var fallbackKey plancache.Key
-	if haveFallback {
-		stages[0].Fraction = primaryFraction
-		fallbackKey = plancache.Key{
-			Fingerprint: primaryKey.Fingerprint,
-			Algorithm:   "ISP",
-			Options:     plancache.ParamsDigest(fallbackParams),
-		}
-		fallbackSolve := func(c context.Context) (*scenario.Plan, error) {
-			if herr := in.build(); herr != nil {
-				return nil, herr
-			}
-			solver, err := heuristics.New("ISP", fallbackParams)
-			if err != nil {
-				return nil, err
-			}
-			return srv.runSolve(c, "ISP", solver, in.s, prioPlan)
-		}
-		stages = append(stages, degrade.Stage{
-			Name:  "fallback_isp",
-			Level: degrade.LevelFallback,
-			Retry: true,
-			Skip: func() string {
-				if srv.breakerFor("ISP").Blocked() {
-					return "circuit breaker open for ISP"
-				}
-				return ""
-			},
-			Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-				return solveStage(stageCtx, fallbackKey, fallbackSolve)
-			},
-		})
+	}
+	if cache == nil {
+		chain.NoStale = "cache disabled by request"
 	}
 
-	stages = append(stages, degrade.Stage{
-		Name:  "stale_cache",
-		Level: degrade.LevelStale,
-		Free:  true,
-		Skip: func() string {
-			if noCache {
-				return "cache disabled by request"
-			}
-			return ""
-		},
-		Run: func(context.Context) (*scenario.Plan, error) {
-			if plan, age, _, ok := srv.cache.GetStale(primaryKey); ok {
-				out.answer, out.status = plancache.Answer{Plan: plan, Age: age}, "stale"
-				return plan, nil
-			}
-			if haveFallback {
-				if plan, age, _, ok := srv.cache.GetStale(fallbackKey); ok {
-					out.answer, out.status = plancache.Answer{Plan: plan, Age: age}, "stale"
-					return plan, nil
-				}
-			}
-			return nil, nil
-		},
-	})
-
-	res, err := degrade.Execute(ctx, stages, degrade.Options{
+	res, err := degrade.Execute(ctx, chain.Stages(), degrade.Options{
 		Deadline: deadline,
 		Retry:    srv.retryPolicy(),
 		Now:      srv.now,

@@ -8,11 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"netrecovery/internal/cluster"
+	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/plancache"
+	"netrecovery/internal/scenario"
 	"netrecovery/internal/wire"
 )
 
@@ -225,5 +229,87 @@ func TestRequestDurationHistogram(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("histogram exposition:\n%s", grepMetrics(metrics, "nrserved_request_duration_seconds"))
+	}
+}
+
+// TestPeerFillCheckedBeforeCached: an owner answering with a plan that
+// repairs node 9999 of the 4-node request scenario is neither served nor
+// cached. The requester solves locally, the next request is a hit on that
+// local plan, and /metrics counts the discarded fill.
+func TestPeerFillCheckedBeforeCached(t *testing.T) {
+	bogus := wire.FromCachedPlan(&scenario.Plan{
+		Solver:          "ISP",
+		RepairedNodes:   map[graph.NodeID]bool{9999: true},
+		SatisfiedDemand: 5,
+		TotalDemand:     5,
+	})
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(wire.PeerPlanResponse{Found: true, Plan: &bogus})
+	}))
+	defer owner.Close()
+
+	// The ring places the test scenario by the peers' addresses: pick a
+	// requester address that leaves it to the owner.
+	s, err := testScenarioJSON().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cl *cluster.Cluster
+	for i := 0; cl == nil && i < 64; i++ {
+		self := fmt.Sprintf("http://requester-%d.invalid", i)
+		c, err := cluster.New(cluster.Config{Self: self, Peers: []string{self, owner.URL}, ProbeInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.IsOwner(s.Fingerprint()) {
+			c.Close()
+			continue
+		}
+		cl = c
+	}
+	if cl == nil {
+		t.Fatal("every requester address owns the test scenario")
+	}
+	defer cl.Close()
+
+	// The requester's first answer is its own solve: a single-node
+	// server's plan up to the solve's runtime. The second is a hit on it.
+	body := planRequestBody(t, "ISP", wire.SolveOptions{Fast: true})
+	local := httptest.NewServer(New(Config{}).Handler())
+	defer local.Close()
+	code, ref := postPlan(t, local, body)
+	if code != http.StatusOK {
+		t.Fatalf("single-node reference: status %d", code)
+	}
+	ts := httptest.NewServer(New(Config{Cluster: cl}).Handler())
+	defer ts.Close()
+	code, first := postPlan(t, ts, body)
+	if code != http.StatusOK || first.Cache.Status != "miss" {
+		t.Fatalf("first request: status %d, cache %q; want 200, miss", code, first.Cache.Status)
+	}
+	var got, want wire.Plan
+	if err := json.Unmarshal(first.Plan, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(ref.Plan, &want); err != nil {
+		t.Fatal(err)
+	}
+	got.RuntimeMS, want.RuntimeMS = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("first request served %s, want the local solve %s", first.Plan, ref.Plan)
+	}
+	code, second := postPlan(t, ts, body)
+	if code != http.StatusOK || second.Cache.Status != "hit" {
+		t.Fatalf("second request: status %d, cache %q; want 200, hit", code, second.Cache.Status)
+	}
+	if !bytes.Equal(second.Plan, first.Plan) {
+		t.Errorf("hit served\n%s\nwant the locally solved\n%s", second.Plan, first.Plan)
+	}
+	metrics := fetchMetrics(t, ts)
+	if v := metricValue(t, metrics, "nrserved_peer_fill_rejected_total"); v != 1 {
+		t.Errorf("nrserved_peer_fill_rejected_total = %v, want 1", v)
+	}
+	if v := metricValue(t, metrics, "nrserved_peer_filled_plans_total"); v != 0 {
+		t.Errorf("nrserved_peer_filled_plans_total = %v, want 0", v)
 	}
 }

@@ -160,6 +160,7 @@ type Server struct {
 	peerLookups       atomic.Uint64
 	peerServed        atomic.Uint64
 	peerFilledPlans   atomic.Uint64
+	peerFillsRejected atomic.Uint64
 	requests          atomic.Uint64
 	errorsTot         atomic.Uint64
 	inFlight          atomic.Int64
@@ -439,56 +440,69 @@ func (srv *Server) solveRequest(ctx context.Context, in *planInput) (*solveOutco
 		return out, herr
 	}
 
-	if opts.NoCache {
-		plan, err := srv.solve(ctx, in)
-		if herr := solveError(err); herr != nil {
-			return nil, herr
-		}
-		return &solveOutcome{answer: plancache.Answer{Plan: plan}, status: "bypass"}, nil
-	}
 	// In multi-node mode a local miss on a non-owner first asks the
 	// fingerprint's owning peer for its cached plan — a plan computed
 	// anywhere in the fleet becomes a hit everywhere. The fill runs inside
 	// the cache's coalescing leader (so concurrent identical requests
 	// trigger at most one fill) and its result is stored like a local
 	// solve; any fill failure — ejected owner, open breaker, full mailbox,
-	// timeout, or the owner just not having it — falls back to the local
-	// solve. NoCache requests never peer-fill: bypass means "solve here".
+	// timeout, the owner not having it, or a plan that fails its check —
+	// falls back to the local solve. NoCache requests never peer-fill:
+	// opting out of the cache means "solve here".
+	cache := srv.planCache(opts.NoCache)
 	peerFilled := false
-	cachedSolve := func(ctx context.Context) (*scenario.Plan, error) {
-		return srv.solve(ctx, in)
-	}
-	if srv.cfg.Cluster != nil {
-		cachedSolve = func(ctx context.Context) (*scenario.Plan, error) {
-			if plan, _, ok := srv.cfg.Cluster.Fill(ctx, in.key); ok {
+	solve := func(ctx context.Context) (*scenario.Plan, error) {
+		if cache != nil && srv.cfg.Cluster != nil {
+			if herr := in.build(); herr != nil {
+				return nil, herr
+			}
+			if plan := srv.peerFill(ctx, in); plan != nil {
 				peerFilled = true
-				srv.peerFilledPlans.Add(1)
 				return plan, nil
 			}
-			return srv.solve(ctx, in)
 		}
+		return srv.solve(ctx, in)
 	}
-	a, err := srv.cache.Fetch(ctx, in.key, cachedSolve)
-	var unavailable *plancache.UnavailableError
-	if errors.As(err, &unavailable) {
-		// The cache shard itself failed; the solver is fine — bypass.
-		plan, err := srv.solve(ctx, in)
-		if herr := solveError(err); herr != nil {
-			return nil, herr
-		}
-		return &solveOutcome{answer: plancache.Answer{Plan: plan}, status: "bypass"}, nil
-	}
+	a, err := cache.Solve(ctx, in.key, solve)
 	if herr := solveError(err); herr != nil {
 		return nil, herr
 	}
 	out := &solveOutcome{answer: a, status: a.Outcome.String()}
-	if peerFilled && a.Outcome == plancache.Miss {
-		// This request led the solve but answered from a peer's cache;
-		// surface that in the response's cache metadata.
+	if peerFilled {
+		// This request answered from a peer's cache; surface that in the
+		// response's cache metadata.
 		out.status = "peer"
 	}
 	srv.countLookup(lookupPlan, out.status)
 	return out, nil
+}
+
+// planCache is the cache a request answers through: none when it opts out.
+func (srv *Server) planCache(noCache bool) *plancache.Cache {
+	if noCache {
+		return nil
+	}
+	return srv.cache
+}
+
+// peerFill asks the owner of the request's key for its cached plan. A plan
+// from another node is checked against the request scenario before it is
+// cached and served: one that repairs an element the scenario does not
+// have broken, or claims demand figures it does not have, is discarded
+// and counted, and the caller solves locally as after any failed fill.
+// The request scenario must be built.
+func (srv *Server) peerFill(ctx context.Context, in *planInput) *scenario.Plan {
+	plan, _, ok := srv.cfg.Cluster.Fill(ctx, in.key)
+	if !ok {
+		return nil
+	}
+	if err := scenario.CheckClaims(in.s, plan); err != nil {
+		srv.peerFillsRejected.Add(1)
+		obs.SpanFromContext(ctx).SetAttr("peer_fill_rejected", err.Error())
+		return nil
+	}
+	srv.peerFilledPlans.Add(1)
+	return plan
 }
 
 // The labels of nrserved_cache_lookups_total, in exposition order: the
@@ -918,6 +932,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	add("nrserved_peer_lookups_total", "Peer-fill lookups served on /v1/peer/plan.", "counter", float64(srv.peerLookups.Load()))
 	add("nrserved_peer_served_total", "Peer-fill lookups answered with a cached plan.", "counter", float64(srv.peerServed.Load()))
 	add("nrserved_peer_filled_plans_total", "Plan requests this node answered by fetching the owner peer's cached plan.", "counter", float64(srv.peerFilledPlans.Load()))
+	add("nrserved_peer_fill_rejected_total", "Peer-filled plans discarded by the check against the request scenario (solved locally).", "counter", float64(srv.peerFillsRejected.Load()))
 	if cl := srv.cfg.Cluster; cl != nil {
 		cs := cl.Stats()
 		add("nrserved_cluster_peers", "Static cluster membership size (including self).", "gauge", float64(cs.Peers))

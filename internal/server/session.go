@@ -194,23 +194,12 @@ func (srv *Server) sessionSolve(ctx context.Context, s *session) (wire.Plan, *ht
 		// makes a shed replan the most expensive kind of rejected work.
 		return srv.retrySolve(ctx, s.alg, solver, s.cur, prioSession)
 	}
-	var a plancache.Answer
-	var err error
-	if !s.noCache {
-		key := plancache.Key{Fingerprint: s.cur.Fingerprint(), Algorithm: s.alg, Options: s.digest}
-		a, err = srv.cache.Fetch(ctx, key, solve)
-		if err == nil {
-			srv.countLookup(lookupSession, a.Outcome.String())
-		}
-	}
-	var unavailable *plancache.UnavailableError
-	if s.noCache || errors.As(err, &unavailable) {
-		a = plancache.Answer{}
-		a.Plan, err = solve(ctx)
-	}
+	key := plancache.Key{Fingerprint: s.cur.Fingerprint(), Algorithm: s.alg, Options: s.digest}
+	a, err := srv.planCache(s.noCache).Solve(ctx, key, solve)
 	if herr := solveError(err); herr != nil {
 		return wire.Plan{}, herr
 	}
+	srv.countLookup(lookupSession, a.Outcome.String())
 	s.plans++
 	s.lastPlan = a.Render(func() any { return wire.FromPlan(s.cur, a.Plan) }).(wire.Plan)
 	return s.lastPlan, nil

@@ -157,3 +157,54 @@ func FuzzPlanRequestJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPeerPlan drives the peer-fill path a requesting node runs on an
+// owner's answer: decode the PeerPlanResponse as the cluster client does,
+// rebuild the plan, check it against the request scenario (a fixed 4-node
+// diamond), and render a plan that passes. Invariants: nothing panics, and
+// every accepted plan renders to a wire.Plan that encodes.
+func FuzzPeerPlan(f *testing.F) {
+	ws := Scenario{
+		Nodes: []Node{{Name: "a", RepairCost: 1}, {Name: "b", X: 1, RepairCost: 2}, {Name: "c", X: 1, Y: 1, RepairCost: 3}, {Name: "d", Y: 1, RepairCost: 4}},
+		Links: []Link{
+			{From: 0, To: 1, Capacity: 10, RepairCost: 1},
+			{From: 1, To: 2, Capacity: 10, RepairCost: 2},
+			{From: 2, To: 3, Capacity: 10, RepairCost: 3},
+			{From: 3, To: 0, Capacity: 10, RepairCost: 4},
+		},
+		Demands:     []Demand{{Source: 0, Target: 2, Flow: 5}},
+		BrokenNodes: []int{1, 3},
+		BrokenLinks: []int{0, 2},
+	}
+	s, err := ws.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	plan := scenario.NewPlan("ISP")
+	plan.RepairedNodes[1] = true
+	plan.RepairedEdges[0] = true
+	plan.SatisfiedDemand, plan.TotalDemand = 5, 5
+	cp := FromCachedPlan(plan)
+	valid, err := json.Marshal(PeerPlanResponse{Found: true, Plan: &cp, AgeMS: 12})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(bytes.Replace(valid, []byte(`"repaired_nodes":[1]`), []byte(`"repaired_nodes":[9999]`), 1))
+	f.Add(bytes.Replace(valid, []byte(cp.SatisfiedDemandBits), []byte("7ff8000000000000"), 1))
+	f.Add([]byte(`{"found":true}`))
+	f.Add([]byte(`{"found":false}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var pr PeerPlanResponse
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&pr); err != nil || !pr.Found {
+			return
+		}
+		p, err := pr.BuildPlan()
+		if err != nil || scenario.CheckClaims(s, p) != nil {
+			return
+		}
+		if _, err := json.Marshal(FromPlan(s, p)); err != nil {
+			t.Fatalf("accepted plan does not encode: %v", err)
+		}
+	})
+}

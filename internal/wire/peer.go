@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -130,4 +131,13 @@ type PeerPlanResponse struct {
 	Plan *CachedPlan `json:"plan,omitempty"`
 	// AgeMS is the entry's time in the owner's cache.
 	AgeMS int64 `json:"age_ms,omitempty"`
+}
+
+// BuildPlan reconstructs the plan of a found response. A response that
+// claims a plan but carries none is invalid.
+func (pr *PeerPlanResponse) BuildPlan() (*scenario.Plan, error) {
+	if pr.Plan == nil {
+		return nil, errors.New("wire: peer response found without a plan")
+	}
+	return pr.Plan.Build()
 }

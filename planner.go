@@ -2,7 +2,6 @@ package netrecovery
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -355,77 +354,43 @@ func planKey(sc *scenario.Scenario, alg Algorithm, params heuristics.Params) pla
 }
 
 // cachedSolve solves sc with solver, through the Planner's cache when one is
-// configured. A cache shard refused by an injected fault is bypassed with a
-// direct solve, as the serving daemon and the ensemble engine do: the
-// solver is healthy, only the cache is not.
+// configured (see plancache.Cache.Solve, which also bypasses a cache shard
+// refused by an injected fault: the solver is healthy, only the cache is
+// not).
 func (p *Planner) cachedSolve(ctx context.Context, sc *scenario.Scenario, alg Algorithm, params heuristics.Params, solver heuristics.Solver) (*scenario.Plan, error) {
 	solve := func(ctx context.Context) (*scenario.Plan, error) { return solver.Solve(ctx, sc) }
 	if p.cfg.cache == nil {
 		return solve(ctx)
 	}
-	plan, _, _, err := p.cfg.cache.inner.Do(ctx, planKey(sc, alg, params), solve)
-	var unavailable *plancache.UnavailableError
-	if errors.As(err, &unavailable) {
-		return solve(ctx)
-	}
-	return plan, err
+	a, err := p.cfg.cache.inner.Solve(ctx, planKey(sc, alg, params), solve)
+	return a.Plan, err
 }
 
-// planDegraded runs the WithDeadline fallback chain: the configured solver
-// under the bulk of the budget, then fast ISP, then (with a cache) a stale
-// cached plan. It mirrors the serving daemon's chain without its admission
-// control — a library caller owns its own concurrency.
+// planDegraded runs the WithDeadline fallback chain (heuristics.Chain): the
+// serving daemon's chain without its admission control — a library caller
+// owns its own concurrency — whose stale stage needs a configured cache.
 func (p *Planner) planDegraded(ctx context.Context, sc *scenario.Scenario, params heuristics.Params, solver heuristics.Solver) (*scenario.Plan, *Degradation, error) {
-	stages := []degrade.Stage{{
-		Name:  "primary",
-		Level: degrade.LevelNone,
-		Retry: true,
-		Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-			return p.cachedSolve(stageCtx, sc, p.cfg.alg, params, solver)
-		},
-	}}
-	// Fast ISP is the fallback unless it is already the primary.
-	fallbackParams := heuristics.Params{Fast: true, OPTWorkers: params.OPTWorkers}
-	haveFallback := !(p.cfg.alg == ISP && p.cfg.fast)
-	if haveFallback {
-		stages[0].Fraction = 0.6
-		fallbackSolver, err := heuristics.New(string(ISP), fallbackParams)
-		if err != nil {
-			return nil, nil, err
-		}
-		stages = append(stages, degrade.Stage{
-			Name:  "fallback_isp",
-			Level: degrade.LevelFallback,
-			Retry: true,
-			Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-				return p.cachedSolve(stageCtx, sc, ISP, fallbackParams, fallbackSolver)
-			},
-		})
-	}
-	stages = append(stages, degrade.Stage{
-		Name:  "stale_cache",
-		Level: degrade.LevelStale,
-		Free:  true,
-		Skip: func() string {
-			if p.cfg.cache == nil {
-				return "no cache configured"
-			}
-			return ""
-		},
-		Run: func(context.Context) (*scenario.Plan, error) {
-			if plan, _, _, ok := p.cfg.cache.inner.GetStale(planKey(sc, p.cfg.alg, params)); ok {
-				return plan, nil
-			}
-			if haveFallback {
-				if plan, _, _, ok := p.cfg.cache.inner.GetStale(planKey(sc, ISP, fallbackParams)); ok {
-					return plan, nil
+	chain := heuristics.Chain{
+		Primary: heuristics.Rung{Algorithm: string(p.cfg.alg), Params: params},
+		Solve: func(ctx context.Context, r heuristics.Rung) (*scenario.Plan, error) {
+			if r.Fallback {
+				fallback, err := heuristics.New(r.Algorithm, r.Params)
+				if err != nil {
+					return nil, err
 				}
+				return p.cachedSolve(ctx, sc, Algorithm(r.Algorithm), r.Params, fallback)
 			}
-			return nil, nil
+			return p.cachedSolve(ctx, sc, p.cfg.alg, params, solver)
 		},
-	})
-
-	res, err := degrade.Execute(ctx, stages, degrade.Options{Deadline: p.cfg.deadline})
+		Stale: func(r heuristics.Rung) *scenario.Plan {
+			plan, _, _, _ := p.cfg.cache.inner.GetStale(planKey(sc, Algorithm(r.Algorithm), r.Params))
+			return plan
+		},
+	}
+	if p.cfg.cache == nil {
+		chain.NoStale = "no cache configured"
+	}
+	res, err := degrade.Execute(ctx, chain.Stages(), degrade.Options{Deadline: p.cfg.deadline})
 	if err != nil {
 		return nil, nil, err
 	}
