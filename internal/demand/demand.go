@@ -26,9 +26,6 @@ type Pair struct {
 	Flow           float64
 }
 
-// Endpoints returns the source and target of the pair.
-func (p Pair) Endpoints() (graph.NodeID, graph.NodeID) { return p.Source, p.Target }
-
 // Graph is the demand graph: an ordered collection of demand pairs. Pair IDs
 // are stable across mutation of flow values; removing a pair tombstones it
 // (flow zero) rather than renumbering, so all callers can key state by
@@ -165,35 +162,11 @@ func (g *Graph) Empty() bool {
 	return true
 }
 
-// Nodes returns the set of endpoints of pairs with positive residual flow
-// (the V_H of the paper, maintained implicitly).
-func (g *Graph) Nodes() map[graph.NodeID]bool {
-	nodes := make(map[graph.NodeID]bool)
-	for _, p := range g.pairs {
-		if p.Flow > flowEpsilon {
-			nodes[p.Source] = true
-			nodes[p.Target] = true
-		}
-	}
-	return nodes
-}
-
 // Clone returns a deep copy of the demand graph.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{pairs: make([]Pair, len(g.pairs))}
 	copy(c.pairs, g.pairs)
 	return c
-}
-
-// AsDemandPairs converts the active pairs to the lightweight form used by
-// the graph package's surplus computations.
-func (g *Graph) AsDemandPairs() []graph.DemandPair {
-	active := g.Active()
-	out := make([]graph.DemandPair, 0, len(active))
-	for _, p := range active {
-		out = append(out, graph.DemandPair{Source: p.Source, Target: p.Target, Flow: p.Flow})
-	}
-	return out
 }
 
 // String summarises the demand graph.

@@ -42,9 +42,9 @@ func TestInstanceCapacityAndExclusions(t *testing.T) {
 	if c := in.Capacity(2); c != 0 {
 		t.Errorf("Capacity(2) = %f, want 0 (excluded endpoint)", c)
 	}
-	usable := in.UsableEdges()
+	usable := usableEdges(in.usableInto(nil))
 	if len(usable) != 1 || usable[0] != 0 {
-		t.Errorf("UsableEdges = %v, want [0]", usable)
+		t.Errorf("usable edges = %v, want [0]", usable)
 	}
 	in.Capacities[0] = -5
 	if c := in.Capacity(0); c != 0 {

@@ -8,11 +8,9 @@ package flow
 
 import (
 	"fmt"
-	"math"
 
 	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
-	"netrecovery/internal/lp"
 	"netrecovery/internal/scenario"
 )
 
@@ -74,11 +72,6 @@ func (in *Instance) usableInto(buf []float64) []float64 {
 	return buf
 }
 
-// UsableEdges returns the IDs of edges with positive usable capacity.
-func (in *Instance) UsableEdges() []graph.EdgeID {
-	return usableEdges(in.usableInto(nil))
-}
-
 // usableEdges lists the edges whose usable capacity exceeds the tolerance.
 func usableEdges(usable []float64) []graph.EdgeID {
 	out := make([]graph.EdgeID, 0, numUsable(usable))
@@ -110,20 +103,9 @@ func (in *Instance) TotalDemand() float64 {
 	return total
 }
 
-// ActiveDemands returns the demands with strictly positive flow.
-func (in *Instance) ActiveDemands() []demand.Pair {
-	var out []demand.Pair
-	for _, d := range in.Demands {
-		if d.Flow > capacityEpsilon {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // ActiveDemandsInto appends the demands with strictly positive flow to
-// buf[:0] and returns the result. The returned slice aliases buf; hot paths
-// use it to avoid the per-call allocation of ActiveDemands.
+// buf[:0] and returns the result. The returned slice aliases buf, so a
+// caller that keeps buf across calls allocates once.
 func (in *Instance) ActiveDemandsInto(buf []demand.Pair) []demand.Pair {
 	buf = buf[:0]
 	for _, d := range in.Demands {
@@ -199,119 +181,4 @@ type Result struct {
 	Exact bool
 	// Routing is a feasible routing when Routable is true.
 	Routing scenario.Routing
-}
-
-// arcVar indexes the LP variable of the directed flow of one demand on one
-// edge direction.
-type arcVar struct {
-	pair    int // index into Demands
-	edge    graph.EdgeID
-	forward bool // true: From->To
-}
-
-// buildRoutabilityLP constructs the LP of system (2) over the usable
-// capacities: capacity rows per usable edge and conservation rows per
-// (node, demand), with zero objective unless a custom objective is installed
-// by the caller afterwards. Nodes without usable edges get no conservation
-// row unless they are a demand endpoint.
-//
-// It returns the problem, the variable index map and the list of usable
-// edges (for result extraction).
-func buildRoutabilityLP(in *Instance, usable []float64) (*lp.Problem, map[arcVar]int, []graph.EdgeID) {
-	prob := lp.New(lp.Minimize)
-	edges := usableEdges(usable)
-	vars := make(map[arcVar]int, 2*len(edges)*len(in.Demands))
-
-	for pi := range in.Demands {
-		if in.Demands[pi].Flow <= capacityEpsilon {
-			continue
-		}
-		for _, eid := range edges {
-			fwd := prob.AddVariable(0, fmt.Sprintf("f_%d_%d_fwd", pi, eid))
-			bwd := prob.AddVariable(0, fmt.Sprintf("f_%d_%d_bwd", pi, eid))
-			vars[arcVar{pair: pi, edge: eid, forward: true}] = fwd
-			vars[arcVar{pair: pi, edge: eid, forward: false}] = bwd
-		}
-	}
-
-	// Capacity rows: sum over demands of both directions <= capacity.
-	for _, eid := range edges {
-		var terms []lp.Term
-		for pi := range in.Demands {
-			if in.Demands[pi].Flow <= capacityEpsilon {
-				continue
-			}
-			terms = append(terms,
-				lp.Term{Var: vars[arcVar{pair: pi, edge: eid, forward: true}], Coef: 1},
-				lp.Term{Var: vars[arcVar{pair: pi, edge: eid, forward: false}], Coef: 1},
-			)
-		}
-		if len(terms) == 0 {
-			continue
-		}
-		_ = prob.AddConstraint(terms, lp.LessEq, usable[eid], fmt.Sprintf("cap_%d", eid))
-	}
-
-	// Conservation rows per (demand, node): outflow - inflow = b^h_i.
-	for pi, d := range in.Demands {
-		if d.Flow <= capacityEpsilon {
-			continue
-		}
-		for v := 0; v < in.Graph.NumNodes(); v++ {
-			node := graph.NodeID(v)
-			var terms []lp.Term
-			for _, eid := range in.Graph.AdjacentEdges(node) {
-				if usable[eid] <= capacityEpsilon {
-					continue
-				}
-				e := in.Graph.Edge(eid)
-				// Outflow from node: forward if node is From, else backward.
-				outVar := vars[arcVar{pair: pi, edge: eid, forward: e.From == node}]
-				inVar := vars[arcVar{pair: pi, edge: eid, forward: e.From != node}]
-				terms = append(terms,
-					lp.Term{Var: outVar, Coef: 1},
-					lp.Term{Var: inVar, Coef: -1},
-				)
-			}
-			rhs := 0.0
-			switch node {
-			case d.Source:
-				rhs = d.Flow
-			case d.Target:
-				rhs = -d.Flow
-			}
-			if len(terms) == 0 {
-				if math.Abs(rhs) > capacityEpsilon {
-					// Demand endpoint with no usable incident edge: force
-					// infeasibility with an explicit contradictory row.
-					zero := prob.AddVariable(0, "zero")
-					_ = prob.AddConstraint([]lp.Term{{Var: zero, Coef: 1}}, lp.Equal, 0, "pin")
-					_ = prob.AddConstraint([]lp.Term{{Var: zero, Coef: 1}}, lp.Equal, rhs, "isolated")
-				}
-				continue
-			}
-			_ = prob.AddConstraint(terms, lp.Equal, rhs, fmt.Sprintf("cons_%d_%d", pi, v))
-		}
-	}
-	return prob, vars, edges
-}
-
-// extractRouting converts an LP solution over arc variables into a
-// per-demand net edge routing.
-func extractRouting(in *Instance, sol lp.Solution, vars map[arcVar]int, edges []graph.EdgeID) scenario.Routing {
-	routing := make(scenario.Routing)
-	for pi, d := range in.Demands {
-		if d.Flow <= capacityEpsilon {
-			continue
-		}
-		for _, eid := range edges {
-			fwd := sol.Value(vars[arcVar{pair: pi, edge: eid, forward: true}])
-			bwd := sol.Value(vars[arcVar{pair: pi, edge: eid, forward: false}])
-			net := fwd - bwd
-			if math.Abs(net) > capacityEpsilon {
-				routing.AddFlow(d.ID, eid, net)
-			}
-		}
-	}
-	return routing
 }

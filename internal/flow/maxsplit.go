@@ -72,42 +72,12 @@ func MaxSplitUsing(solver *lp.Solver, in *Instance, split demand.Pair, via graph
 
 	prob.Reserve(1+2*len(usable)*(len(commodities)), len(usable)+in.Graph.NumNodes()*len(commodities))
 	dx := prob.AddBoundedVariable(1, split.Flow, "dx")
-
-	// Arc variables are laid out positionally (commodity-major, then usable
-	// edge, then direction) instead of through a map: this LP is rebuilt in
-	// every ISP iteration that takes the exact split path, and the map was a
-	// confirmed allocation hot spot.
-	edgePos := make([]int32, in.Graph.NumEdges())
-	for i := range edgePos {
-		edgePos[i] = -1
-	}
-	for pos, eid := range usable {
-		edgePos[eid] = int32(pos)
-	}
-	arcVar := func(ci int, eid graph.EdgeID, forward bool) int {
-		idx := 1 + 2*(ci*len(usable)+int(edgePos[eid]))
-		if !forward {
-			idx++
-		}
-		return idx
-	}
-	for range commodities {
-		for range usable {
-			_ = prob.AddVariable(0, "") // forward arc
-			_ = prob.AddVariable(0, "") // backward arc
-		}
-	}
+	arcs := AddArcs(prob, in.Graph, usable, len(commodities))
 
 	// Capacity rows.
 	terms := make([]lp.Term, 0, 2*len(commodities))
 	for _, eid := range usable {
-		terms = terms[:0]
-		for ci := range commodities {
-			terms = append(terms,
-				lp.Term{Var: arcVar(ci, eid, true), Coef: 1},
-				lp.Term{Var: arcVar(ci, eid, false), Coef: 1},
-			)
-		}
+		terms = arcs.LoadTerms(terms[:0], eid)
 		if err := prob.AddConstraint(terms, lp.LessEq, caps[eid], ""); err != nil {
 			return 0, err
 		}
@@ -118,19 +88,7 @@ func MaxSplitUsing(solver *lp.Solver, in *Instance, split demand.Pair, via graph
 	for ci, c := range commodities {
 		for v := 0; v < in.Graph.NumNodes(); v++ {
 			node := graph.NodeID(v)
-			terms = terms[:0]
-			for _, eid := range in.Graph.AdjacentEdges(node) {
-				if caps[eid] <= capacityEpsilon {
-					continue
-				}
-				e := in.Graph.Edge(eid)
-				outVar := arcVar(ci, eid, e.From == node)
-				inVar := arcVar(ci, eid, e.From != node)
-				terms = append(terms,
-					lp.Term{Var: outVar, Coef: 1},
-					lp.Term{Var: inVar, Coef: -1},
-				)
-			}
+			terms = arcs.BalanceTerms(terms[:0], ci, node)
 			sign := 0.0
 			switch node {
 			case c.source:

@@ -55,40 +55,40 @@ func MulticommodityRelaxation(s *scenario.Scenario) (*MCResult, error) {
 	}
 
 	// Primary solve: minimise sum over broken edges of k^e * (f_fwd + f_bwd).
-	prob, vars, usable := buildRoutabilityLP(in, in.usableInto(nil))
-	applyBrokenEdgeObjective(s, in, prob, vars, usable, 1)
+	usable := in.usableInto(nil)
+	prob, arcs := usableModel(s.Supply, usable, in.Demands)
+	costs := make([]float64, len(arcs.Edges))
+	for i, e := range arcs.Edges {
+		costs[i] = brokenUseCost(s, e)
+	}
+	setArcCosts(prob, arcs, costs)
 	primary := prob.Solve()
 	if primary.Status != lp.StatusOptimal {
 		return &MCResult{Feasible: false}, nil
 	}
 	cost := primary.Objective
 
-	best, err := mcSecondarySolve(s, in, cost, true)
+	best, err := mcSecondarySolve(s, in, usable, costs, cost, true)
 	if err != nil {
 		return nil, err
 	}
-	worst, err := mcSecondarySolve(s, in, cost, false)
+	worst, err := mcSecondarySolve(s, in, usable, costs, cost, false)
 	if err != nil {
 		return nil, err
 	}
 	return &MCResult{Feasible: true, Cost: cost, Best: best, Worst: worst}, nil
 }
 
-// applyBrokenEdgeObjective sets the objective coefficients of problem (8):
-// weight * k^e_ij on every flow variable of a broken edge (or of an intact
-// edge incident to a broken node, which also requires repairs to be used).
-func applyBrokenEdgeObjective(s *scenario.Scenario, in *Instance, prob *lp.Problem, vars map[arcVar]int, usable []graph.EdgeID, weight float64) {
-	for pi := range in.Demands {
-		if in.Demands[pi].Flow <= capacityEpsilon {
-			continue
-		}
-		for _, eid := range usable {
-			cost := brokenUseCost(s, eid)
-			if cost == 0 {
-				continue
+// setArcCosts sets the objective coefficient of both arcs of every
+// commodity on the i-th layout edge to coefs[i], where that is nonzero.
+func setArcCosts(prob *lp.Problem, arcs Arcs, coefs []float64) {
+	for c := range arcs.n {
+		for i, e := range arcs.Edges {
+			if coefs[i] != 0 {
+				col := arcs.Arc(c, e)
+				_ = prob.SetObjectiveCoef(col, coefs[i])
+				_ = prob.SetObjectiveCoef(col+1, coefs[i])
 			}
-			_ = prob.SetObjectiveCoef(vars[arcVar{pair: pi, edge: eid, forward: true}], weight*cost)
-			_ = prob.SetObjectiveCoef(vars[arcVar{pair: pi, edge: eid, forward: false}], weight*cost)
 		}
 	}
 }
@@ -117,29 +117,23 @@ func brokenUseCost(s *scenario.Scenario, eid graph.EdgeID) float64 {
 // total flow on broken elements, minimised for the Best plan and maximised
 // for the Worst plan. The repaired sets are the broken elements that carry
 // flow in the resulting solution.
-func mcSecondarySolve(s *scenario.Scenario, in *Instance, optCost float64, best bool) (*scenario.Plan, error) {
-	prob, vars, usable := buildRoutabilityLP(in, in.usableInto(nil))
+func mcSecondarySolve(s *scenario.Scenario, in *Instance, usable, costs []float64, optCost float64, best bool) (*scenario.Plan, error) {
+	prob, arcs := usableModel(s.Supply, usable, in.Demands)
 
 	// Pin the primary objective value.
 	var pinTerms []lp.Term
-	for pi := range in.Demands {
-		if in.Demands[pi].Flow <= capacityEpsilon {
-			continue
-		}
-		for _, eid := range usable {
-			cost := brokenUseCost(s, eid)
-			if cost == 0 {
+	for c := range in.Demands {
+		for i, e := range arcs.Edges {
+			if costs[i] == 0 {
 				continue
 			}
-			pinTerms = append(pinTerms,
-				lp.Term{Var: vars[arcVar{pair: pi, edge: eid, forward: true}], Coef: cost},
-				lp.Term{Var: vars[arcVar{pair: pi, edge: eid, forward: false}], Coef: cost},
-			)
+			col := arcs.Arc(c, e)
+			pinTerms = append(pinTerms, lp.Term{Var: col, Coef: costs[i]}, lp.Term{Var: col + 1, Coef: costs[i]})
 		}
 	}
 	// Small slack on the pin avoids numerical infeasibility.
 	if len(pinTerms) > 0 {
-		if err := prob.AddConstraint(pinTerms, lp.LessEq, optCost+1e-6*(1+math.Abs(optCost)), "pin"); err != nil {
+		if err := prob.AddConstraint(pinTerms, lp.LessEq, optCost+1e-6*(1+math.Abs(optCost)), ""); err != nil {
 			return nil, err
 		}
 	}
@@ -151,25 +145,20 @@ func mcSecondarySolve(s *scenario.Scenario, in *Instance, optCost float64, best 
 		sign = -1
 		name = "MCW"
 	}
-	for pi := range in.Demands {
-		if in.Demands[pi].Flow <= capacityEpsilon {
-			continue
-		}
-		for _, eid := range usable {
-			if brokenUseCost(s, eid) == 0 {
-				continue
-			}
-			_ = prob.SetObjectiveCoef(vars[arcVar{pair: pi, edge: eid, forward: true}], sign)
-			_ = prob.SetObjectiveCoef(vars[arcVar{pair: pi, edge: eid, forward: false}], sign)
+	flat := make([]float64, len(costs))
+	for i, c := range costs {
+		if c != 0 {
+			flat[i] = sign
 		}
 	}
+	setArcCosts(prob, arcs, flat)
 	sol := prob.Solve()
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("flow: secondary multi-commodity solve failed: %v", sol.Status)
 	}
 
 	plan := scenario.NewPlan(name)
-	plan.Routing = extractRouting(in, sol, vars, usable)
+	plan.Routing = arcs.Routing(sol.Values, in.Demands, nil)
 	plan.TotalDemand = in.TotalDemand()
 	plan.SatisfiedDemand = in.TotalDemand()
 	for eid, load := range plan.Routing.EdgeLoad() {

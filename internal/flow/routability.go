@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"math"
+
 	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/lp"
@@ -14,35 +16,10 @@ import (
 // system (2), which is a necessary and sufficient test, and returns a
 // feasible routing when one exists. In ModeConstructive (or ModeAuto on
 // large instances) it uses a greedy constructive test that is sufficient but
-// not necessary.
+// not necessary. It is a RoutabilityTester's one-shot path: the LP is laid
+// out over the usable edges only and solved cold.
 func CheckRoutability(in *Instance, opts Options) Result {
-	opts = opts.withDefaults()
-	active := in.ActiveDemands()
-	if len(active) == 0 {
-		return Result{Routable: true, Exact: true, Routing: nil}
-	}
-	if err := in.Validate(); err != nil {
-		return Result{Routable: false, Exact: true}
-	}
-	usable := in.usableInto(nil)
-	ws := new(graph.Workspace)
-
-	// Cheap necessary filter: every active demand's endpoints must be
-	// connected in the usable sub-graph with enough single-commodity max
-	// flow to cover the demand when considered in isolation.
-	if !passesSingleCommodityFilter(in.Graph, usable, active, ws) {
-		return Result{Routable: false, Exact: true}
-	}
-
-	useExact := opts.Mode == ModeExact
-	if opts.Mode == ModeAuto {
-		numVars := 2 * numUsable(usable) * len(active)
-		useExact = numVars <= opts.MaxLPVariables
-	}
-	if useExact {
-		return checkRoutabilityLP(in, usable)
-	}
-	return constructiveResult(in.Graph, usable, in.Demands, ws)
+	return new(RoutabilityTester).check(in, opts, true)
 }
 
 // passesSingleCommodityFilter runs the per-demand max-flow necessary
@@ -58,25 +35,40 @@ func passesSingleCommodityFilter(g *graph.Graph, usable []float64, active []dema
 	return true
 }
 
-// checkRoutabilityLP solves the exact feasibility LP of system (2) over the
-// usable capacities. usable is consumed: a constructive fallback routes on
-// it.
-func checkRoutabilityLP(in *Instance, usable []float64) Result {
-	prob, vars, edges := buildRoutabilityLP(in, usable)
-	sol := prob.Solve()
-	switch sol.Status {
-	case lp.StatusOptimal:
-		return Result{
-			Routable: true,
-			Exact:    true,
-			Routing:  extractRouting(in, sol, vars, edges),
-		}
-	case lp.StatusInfeasible:
-		return Result{Routable: false, Exact: true}
-	default:
-		// An iteration-limited solve proves nothing either way; answer with
-		// the sufficient (but inexact) constructive test instead of
-		// conflating the limit with infeasibility.
-		return constructiveResult(in.Graph, usable, in.Demands, nil)
+// usableModel builds the LP of system (2) over the usable edges, with zero
+// objective: a capacity row per usable edge and a conservation row per
+// (demand, node). A node without usable edges gets no conservation row
+// unless it is a demand endpoint, which a contradictory pair of rows then
+// makes infeasible.
+func usableModel(g *graph.Graph, usable []float64, active []demand.Pair) (*lp.Problem, Arcs) {
+	prob := lp.New(lp.Minimize)
+	arcs := AddArcs(prob, g, usableEdges(usable), len(active))
+	var terms []lp.Term
+	for _, e := range arcs.Edges {
+		terms = arcs.LoadTerms(terms[:0], e)
+		_ = prob.AddConstraint(terms, lp.LessEq, usable[e], "")
 	}
+	for c, d := range active {
+		for v := range g.NumNodes() {
+			node := graph.NodeID(v)
+			terms = arcs.BalanceTerms(terms[:0], c, node)
+			rhs := 0.0
+			switch node {
+			case d.Source:
+				rhs = d.Flow
+			case d.Target:
+				rhs = -d.Flow
+			}
+			if len(terms) == 0 {
+				if math.Abs(rhs) > capacityEpsilon {
+					zero := prob.AddVariable(0, "")
+					_ = prob.AddConstraint([]lp.Term{{Var: zero, Coef: 1}}, lp.Equal, 0, "")
+					_ = prob.AddConstraint([]lp.Term{{Var: zero, Coef: 1}}, lp.Equal, rhs, "")
+				}
+				continue
+			}
+			_ = prob.AddConstraint(terms, lp.Equal, rhs, "")
+		}
+	}
+	return prob, arcs
 }

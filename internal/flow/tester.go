@@ -6,7 +6,6 @@ import (
 	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/lp"
-	"netrecovery/internal/scenario"
 )
 
 // RoutabilityTester runs exact routability tests with warm starts across
@@ -31,7 +30,7 @@ type RoutabilityTester struct {
 	basis  *lp.Basis
 
 	g         *graph.Graph
-	numEdges  int
+	arcs      Arcs
 	numNodes  int
 	endpoints []demand.Pair // endpoint layout of the current model (Flow ignored)
 	capUsable []float64     // usable capacity per edge for the current call
@@ -68,7 +67,7 @@ func NewRoutabilityTester() *RoutabilityTester {
 func (t *RoutabilityTester) Reset() {
 	t.solver.Reset()
 	t.prob, t.basis, t.g = nil, nil, nil
-	t.numEdges, t.numNodes = 0, 0
+	t.arcs, t.numNodes = Arcs{}, 0
 	t.endpoints = t.endpoints[:0]
 	t.capUsable = t.capUsable[:0]
 	t.residual = t.residual[:0]
@@ -76,25 +75,24 @@ func (t *RoutabilityTester) Reset() {
 	t.Stats = TesterStats{}
 }
 
-// arc variable index layout: commodity-major, then edge, then direction.
-func (t *RoutabilityTester) arcVar(ci int, e graph.EdgeID, forward bool) int {
-	idx := 2 * (ci*t.numEdges + int(e))
-	if !forward {
-		idx++
-	}
-	return idx
-}
-
 // Row layout: capacity rows first (one per edge), then conservation rows
 // (commodity-major, then node).
-func (t *RoutabilityTester) capRow(e graph.EdgeID) int { return int(e) }
 func (t *RoutabilityTester) consRow(ci int, v graph.NodeID) int {
-	return t.numEdges + ci*t.numNodes + int(v)
+	return len(t.arcs.Edges) + ci*t.numNodes + int(v)
 }
 
 // Check answers the routability question for the instance, like
 // CheckRoutability, but reuses the tester's model and basis across calls.
 func (t *RoutabilityTester) Check(in *Instance, opts Options) Result {
+	return t.check(in, opts, false)
+}
+
+// check answers a routability test: the shared preamble (active demands,
+// validation, the single-commodity filter), the choice between the exact LP
+// and the constructive test, and, for an exact answer, the warm-startable
+// full-edge model or, when oneShot or that model is too large, a cold
+// usable-edge one.
+func (t *RoutabilityTester) check(in *Instance, opts Options, oneShot bool) Result {
 	opts = opts.withDefaults()
 	t.activeBuf = in.ActiveDemandsInto(t.activeBuf)
 	active := t.activeBuf
@@ -122,9 +120,10 @@ func (t *RoutabilityTester) Check(in *Instance, opts Options) Result {
 	// small, that layout can dwarf the usable-edge model the size guard
 	// admitted; in that regime solve one-shot on the usable layout instead —
 	// still exact, just without warm starts.
-	if fullVars := 2 * in.Graph.NumEdges() * len(active); fullVars > opts.MaxLPVariables {
+	if fullVars := 2 * in.Graph.NumEdges() * len(active); oneShot || fullVars > opts.MaxLPVariables {
 		t.Stats.OneShots++
-		return checkRoutabilityLP(in, t.consumable())
+		prob, arcs := usableModel(in.Graph, t.capUsable, active)
+		return t.answer(in, active, prob.Solve(), arcs)
 	}
 	return t.checkExact(in, active)
 }
@@ -145,7 +144,7 @@ func (t *RoutabilityTester) constructive(in *Instance) Result {
 // and commodity endpoints.
 func (t *RoutabilityTester) sameLayout(in *Instance, active []demand.Pair) bool {
 	if t.prob == nil || t.g != in.Graph ||
-		t.numEdges != in.Graph.NumEdges() || t.numNodes != in.Graph.NumNodes() ||
+		len(t.arcs.Edges) != in.Graph.NumEdges() || t.numNodes != in.Graph.NumNodes() ||
 		len(t.endpoints) != len(active) {
 		return false
 	}
@@ -163,52 +162,28 @@ func (t *RoutabilityTester) sameLayout(in *Instance, active []demand.Pair) bool 
 // sides, which refresh installs per call.
 func (t *RoutabilityTester) build(in *Instance, active []demand.Pair) {
 	t.g = in.Graph
-	t.numEdges = in.Graph.NumEdges()
 	t.numNodes = in.Graph.NumNodes()
 	t.endpoints = append(t.endpoints[:0], active...)
 	t.basis = nil
 	t.Stats.Rebuilds++
 
+	numEdges := in.Graph.NumEdges()
 	prob := lp.New(lp.Minimize)
-	prob.Reserve(2*t.numEdges*len(active), t.numEdges+t.numNodes*len(active))
-	for range active {
-		for e := 0; e < t.numEdges; e++ {
-			_ = prob.AddVariable(0, "") // forward arc
-			_ = prob.AddVariable(0, "") // backward arc
-		}
-	}
+	prob.Reserve(2*numEdges*len(active), numEdges+t.numNodes*len(active))
+	t.arcs = AddArcs(prob, in.Graph, nil, len(active))
 	// Capacity rows: sum of both directions over every commodity.
 	terms := make([]lp.Term, 0, 2*len(active))
-	for e := 0; e < t.numEdges; e++ {
-		eid := graph.EdgeID(e)
-		terms = terms[:0]
-		for ci := range active {
-			terms = append(terms,
-				lp.Term{Var: t.arcVar(ci, eid, true), Coef: 1},
-				lp.Term{Var: t.arcVar(ci, eid, false), Coef: 1},
-			)
-		}
+	for _, e := range t.arcs.Edges {
+		terms = t.arcs.LoadTerms(terms[:0], e)
 		_ = prob.AddConstraint(terms, lp.LessEq, 0, "")
 	}
 	// Conservation rows: outflow - inflow per (commodity, node). Right-hand
-	// sides are installed by refresh.
+	// sides are installed by refresh. An isolated node keeps its empty row
+	// (0 = rhs) so the layout stays positional; a nonzero rhs then correctly
+	// reads infeasible.
 	for ci := range active {
-		for v := 0; v < t.numNodes; v++ {
-			node := graph.NodeID(v)
-			terms = terms[:0]
-			for _, eid := range in.Graph.AdjacentEdges(node) {
-				e := in.Graph.Edge(eid)
-				terms = append(terms,
-					lp.Term{Var: t.arcVar(ci, eid, e.From == node), Coef: 1},
-					lp.Term{Var: t.arcVar(ci, eid, e.From != node), Coef: -1},
-				)
-			}
-			if len(terms) == 0 {
-				// Isolated node: keep the row (0 = rhs) so the layout stays
-				// positional; a nonzero rhs then correctly reads infeasible.
-				_ = prob.AddConstraint(nil, lp.Equal, 0, "")
-				continue
-			}
+		for v := range t.numNodes {
+			terms = t.arcs.BalanceTerms(terms[:0], ci, graph.NodeID(v))
 			_ = prob.AddConstraint(terms, lp.Equal, 0, "")
 		}
 	}
@@ -222,14 +197,15 @@ func (t *RoutabilityTester) refresh(active []demand.Pair) {
 	inf := math.Inf(1)
 	for e, c := range t.capUsable {
 		eid := graph.EdgeID(e)
-		_ = t.prob.SetRHS(t.capRow(eid), c)
+		_ = t.prob.SetRHS(e, c)
 		up := 0.0
 		if c > capacityEpsilon {
 			up = inf
 		}
 		for ci := range active {
-			_ = t.prob.SetBounds(t.arcVar(ci, eid, true), 0, up)
-			_ = t.prob.SetBounds(t.arcVar(ci, eid, false), 0, up)
+			col := t.arcs.Arc(ci, eid)
+			_ = t.prob.SetBounds(col, 0, up)
+			_ = t.prob.SetBounds(col+1, 0, up)
 		}
 	}
 	for ci, d := range active {
@@ -263,37 +239,26 @@ func (t *RoutabilityTester) checkExact(in *Instance, active []demand.Pair) Resul
 	switch sol.Status {
 	case lp.StatusOptimal:
 		t.basis = sol.Basis
-		return Result{Routable: true, Exact: true, Routing: t.extract(active, sol)}
 	case lp.StatusInfeasible:
 		// Keep the basis: the next call usually relaxes the instance (a
 		// repair) and the dual-feasible basis remains a good start.
-		return Result{Routable: false, Exact: true}
 	default:
-		// Iteration limit (or numerical trouble): the LP answer is unknown,
-		// not "no". Fall back to the sufficient constructive test instead of
-		// conflating the limit with infeasibility.
 		t.basis = nil
-		t.Stats.Constructive++
-		return t.constructive(in)
 	}
+	return t.answer(in, active, sol, t.arcs)
 }
 
-// extract converts the LP solution into a per-demand net edge routing,
-// mirroring extractRouting for the full-edge layout.
-func (t *RoutabilityTester) extract(active []demand.Pair, sol lp.Solution) scenario.Routing {
-	routing := make(scenario.Routing)
-	for ci, d := range active {
-		for e := 0; e < t.numEdges; e++ {
-			if t.capUsable[e] <= capacityEpsilon {
-				continue
-			}
-			eid := graph.EdgeID(e)
-			fwd := sol.Value(t.arcVar(ci, eid, true))
-			bwd := sol.Value(t.arcVar(ci, eid, false))
-			if net := fwd - bwd; math.Abs(net) > capacityEpsilon {
-				routing.AddFlow(d.ID, eid, net)
-			}
-		}
+// answer turns a solve of a model laid out by arcs into the call's result.
+// An iteration limit (or numerical trouble) leaves the LP answer unknown,
+// not "no", so the sufficient constructive test answers instead of
+// conflating the limit with infeasibility.
+func (t *RoutabilityTester) answer(in *Instance, active []demand.Pair, sol lp.Solution, arcs Arcs) Result {
+	switch sol.Status {
+	case lp.StatusOptimal:
+		return Result{Routable: true, Exact: true, Routing: arcs.Routing(sol.Values, active, t.capUsable)}
+	case lp.StatusInfeasible:
+		return Result{Routable: false, Exact: true}
 	}
-	return routing
+	t.Stats.Constructive++
+	return t.constructive(in)
 }

@@ -23,7 +23,7 @@ func checkRoutingServes(t *testing.T, in *Instance, res Result) {
 			t.Errorf("edge %d overloaded: %.6f > %.6f", eid, l, in.Capacity(eid))
 		}
 	}
-	for _, d := range in.ActiveDemands() {
+	for _, d := range in.ActiveDemandsInto(nil) {
 		net := 0.0
 		for eid, f := range res.Routing[d.ID] {
 			e := in.Graph.Edge(eid)

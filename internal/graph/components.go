@@ -58,76 +58,6 @@ func (g *Graph) GiantComponent() []NodeID {
 	return giant
 }
 
-// InducedSubgraph returns a new graph containing only the given nodes and the
-// edges whose both endpoints are kept, along with mappings from the new IDs
-// back to the original node and edge IDs.
-func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, map[NodeID]NodeID, map[EdgeID]EdgeID) {
-	keepSet := make(map[NodeID]bool, len(keep))
-	for _, v := range keep {
-		keepSet[v] = true
-	}
-	sub := New(len(keep), g.NumEdges())
-	oldToNew := make(map[NodeID]NodeID, len(keep))
-	newToOldNode := make(map[NodeID]NodeID, len(keep))
-	sorted := make([]NodeID, len(keep))
-	copy(sorted, keep)
-	sortNodeIDs(sorted)
-	for _, old := range sorted {
-		if !g.HasNode(old) {
-			continue
-		}
-		n := g.Node(old)
-		id := sub.AddNode(n.Name, n.X, n.Y, n.RepairCost)
-		oldToNew[old] = id
-		newToOldNode[id] = old
-	}
-	newToOldEdge := make(map[EdgeID]EdgeID)
-	for _, e := range g.edges {
-		if !keepSet[e.From] || !keepSet[e.To] {
-			continue
-		}
-		id := sub.MustAddEdge(oldToNew[e.From], oldToNew[e.To], e.Capacity, e.RepairCost)
-		newToOldEdge[id] = e.ID
-	}
-	return sub, newToOldNode, newToOldEdge
-}
-
-// Connected reports whether s and t are in the same connected component of
-// the sub-graph obtained by removing the given node and edge sets.
-func (g *Graph) Connected(s, t NodeID, removedNodes map[NodeID]bool, removedEdges map[EdgeID]bool) bool {
-	if !g.HasNode(s) || !g.HasNode(t) {
-		return false
-	}
-	if removedNodes[s] || removedNodes[t] {
-		return false
-	}
-	if s == t {
-		return true
-	}
-	visited := make([]bool, g.NumNodes())
-	visited[s] = true
-	queue := []NodeID{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, eid := range g.adj[u] {
-			if removedEdges[eid] {
-				continue
-			}
-			v := g.edges[eid].Other(u)
-			if visited[v] || removedNodes[v] {
-				continue
-			}
-			if v == t {
-				return true
-			}
-			visited[v] = true
-			queue = append(queue, v)
-		}
-	}
-	return false
-}
-
 func sortNodeIDs(ids []NodeID) {
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {

@@ -10,7 +10,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // NodeID identifies a vertex of a Graph. IDs are dense, starting at 0.
@@ -55,11 +54,6 @@ func (e Edge) Other(v NodeID) NodeID {
 	default:
 		return InvalidNode
 	}
-}
-
-// HasEndpoint reports whether v is one of the endpoints of e.
-func (e Edge) HasEndpoint(v NodeID) bool {
-	return e.From == v || e.To == v
 }
 
 // Graph is an undirected capacitated graph. The zero value is an empty graph
@@ -240,15 +234,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// TotalCapacity returns the sum of all edge capacities.
-func (g *Graph) TotalCapacity() float64 {
-	total := 0.0
-	for _, e := range g.edges {
-		total += e.Capacity
-	}
-	return total
-}
-
 // Barycenter returns the average (x, y) position of all nodes. It returns
 // (0, 0) for an empty graph.
 func (g *Graph) Barycenter() (float64, float64) {
@@ -262,17 +247,6 @@ func (g *Graph) Barycenter() (float64, float64) {
 	}
 	n := float64(len(g.nodes))
 	return sx / n, sy / n
-}
-
-// SortedEdgeIDs returns all edge IDs sorted ascending. Useful for
-// deterministic iteration in callers that build maps keyed by EdgeID.
-func (g *Graph) SortedEdgeIDs() []EdgeID {
-	ids := make([]EdgeID, len(g.edges))
-	for i := range g.edges {
-		ids[i] = EdgeID(i)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // String returns a short human-readable summary of the graph.

@@ -57,16 +57,6 @@ func (p Path) ContainsEdge(id EdgeID) bool {
 	return false
 }
 
-// InteriorNodes returns the nodes of the path excluding its two endpoints.
-func (p Path) InteriorNodes() []NodeID {
-	if len(p.Nodes) <= 2 {
-		return nil
-	}
-	out := make([]NodeID, len(p.Nodes)-2)
-	copy(out, p.Nodes[1:len(p.Nodes)-1])
-	return out
-}
-
 // Capacity returns c(p): the minimum capacity over the composing edges of the
 // path in graph g. An empty path has infinite capacity.
 func (p Path) Capacity(g *Graph) float64 {

@@ -3,11 +3,11 @@ package heuristics
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"netrecovery/internal/core"
 	"netrecovery/internal/demand"
+	"netrecovery/internal/flow"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/lp"
 	"netrecovery/internal/milp"
@@ -53,21 +53,15 @@ var _ Solver = (*Opt)(nil)
 func (Opt) Name() string { return OptName }
 
 // optModel carries the variable layout of the MILP so the solution can be
-// decoded back into a plan.
+// decoded back into a plan: one binary per broken node, then one per broken
+// edge (each in ID order), then the demands' arcs over every edge.
 type optModel struct {
-	problem   *lp.Problem
-	binaries  []int
-	nodeVar   map[graph.NodeID]int
-	edgeVar   map[graph.EdgeID]int
-	flowVar   map[optArc]int
-	demands   []demand.Pair
-	totalCost float64
-}
-
-type optArc struct {
-	pair    int
-	edge    graph.EdgeID
-	forward bool
+	problem  *lp.Problem
+	binaries []int
+	nodes    []graph.NodeID
+	edges    []graph.EdgeID
+	arcs     flow.Arcs
+	demands  []demand.Pair
 }
 
 // Solve implements Solver.
@@ -204,56 +198,37 @@ func OptMILP(s *scenario.Scenario) milp.Problem {
 // exact capacity bound, so the formulation is equivalent to (1).
 func buildOptModel(s *scenario.Scenario) *optModel {
 	prob := lp.New(lp.Minimize)
+	// The broken sets come in sorted ID order, never map order: the variable
+	// layout (and with it the branch order and every LP pivot sequence) must
+	// be identical across runs for OPT's plans, bounds and node counts to be
+	// reproducible.
 	model := &optModel{
 		problem: prob,
-		nodeVar: make(map[graph.NodeID]int),
-		edgeVar: make(map[graph.EdgeID]int),
-		flowVar: make(map[optArc]int),
+		nodes:   s.SortedBrokenNodes(),
+		edges:   s.SortedBrokenEdges(),
 		demands: s.Demand.Active(),
 	}
+	for _, v := range model.nodes {
+		model.binaries = append(model.binaries, prob.AddBoundedVariable(s.Supply.Node(v).RepairCost, 1, ""))
+	}
+	for _, e := range model.edges {
+		model.binaries = append(model.binaries, prob.AddBoundedVariable(s.Supply.Edge(e).RepairCost, 1, ""))
+	}
+	model.arcs = flow.AddArcs(prob, s.Supply, nil, len(model.demands))
 
-	// Iterate the broken sets in sorted ID order, never map order: the
-	// variable layout (and with it the branch order and every LP pivot
-	// sequence) must be identical across runs for OPT's plans, bounds and
-	// node counts to be reproducible.
-	for _, v := range s.SortedBrokenNodes() {
-		idx := prob.AddBoundedVariable(s.Supply.Node(v).RepairCost, 1, fmt.Sprintf("delta_v_%d", v))
-		model.nodeVar[v] = idx
-		model.binaries = append(model.binaries, idx)
-		model.totalCost += s.Supply.Node(v).RepairCost
-	}
-	for _, e := range s.SortedBrokenEdges() {
-		idx := prob.AddBoundedVariable(s.Supply.Edge(e).RepairCost, 1, fmt.Sprintf("delta_e_%d", e))
-		model.edgeVar[e] = idx
-		model.binaries = append(model.binaries, idx)
-		model.totalCost += s.Supply.Edge(e).RepairCost
-	}
-	for pi := range model.demands {
-		for i := 0; i < s.Supply.NumEdges(); i++ {
-			eid := graph.EdgeID(i)
-			fwd := prob.AddVariable(0, "")
-			bwd := prob.AddVariable(0, "")
-			model.flowVar[optArc{pi, eid, true}] = fwd
-			model.flowVar[optArc{pi, eid, false}] = bwd
-		}
-	}
-
-	// Capacity / edge-activation rows (constraint 1(b)).
-	for i := 0; i < s.Supply.NumEdges(); i++ {
-		eid := graph.EdgeID(i)
+	// Capacity / edge-activation rows (constraint 1(b)). Broken edges are met
+	// in ID order, so the next one's binary follows the previous one's.
+	var terms []lp.Term
+	brokenEdge := len(model.nodes)
+	for _, eid := range model.arcs.Edges {
 		e := s.Supply.Edge(eid)
-		terms := make([]lp.Term, 0, 2*len(model.demands)+1)
-		for pi := range model.demands {
-			terms = append(terms,
-				lp.Term{Var: model.flowVar[optArc{pi, eid, true}], Coef: 1},
-				lp.Term{Var: model.flowVar[optArc{pi, eid, false}], Coef: 1},
-			)
-		}
-		if dv, broken := model.edgeVar[eid]; broken {
-			terms = append(terms, lp.Term{Var: dv, Coef: -e.Capacity})
-			_ = prob.AddConstraint(terms, lp.LessEq, 0, fmt.Sprintf("capb_%d", eid))
+		terms = model.arcs.LoadTerms(terms[:0], eid)
+		if s.BrokenEdges[eid] {
+			terms = append(terms, lp.Term{Var: brokenEdge, Coef: -e.Capacity})
+			brokenEdge++
+			_ = prob.AddConstraint(terms, lp.LessEq, 0, "")
 		} else {
-			_ = prob.AddConstraint(terms, lp.LessEq, e.Capacity, fmt.Sprintf("cap_%d", eid))
+			_ = prob.AddConstraint(terms, lp.LessEq, e.Capacity, "")
 		}
 	}
 
@@ -261,42 +236,25 @@ func buildOptModel(s *scenario.Scenario) *optModel {
 	// total flow incident to a broken node cannot exceed its incident
 	// capacity unless the node is repaired. Sorted order again: the row
 	// layout is part of the deterministic pivot sequence.
-	for _, v := range s.SortedBrokenNodes() {
-		dv := model.nodeVar[v]
-		incident := s.Supply.IncidentEdges(v)
+	for dv, v := range model.nodes {
 		bigM := 0.0
-		terms := make([]lp.Term, 0, 2*len(model.demands)*len(incident)+1)
-		for _, eid := range incident {
+		terms = terms[:0]
+		for _, eid := range s.Supply.AdjacentEdges(v) {
 			bigM += s.Supply.Edge(eid).Capacity
-			for pi := range model.demands {
-				terms = append(terms,
-					lp.Term{Var: model.flowVar[optArc{pi, eid, true}], Coef: 1},
-					lp.Term{Var: model.flowVar[optArc{pi, eid, false}], Coef: 1},
-				)
-			}
+			terms = model.arcs.LoadTerms(terms, eid)
 		}
 		if len(terms) == 0 {
 			continue
 		}
 		terms = append(terms, lp.Term{Var: dv, Coef: -bigM})
-		_ = prob.AddConstraint(terms, lp.LessEq, 0, fmt.Sprintf("act_%d", v))
+		_ = prob.AddConstraint(terms, lp.LessEq, 0, "")
 	}
 
 	// Flow-conservation rows (constraint 1(d)).
-	for pi, d := range model.demands {
-		for v := 0; v < s.Supply.NumNodes(); v++ {
+	for c, d := range model.demands {
+		for v := range s.Supply.NumNodes() {
 			node := graph.NodeID(v)
-			incident := s.Supply.IncidentEdges(node)
-			terms := make([]lp.Term, 0, 2*len(incident))
-			for _, eid := range incident {
-				e := s.Supply.Edge(eid)
-				outVar := model.flowVar[optArc{pi, eid, e.From == node}]
-				inVar := model.flowVar[optArc{pi, eid, e.From != node}]
-				terms = append(terms,
-					lp.Term{Var: outVar, Coef: 1},
-					lp.Term{Var: inVar, Coef: -1},
-				)
-			}
+			terms = model.arcs.BalanceTerms(terms[:0], c, node)
 			rhs := 0.0
 			switch node {
 			case d.Source:
@@ -307,7 +265,7 @@ func buildOptModel(s *scenario.Scenario) *optModel {
 			if len(terms) == 0 {
 				continue
 			}
-			_ = prob.AddConstraint(terms, lp.Equal, rhs, fmt.Sprintf("cons_%d_%d", pi, v))
+			_ = prob.AddConstraint(terms, lp.Equal, rhs, "")
 		}
 	}
 	return model
@@ -316,61 +274,44 @@ func buildOptModel(s *scenario.Scenario) *optModel {
 // decodeOptSolution converts a MILP assignment into the plan's repaired sets
 // and routing.
 func decodeOptSolution(s *scenario.Scenario, model *optModel, values []float64, plan *scenario.Plan) {
-	value := func(idx int) float64 {
-		if idx < 0 || idx >= len(values) {
-			return 0
-		}
-		return values[idx]
-	}
-	for v, idx := range model.nodeVar {
-		if value(idx) > 0.5 {
+	for i, v := range model.nodes {
+		if values[i] > 0.5 {
 			plan.RepairedNodes[v] = true
 		}
 	}
-	for e, idx := range model.edgeVar {
-		if value(idx) > 0.5 {
+	for j, e := range model.edges {
+		if values[len(model.nodes)+j] > 0.5 {
 			plan.RepairedEdges[e] = true
 		}
 	}
-	satisfiedPerPair := make(map[demand.PairID]float64)
-	for pi, d := range model.demands {
-		for i := 0; i < s.Supply.NumEdges(); i++ {
-			eid := graph.EdgeID(i)
-			fwd := value(model.flowVar[optArc{pi, eid, true}])
-			bwd := value(model.flowVar[optArc{pi, eid, false}])
-			net := fwd - bwd
-			if math.Abs(net) > 1e-9 {
-				plan.Routing.AddFlow(d.ID, eid, net)
-				e := s.Supply.Edge(eid)
-				if e.To == d.Target {
-					satisfiedPerPair[d.ID] += net
-				}
-				if e.From == d.Target {
-					satisfiedPerPair[d.ID] -= net
-				}
-			}
-		}
-	}
+	plan.Routing = model.arcs.Routing(values, model.demands, nil)
 	total := 0.0
 	for _, d := range model.demands {
-		delivered := satisfiedPerPair[d.ID]
-		if delivered > d.Flow {
-			delivered = d.Flow
+		// The pair's net flow into its target, over the incident edges in ID
+		// order.
+		delivered := 0.0
+		for _, eid := range s.Supply.AdjacentEdges(d.Target) {
+			if s.Supply.Edge(eid).To == d.Target {
+				delivered += plan.Routing[d.ID][eid]
+			} else {
+				delivered -= plan.Routing[d.ID][eid]
+			}
 		}
-		if delivered > 0 {
+		// The demand endpoints that are broken must be repaired for the
+		// routing to be physically meaningful even if no explicit constraint
+		// forces it (a node with zero incident flow can remain unrepaired in
+		// the model).
+		if delivered > 1e-9 {
+			if s.BrokenNodes[d.Source] {
+				plan.RepairedNodes[d.Source] = true
+			}
+			if s.BrokenNodes[d.Target] {
+				plan.RepairedNodes[d.Target] = true
+			}
+		}
+		if delivered = min(delivered, d.Flow); delivered > 0 {
 			total += delivered
 		}
 	}
 	plan.SatisfiedDemand = total
-	// The demand endpoints that are broken must be repaired for the routing
-	// to be physically meaningful even if no explicit constraint forces it
-	// (a node with zero incident flow can remain unrepaired in the model).
-	for _, d := range model.demands {
-		if s.BrokenNodes[d.Source] && satisfiedPerPair[d.ID] > 1e-9 {
-			plan.RepairedNodes[d.Source] = true
-		}
-		if s.BrokenNodes[d.Target] && satisfiedPerPair[d.ID] > 1e-9 {
-			plan.RepairedNodes[d.Target] = true
-		}
-	}
 }

@@ -27,6 +27,7 @@ type ISPSession struct {
 	sess     *core.Session
 	options  core.Options
 	progress ProgressFunc
+	onStats  StatsFunc
 }
 
 var _ Solver = (*ISPSession)(nil)
@@ -35,7 +36,7 @@ var _ Solver = (*ISPSession)(nil)
 // ISP solver would be for the same params (fast mode selects the greedy
 // split configuration; OPT knobs are ignored).
 func NewISPSession(p Params) *ISPSession {
-	s := &ISPSession{sess: core.NewSession(), progress: p.Progress}
+	s := &ISPSession{sess: core.NewSession(), progress: p.Progress, onStats: p.OnStats}
 	if p.Fast {
 		s.options = core.FastOptions()
 	}
@@ -72,7 +73,10 @@ func (s *ISPSession) Solve(ctx context.Context, sc *scenario.Scenario) (plan *sc
 			})
 		}
 	}
-	plan, _, err = s.sess.Solve(ctx, sc.Clone(), opts)
+	plan, stats, err := s.sess.Solve(ctx, sc.Clone(), opts)
+	if s.onStats != nil && err == nil {
+		s.onStats(ctx, SolveStats{Solver: core.SolverName, Core: &stats})
+	}
 	return plan, err
 }
 

@@ -187,15 +187,6 @@ func (p *Problem) SetObjectiveCoef(v int, coef float64) error {
 	return nil
 }
 
-// SetUpperBound overwrites the upper bound of variable v.
-func (p *Problem) SetUpperBound(v int, upper float64) error {
-	if v < 0 || v >= len(p.objective) {
-		return fmt.Errorf("lp: variable %d out of range", v)
-	}
-	p.upper[v] = upper
-	return nil
-}
-
 // UpperBound returns the upper bound of variable v (+Inf if unbounded).
 func (p *Problem) UpperBound(v int) float64 { return p.upper[v] }
 
@@ -248,9 +239,6 @@ func (p *Problem) SetRHS(i int, rhs float64) error {
 
 // NumVariables returns the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.objective) }
-
-// NumConstraints returns the number of constraint rows added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
 
 // AddConstraint adds a constraint row. Terms referencing unknown variables
 // cause an error. Duplicate variables within a row are summed.

@@ -30,10 +30,7 @@ var activeTracers atomic.Int64
 
 type ctxKey int
 
-const (
-	ctxKeyTracer ctxKey = iota
-	ctxKeySpan
-)
+const ctxKeySpan ctxKey = 0
 
 // Config configures a Tracer.
 type Config struct {
@@ -104,18 +101,6 @@ func (t *Tracer) nextID() uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// WithTracer returns a context carrying t; spans started from the
-// returned context are minted by t.
-func WithTracer(ctx context.Context, t *Tracer) context.Context {
-	return context.WithValue(ctx, ctxKeyTracer, t)
-}
-
-// TracerFromContext returns the context's tracer, or nil.
-func TracerFromContext(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(ctxKeyTracer).(*Tracer)
-	return t
 }
 
 // Attr is one span attribute. Values are strings so trace JSON and the
@@ -218,7 +203,6 @@ func StartRoot(ctx context.Context, t *Tracer, name, traceparent string) (contex
 	}
 	putUint64(sp.spanID[:], t.nextID())
 	sp.trace = &traceRec{traceID: sp.traceID, start: sp.start, rootName: name}
-	ctx = WithTracer(ctx, t)
 	return context.WithValue(ctx, ctxKeySpan, sp), sp
 }
 

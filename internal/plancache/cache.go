@@ -481,31 +481,11 @@ func (c *Cache) leaderSolve(ctx context.Context, key Key, solve func(ctx context
 	return solve(ctx)
 }
 
-// Get returns the cached plan for key without solving, or nil. It counts as
-// a hit when present and respects the TTL.
-func (c *Cache) Get(key Key) (*scenario.Plan, time.Duration, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return nil, 0, false
-	}
-	if e.expiredLocked(c.now()) {
-		s.removeLocked(e)
-		c.expired.Add(1)
-		return nil, 0, false
-	}
-	s.lru.MoveToFront(e.element)
-	c.hits.Add(1)
-	return e.plan, c.now().Sub(e.stored), true
-}
-
 // Peek returns the cached plan for key without counting a hit — the
 // cluster peer-fill endpoint's lookup, which must not distort the local
 // hit/miss ratio (a peer's lookup is not local demand). It respects the
-// TTL like Get (expired entries are not served, but are left in place for
-// GetStale) and refreshes LRU recency: a plan the fleet keeps asking for
+// TTL (expired entries are not served, but are left in place for GetStale)
+// and refreshes LRU recency: a plan the fleet keeps asking for
 // is a plan worth keeping.
 func (c *Cache) Peek(key Key) (*scenario.Plan, time.Duration, bool) {
 	s := c.shardFor(key)

@@ -46,7 +46,7 @@ func TestTTLJitterSpreadsExpiry(t *testing.T) {
 	now = now.Add(ttl/2 - time.Second)
 	alive := 0
 	for i := 0; i < n; i++ {
-		if _, _, ok := c.Get(jitterKey(byte(i))); ok {
+		if _, _, ok := c.Peek(jitterKey(byte(i))); ok {
 			alive++
 		}
 	}
@@ -58,7 +58,7 @@ func TestTTLJitterSpreadsExpiry(t *testing.T) {
 	now = now.Add(ttl / 4)
 	alive = 0
 	for i := 0; i < n; i++ {
-		if _, _, ok := c.Get(jitterKey(byte(i))); ok {
+		if _, _, ok := c.Peek(jitterKey(byte(i))); ok {
 			alive++
 		}
 	}
@@ -69,7 +69,7 @@ func TestTTLJitterSpreadsExpiry(t *testing.T) {
 	// Past the nominal TTL everything is gone.
 	now = now.Add(ttl)
 	for i := 0; i < n; i++ {
-		if _, _, ok := c.Get(jitterKey(byte(i))); ok {
+		if _, _, ok := c.Peek(jitterKey(byte(i))); ok {
 			t.Fatalf("entry %d alive past the nominal TTL", i)
 		}
 	}
@@ -177,13 +177,13 @@ func TestGetStaleServesExpired(t *testing.T) {
 		t.Fatalf("fresh GetStale: ok=%v stale=%v age=%v", ok, stale, age)
 	}
 
-	// Expired: Get refuses, GetStale serves.
+	// Expired: Peek refuses, GetStale serves.
 	now = now.Add(2 * time.Minute)
-	if _, _, ok := c.Get(key); ok {
-		t.Fatal("Get returned an expired entry")
+	if _, _, ok := c.Peek(key); ok {
+		t.Fatal("Peek returned an expired entry")
 	}
-	// Get dropped the expired entry — re-store and expire again via a
-	// fresh key to exercise the serve-without-refresh path.
+	// Store and expire a fresh key to exercise the serve-without-refresh
+	// path.
 	key2 := testKey(2)
 	if _, _, _, err := c.Do(context.Background(), key2, func(context.Context) (*scenario.Plan, error) {
 		return testPlan("ISP"), nil

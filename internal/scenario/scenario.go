@@ -97,19 +97,6 @@ func (s *Scenario) TotalRepairCost() float64 {
 	return repairCost(s.Supply, s.BrokenNodes, s.BrokenEdges)
 }
 
-// WorkingNodes returns the predicate map of nodes that are usable before any
-// repair (i.e. not broken).
-func (s *Scenario) WorkingNodes() map[graph.NodeID]bool {
-	working := make(map[graph.NodeID]bool, s.Supply.NumNodes())
-	for i := 0; i < s.Supply.NumNodes(); i++ {
-		id := graph.NodeID(i)
-		if !s.BrokenNodes[id] {
-			working[id] = true
-		}
-	}
-	return working
-}
-
 // EdgeUsable reports whether edge e is usable given the broken sets and an
 // optional set of already-repaired elements.
 func (s *Scenario) EdgeUsable(e graph.EdgeID, repairedNodes map[graph.NodeID]bool, repairedEdges map[graph.EdgeID]bool) bool {

@@ -86,10 +86,6 @@ func TestScenarioAccounting(t *testing.T) {
 	if cost := s.TotalRepairCost(); cost != 2+3 {
 		t.Errorf("TotalRepairCost = %f, want 5", cost)
 	}
-	working := s.WorkingNodes()
-	if working[1] || !working[0] || len(working) != 3 {
-		t.Errorf("WorkingNodes = %v", working)
-	}
 }
 
 func TestEdgeUsable(t *testing.T) {

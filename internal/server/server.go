@@ -343,7 +343,19 @@ func (srv *Server) newPlanInput(req *wire.PlanRequest, progress heuristics.Progr
 	if in.alg == "" {
 		in.alg = "ISP"
 	}
-	in.params = heuristics.Params{
+	in.params = srv.solverParams(req, progress)
+	in.key = plancache.Key{
+		Fingerprint: req.Scenario.Fingerprint(),
+		Algorithm:   in.alg,
+		Options:     plancache.ParamsDigest(in.params),
+	}
+	return in
+}
+
+// solverParams derives the solver parameters of a plan request or a
+// session create. Every solve reports its stats to its "solve" span.
+func (srv *Server) solverParams(req *wire.PlanRequest, progress heuristics.ProgressFunc) heuristics.Params {
+	return heuristics.Params{
 		Fast:         req.Options.Fast,
 		OPTTimeLimit: time.Duration(req.Options.OptTimeLimitMS) * time.Millisecond,
 		OPTMaxNodes:  req.Options.OptMaxNodes,
@@ -351,12 +363,6 @@ func (srv *Server) newPlanInput(req *wire.PlanRequest, progress heuristics.Progr
 		Progress:     progress,
 		OnStats:      solveStatsAttrs,
 	}
-	in.key = plancache.Key{
-		Fingerprint: req.Scenario.Fingerprint(),
-		Algorithm:   in.alg,
-		Options:     plancache.ParamsDigest(in.params),
-	}
-	return in
 }
 
 // build builds and validates the scenario, then the solver — the order and

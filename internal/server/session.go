@@ -227,12 +227,7 @@ func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if alg == "" {
 		alg = "ISP"
 	}
-	params := heuristics.Params{
-		Fast:         req.Options.Fast,
-		OPTTimeLimit: time.Duration(req.Options.OptTimeLimitMS) * time.Millisecond,
-		OPTMaxNodes:  req.Options.OptMaxNodes,
-		OPTWorkers:   srv.resolveWorkers(req.Options.Workers),
-	}
+	params := srv.solverParams(req, nil)
 	if _, err := heuristics.New(alg, params); err != nil {
 		srv.writeError(w, badRequest("%v", err))
 		return

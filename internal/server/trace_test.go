@@ -196,3 +196,44 @@ func TestDebugTracesEndpoint(t *testing.T) {
 			got.TraceID, len(got.Spans), det.TraceID, len(det.Spans))
 	}
 }
+
+// TestSessionSolveSpansCarryStats checks that a traced session create and a
+// delta re-plan each leave a solve span with the ISP stats hook's
+// solver-depth attributes, as a /v1/plan solve does.
+func TestSessionSolveSpansCarryStats(t *testing.T) {
+	tr := obs.NewTracer(obs.Config{Seed: 5})
+	tr.Enable()
+	defer tr.Disable()
+	srv := New(Config{Tracer: tr})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	id := openSession(t, ts, "").Session.ID
+	delta := wire.DeltaRequest{Deltas: []wire.Delta{{Kind: wire.DeltaRepairNode, Node: 3}}}
+	if code := postJSON(t, ts.URL+"/v1/session/"+id+"/delta", delta, nil); code != http.StatusOK {
+		t.Fatalf("delta status %d", code)
+	}
+
+	var dets []obs.TraceDetail
+	deadline := time.Now().Add(2 * time.Second)
+	for len(dets) < 2 && time.Now().Before(deadline) {
+		dets = dets[:0]
+		for _, sum := range tr.Store().List() {
+			if det, ok := tr.Store().Get(sum.TraceID); ok && sum.Root == "/v1/session" {
+				dets = append(dets, det)
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if len(dets) != 2 {
+		t.Fatalf("%d sealed /v1/session traces, want 2 (create and delta)", len(dets))
+	}
+	for _, det := range dets {
+		sp := findSpan(t, det, "solve")
+		for _, key := range []string{"isp_iterations", "lp_calls"} {
+			if _, ok := spanAttr(sp, key); !ok {
+				t.Errorf("session solve span lacks %s: %+v", key, sp.Attrs)
+			}
+		}
+	}
+}

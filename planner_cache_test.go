@@ -12,6 +12,29 @@ import (
 	"netrecovery/internal/faultinject"
 )
 
+// cacheSolves counts the solves of the "cache-count-test" solver, and
+// cacheGate, when non-nil, holds each of them until it is closed.
+// Registration is global and permanent, so the solver is registered once,
+// and each test resets both through useCacheSolver.
+var (
+	cacheSolves atomic.Int32
+	cacheGate   chan struct{}
+)
+
+func init() {
+	netrecovery.RegisterSolver("cache-count-test", func(netrecovery.SolverConfig) netrecovery.Solver {
+		return countingSolver{solves: &cacheSolves, block: cacheGate}
+	})
+}
+
+// useCacheSolver zeroes the solve count and installs gate for one test.
+func useCacheSolver(t *testing.T, gate chan struct{}) {
+	t.Helper()
+	cacheSolves.Store(0)
+	cacheGate = gate
+	t.Cleanup(func() { cacheGate = nil })
+}
+
 // cacheTestNetwork builds a small disrupted network for the cache tests.
 func cacheTestNetwork(t *testing.T) *netrecovery.Network {
 	t.Helper()
@@ -49,10 +72,7 @@ func TestScenarioFingerprintFacade(t *testing.T) {
 // TestWithCacheDeduplicates: the second Plan call for a content-identical
 // snapshot is answered from the cache — identical plan, one solve.
 func TestWithCacheDeduplicates(t *testing.T) {
-	var solves atomic.Int32
-	netrecovery.RegisterSolver("cache-count-test", func(cfg netrecovery.SolverConfig) netrecovery.Solver {
-		return countingSolver{name: "cache-count-test", solves: &solves}
-	})
+	useCacheSolver(t, nil)
 	cache := netrecovery.NewPlanCache(netrecovery.PlanCacheConfig{})
 	planner := netrecovery.NewPlanner(
 		netrecovery.WithAlgorithm("cache-count-test"),
@@ -69,7 +89,7 @@ func TestWithCacheDeduplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := solves.Load(); got != 1 {
+	if got := cacheSolves.Load(); got != 1 {
 		t.Fatalf("solver ran %d times, want 1 (cache hit)", got)
 	}
 	if !reflect.DeepEqual(p1.RepairedNodes(), p2.RepairedNodes()) ||
@@ -86,7 +106,7 @@ func TestWithCacheDeduplicates(t *testing.T) {
 	if _, err := planner.Plan(context.Background(), net.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if got := solves.Load(); got != 2 {
+	if got := cacheSolves.Load(); got != 2 {
 		t.Fatalf("mutated scenario did not re-solve: %d solves", got)
 	}
 }
@@ -94,14 +114,11 @@ func TestWithCacheDeduplicates(t *testing.T) {
 // TestWithCacheConcurrentCoalescing: concurrent Plan calls for the same
 // content trigger one solve under -race.
 func TestWithCacheConcurrentCoalescing(t *testing.T) {
-	var solves atomic.Int32
 	release := make(chan struct{})
-	netrecovery.RegisterSolver("cache-gate-test", func(cfg netrecovery.SolverConfig) netrecovery.Solver {
-		return countingSolver{name: "cache-gate-test", solves: &solves, block: release}
-	})
+	useCacheSolver(t, release)
 	cache := netrecovery.NewPlanCache(netrecovery.PlanCacheConfig{})
 	planner := netrecovery.NewPlanner(
-		netrecovery.WithAlgorithm("cache-gate-test"),
+		netrecovery.WithAlgorithm("cache-count-test"),
 		netrecovery.WithCache(cache),
 	)
 	sc := cacheTestNetwork(t).Snapshot()
@@ -123,7 +140,7 @@ func TestWithCacheConcurrentCoalescing(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := solves.Load(); got != 1 {
+	if got := cacheSolves.Load(); got != 1 {
 		t.Fatalf("%d concurrent Plan calls ran %d solves, want 1", K, got)
 	}
 	st := cache.Stats()
@@ -136,16 +153,13 @@ func TestWithCacheConcurrentCoalescing(t *testing.T) {
 // answer-relevant options does not share cache entries, while different
 // parallelism does.
 func TestWithCacheKeysOnOptions(t *testing.T) {
-	var solves atomic.Int32
-	netrecovery.RegisterSolver("cache-opts-test", func(cfg netrecovery.SolverConfig) netrecovery.Solver {
-		return countingSolver{name: "cache-opts-test", solves: &solves}
-	})
+	useCacheSolver(t, nil)
 	cache := netrecovery.NewPlanCache(netrecovery.PlanCacheConfig{})
 	sc := cacheTestNetwork(t).Snapshot()
 	plan := func(opts ...netrecovery.PlannerOption) {
 		t.Helper()
 		opts = append([]netrecovery.PlannerOption{
-			netrecovery.WithAlgorithm("cache-opts-test"),
+			netrecovery.WithAlgorithm("cache-count-test"),
 			netrecovery.WithCache(cache),
 		}, opts...)
 		if _, err := netrecovery.NewPlanner(opts...).Plan(context.Background(), sc); err != nil {
@@ -154,11 +168,11 @@ func TestWithCacheKeysOnOptions(t *testing.T) {
 	}
 	plan()
 	plan(netrecovery.WithFastISP()) // different options digest: new solve
-	if got := solves.Load(); got != 2 {
+	if got := cacheSolves.Load(); got != 2 {
 		t.Fatalf("fast-mode plan did not key separately: %d solves, want 2", got)
 	}
 	plan(netrecovery.WithParallelism(4)) // parallelism is answer-invariant: hit
-	if got := solves.Load(); got != 2 {
+	if got := cacheSolves.Load(); got != 2 {
 		t.Fatalf("parallelism keyed the cache: %d solves, want 2", got)
 	}
 }
@@ -205,12 +219,11 @@ func TestWithCacheShardFaultBypassed(t *testing.T) {
 // countingSolver counts Solve calls, optionally blocking until released,
 // and repairs everything.
 type countingSolver struct {
-	name   string
 	solves *atomic.Int32
 	block  chan struct{}
 }
 
-func (s countingSolver) Name() string { return s.name }
+func (countingSolver) Name() string { return "cache-count-test" }
 
 func (s countingSolver) Solve(ctx context.Context, sc *netrecovery.Scenario) (*netrecovery.PlanSpec, error) {
 	s.solves.Add(1)

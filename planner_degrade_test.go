@@ -11,10 +11,17 @@ import (
 )
 
 // induceDegradeFailure toggles failingDegradeSolver. Registration is
-// global and permanent, so other tests that enumerate Algorithms() (the
-// shared-scenario race test, the cross-algorithm invariants) would solve
-// with it too; outside the degrade tests it answers a valid empty plan.
+// global and permanent, so the solver is registered once, and other tests
+// that enumerate Algorithms() (the shared-scenario race test, the
+// cross-algorithm invariants) solve with it too; outside the degrade tests
+// it answers a valid empty plan.
 var induceDegradeFailure atomic.Bool
+
+func init() {
+	netrecovery.RegisterSolver("degrade-fail-test", func(netrecovery.SolverConfig) netrecovery.Solver {
+		return failingDegradeSolver{}
+	})
+}
 
 func forceDegradeFailure(t *testing.T) {
 	t.Helper()
@@ -40,9 +47,6 @@ func (failingDegradeSolver) Solve(ctx context.Context, sc *netrecovery.Scenario)
 // and Degradation reports how the budget was spent.
 func TestWithDeadlineFallsBackToISP(t *testing.T) {
 	forceDegradeFailure(t)
-	netrecovery.RegisterSolver("degrade-fail-test", func(cfg netrecovery.SolverConfig) netrecovery.Solver {
-		return failingDegradeSolver{}
-	})
 	planner := netrecovery.NewPlanner(
 		netrecovery.WithAlgorithm("degrade-fail-test"),
 		netrecovery.WithDeadline(2*time.Second),
@@ -113,14 +117,11 @@ func TestWithDeadlineStaleCacheServes(t *testing.T) {
 	time.Sleep(time.Millisecond)
 
 	forceDegradeFailure(t)
-	netrecovery.RegisterSolver("degrade-stale-test", func(cfg netrecovery.SolverConfig) netrecovery.Solver {
-		return failingDegradeSolver{}
-	})
 	// A 1ns deadline times out both solver stages before they can answer;
 	// the stale-cache stage is Free, so it still runs and serves the
 	// expired fallback-key entry seeded above.
 	planner := netrecovery.NewPlanner(
-		netrecovery.WithAlgorithm("degrade-stale-test"),
+		netrecovery.WithAlgorithm("degrade-fail-test"),
 		netrecovery.WithFastISP(),
 		netrecovery.WithCache(cache),
 		netrecovery.WithDeadline(time.Nanosecond),
