@@ -25,11 +25,16 @@ import (
 	"netrecovery/internal/wire"
 )
 
-// goldenPlanDigest is the SHA-256 of every answer in the golden batch below.
-// ISP is deterministic, so any change to it is a change of behaviour: a
-// refactor of the solver or its kernels must leave it untouched. Update it
-// only for an intended change of answers, and say why in the change log.
-const goldenPlanDigest = "aa8eb88e0c74e294577908f202e4afdd4623b24eab0f4169295e507548d8022a"
+// goldenPlanDigest and goldenRoutingDigest are the SHA-256 of every answer
+// in the golden batch below: the wire plans with the solver counters, and
+// the routings. ISP is deterministic, so any change to either is a change
+// of behaviour: a refactor of the solver or its kernels must leave both
+// untouched. Update them only for an intended change of answers, and say
+// why in the change log.
+const (
+	goldenPlanDigest    = "95a4a76c3140516295f9cbb70c9084a52f7284ce45f4e47bafed9f077e7e8c1b"
+	goldenRoutingDigest = "8b9de028c31fb19a064ca496b7adb3b4ac961eef9dbaa7d6e7a6a7cbf399ff16"
+)
 
 // goldenConsumersDigest pins the other solvers and reports that run on the
 // same graph and flow kernels: SRT, the greedy heuristics and ALL with
@@ -40,13 +45,13 @@ const goldenConsumersDigest = "0550c03b49c39c1c1b6a714d5b6a14858571f8b3705eeeab1
 // batch: exact and fast ISP on damaged Bell-Canada instances, fast ISP on grid:5x5
 // instances (the serving fleet's traffic shape), warm sessions replanning
 // through repair and demand deltas, and the cross-algorithm invariants
-// networks. The digest covers each wire plan (runtime zeroed), its routing
-// (hex floats, sorted) and the solver counters.
+// networks. One digest covers each wire plan (runtime zeroed) and the
+// solver counters, the other each routing (hex floats, sorted).
 func TestGoldenPlans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden batch runs a few hundred solves")
 	}
-	h := sha256.New()
+	h := goldenHashes{wire: sha256.New(), routing: sha256.New()}
 	exact := core.Options{Routability: flow.Options{Mode: flow.ModeExact}}
 	fast := core.FastOptions()
 
@@ -86,10 +91,18 @@ func TestGoldenPlans(t *testing.T) {
 		}
 	}
 
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenPlanDigest {
-		t.Fatalf("golden plan digest = %s, want %s", got, goldenPlanDigest)
+	if got := hex.EncodeToString(h.wire.Sum(nil)); got != goldenPlanDigest {
+		t.Errorf("golden plan digest = %s, want %s", got, goldenPlanDigest)
+	}
+	if got := hex.EncodeToString(h.routing.Sum(nil)); got != goldenRoutingDigest {
+		t.Errorf("golden routing digest = %s, want %s", got, goldenRoutingDigest)
 	}
 }
+
+// goldenHashes are the two digests an answer is written to: its wire plan
+// with the solver counters, and its routing. The consumers' batch writes
+// both to one hash.
+type goldenHashes struct{ wire, routing hash.Hash }
 
 // TestGoldenKernelConsumers pins, like TestGoldenPlans, the answers of the
 // non-ISP users of the max-flow, shortest-path and routability kernels.
@@ -111,7 +124,7 @@ func TestGoldenKernelConsumers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s on %s-%d: %v", alg, name, seed, err)
 				}
-				writeAnswer(t, h, fmt.Sprintf("%s-%d-%s", name, seed, alg), s, plan, core.Stats{})
+				writeAnswer(t, goldenHashes{h, h}, fmt.Sprintf("%s-%d-%s", name, seed, alg), s, plan, core.Stats{})
 				staged, err := wire.FromPlan(s, plan).WithStages(s, plan, 3)
 				if err != nil {
 					t.Fatal(err)
@@ -190,7 +203,7 @@ func invariantScenario(t *testing.T, name string, seed int64) *scenario.Scenario
 	return &scenario.Scenario{Supply: g, Demand: dg, BrokenNodes: d.Nodes, BrokenEdges: d.Edges}
 }
 
-func goldenSolve(t *testing.T, h hash.Hash, label string, s *scenario.Scenario, opts core.Options) {
+func goldenSolve(t *testing.T, h goldenHashes, label string, s *scenario.Scenario, opts core.Options) {
 	t.Helper()
 	plan, stats, err := core.Solve(context.Background(), s, opts)
 	if err != nil {
@@ -201,7 +214,7 @@ func goldenSolve(t *testing.T, h hash.Hash, label string, s *scenario.Scenario, 
 
 // goldenSession replans one scenario through a warm session: cold solve,
 // then a link repair, a node repair and a demand change.
-func goldenSession(t *testing.T, h hash.Hash, label string, s *scenario.Scenario, opts core.Options) {
+func goldenSession(t *testing.T, h goldenHashes, label string, s *scenario.Scenario, opts core.Options) {
 	t.Helper()
 	sess := core.NewSession()
 	deltas := []scenario.Delta{{Kind: scenario.DeltaRepairLink, Edge: lowestBroken(s.BrokenEdges)}}
@@ -214,7 +227,7 @@ func goldenSession(t *testing.T, h hash.Hash, label string, s *scenario.Scenario
 			t.Fatalf("%s step %d: %v", label, step, err)
 		}
 		writeAnswer(t, h, fmt.Sprintf("%s-%d", label, step), cur, plan, stats)
-		fmt.Fprintf(h, "%+v\n", sess.Stats())
+		fmt.Fprintf(h.wire, "%+v\n", sess.Stats())
 		if step == len(deltas) {
 			return
 		}
@@ -236,7 +249,7 @@ func lowestBroken[K graph.NodeID | graph.EdgeID](set map[K]bool) K {
 	return ids[0]
 }
 
-func writeAnswer(t *testing.T, h hash.Hash, label string, s *scenario.Scenario, plan *scenario.Plan, stats core.Stats) {
+func writeAnswer(t *testing.T, h goldenHashes, label string, s *scenario.Scenario, plan *scenario.Plan, stats core.Stats) {
 	t.Helper()
 	wp := wire.FromPlan(s, plan)
 	wp.RuntimeMS = 0
@@ -244,7 +257,7 @@ func writeAnswer(t *testing.T, h hash.Hash, label string, s *scenario.Scenario, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(h, "%s\n%s\n%+v\n", label, body, stats)
+	fmt.Fprintf(h.wire, "%s\n%s\n%+v\n", label, body, stats)
 	pairs := make([]demand.PairID, 0, len(plan.Routing))
 	for pid := range plan.Routing {
 		pairs = append(pairs, pid)
@@ -258,7 +271,7 @@ func writeAnswer(t *testing.T, h hash.Hash, label string, s *scenario.Scenario, 
 		}
 		sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
 		for _, eid := range edges {
-			fmt.Fprintf(h, "%d %d %s\n", pid, eid, strconv.FormatFloat(flows[eid], 'x', -1, 64))
+			fmt.Fprintf(h.routing, "%d %d %s\n", pid, eid, strconv.FormatFloat(flows[eid], 'x', -1, 64))
 		}
 	}
 }
