@@ -111,7 +111,7 @@ func lpTransportation(seed int64) *lp.Problem {
 	const s, d = 25, 25
 	p := lp.New(lp.Minimize)
 	for i := 0; i < s*d; i++ {
-		p.AddVariable(1+rng.Float64()*9, "")
+		p.AddVariable(1 + rng.Float64()*9)
 	}
 	demands := make([]float64, d)
 	total := 0.0
@@ -125,7 +125,7 @@ func lpTransportation(seed int64) *lp.Problem {
 		for j := 0; j < d; j++ {
 			terms = append(terms, lp.Term{Var: i*d + j, Coef: 1})
 		}
-		if err := p.AddConstraint(terms, lp.LessEq, total/s+rng.Float64()*3, ""); err != nil {
+		if err := p.AddConstraint(terms, lp.LessEq, total/s+rng.Float64()*3); err != nil {
 			panic(err)
 		}
 	}
@@ -134,7 +134,7 @@ func lpTransportation(seed int64) *lp.Problem {
 		for i := 0; i < s; i++ {
 			terms = append(terms, lp.Term{Var: i*d + j, Coef: 1})
 		}
-		if err := p.AddConstraint(terms, lp.Equal, demands[j], ""); err != nil {
+		if err := p.AddConstraint(terms, lp.Equal, demands[j]); err != nil {
 			panic(err)
 		}
 	}

@@ -32,14 +32,14 @@ import (
 // untouched. Update them only for an intended change of answers, and say
 // why in the change log.
 const (
-	goldenPlanDigest    = "95a4a76c3140516295f9cbb70c9084a52f7284ce45f4e47bafed9f077e7e8c1b"
-	goldenRoutingDigest = "8b9de028c31fb19a064ca496b7adb3b4ac961eef9dbaa7d6e7a6a7cbf399ff16"
+	goldenPlanDigest    = "d8f15987d7e6c3c9d8d95af4d568cae78e107f5055d6ca503b3830579ec701dd"
+	goldenRoutingDigest = "6421adf448df1c076e06effc5516b7a9f1c4385a2fe529a345bd7cfb0fc45771"
 )
 
 // goldenConsumersDigest pins the other solvers and reports that run on the
 // same graph and flow kernels: SRT, the greedy heuristics and ALL with
 // their progressive stage timelines, and fast-ISP ensemble reports.
-const goldenConsumersDigest = "0550c03b49c39c1c1b6a714d5b6a14858571f8b3705eeeab18f4e2c23d42a1d6"
+const goldenConsumersDigest = "80bfd7768dfba129938d623eacc6f03642ecf74070d3ab17a36156fef29f0f51"
 
 // TestGoldenPlans pins ISP's answers byte for byte over a fixed seeded
 // batch: exact and fast ISP on damaged Bell-Canada instances, fast ISP on grid:5x5

@@ -29,9 +29,12 @@ const SolverName = "ISP"
 //	    else: pick the node with the highest demand-based centrality,
 //	          repair it if broken, and split the best demand through it
 //
-// Upon termination the residual demand is routed through the working network
-// (final routability routing) and combined with the routing accumulated by
-// prune actions.
+// A run that stalls — no split candidate and no broken element on any
+// unserved pair's shortest path — is completed beyond the paper's loop: the
+// original demand is routed from scratch on the full network at minimum
+// repair-weighted cost, the run's own repairs free, and every broken element
+// that routing uses is repaired. The plan's routing then comes from the
+// final repair set alone (see route).
 //
 // Cancellation: the context is checked at the top of every iteration of the
 // main loop; once it fires, Solve stops promptly and returns ctx.Err().
@@ -108,9 +111,7 @@ func solve(ctx context.Context, s *scenario.Scenario, opts Options, sess *Sessio
 		// working network? The tester warm-starts each LP from the previous
 		// iteration's optimal basis, so consecutive tests (which differ by a
 		// single repair, prune or split) re-solve in a few dual pivots.
-		res := st.checkRoutability()
-		if res.Routable {
-			st.commitFinalRouting(res)
+		if st.checkRoutability().Routable {
 			st.stats.FinalRouted = true
 			break
 		}
@@ -149,11 +150,13 @@ func solve(ctx context.Context, s *scenario.Scenario, opts Options, sess *Sessio
 		st.applySplit(cand, dx)
 	}
 
-	if !st.stats.FinalRouted {
-		st.bestEffortRouting()
+	capped := st.stats.HitIteration || st.stats.HitTimeout
+	routed := st.stats.FinalRouted
+	if !routed && !capped {
+		routed = st.complete()
 	}
 	st.stats.Routability = st.tester.Stats
-	return st.buildPlan(start), st.stats, nil
+	return st.buildPlan(start, routed), st.stats, nil
 }
 
 // checkRoutability runs the per-iteration routability test, answering it
@@ -163,93 +166,6 @@ func (st *state) checkRoutability() flow.Result {
 		return st.checkRoutabilityMemo()
 	}
 	return st.tester.Check(st.workingInstance(), st.opts.Routability)
-}
-
-// bestEffortRouting routes as much of the still-unserved demand as possible
-// over the working network when the run terminated early (iteration or time
-// limit) or the demand is not fully routable even with every repair, so the
-// returned plan still carries a maximal feasible routing instead of dropping
-// the flows it could have served.
-//
-// Routing happens between the *original* demand endpoints (not the derived
-// split pairs) so that per-pair flow conservation always holds in the
-// resulting plan; the residual capacities already account for the flow
-// committed by prune actions.
-func (st *state) bestEffortRouting() {
-	caps := st.usableCaps()
-	flows := st.flowBuf
-	for _, p := range st.scen.Demand.Active() {
-		remaining := p.Flow - st.deliveredForPair(p)
-		if remaining <= epsilon {
-			continue
-		}
-		if st.brokenNodes[p.Source] || st.brokenNodes[p.Target] {
-			continue
-		}
-		value := st.scen.Supply.MaxFlowInto(p.Source, p.Target, caps, flows, &st.ws)
-		routed := math.Min(value, remaining)
-		if routed <= epsilon {
-			continue
-		}
-		scale := routed / value
-		for eid, f := range flows {
-			v := f * scale
-			if math.Abs(v) <= epsilon {
-				continue
-			}
-			caps[eid] -= math.Abs(v)
-			if caps[eid] < 0 {
-				caps[eid] = 0
-			}
-			st.routing.AddFlow(p.ID, graph.EdgeID(eid), v)
-		}
-	}
-}
-
-// deliveredForPair returns the net flow already delivered to the target of
-// the original pair p by the accumulated routing.
-func (st *state) deliveredForPair(p demand.Pair) float64 {
-	flows := st.routing[p.ID]
-	if len(flows) == 0 {
-		return 0
-	}
-	net := 0.0
-	for eid, f := range flows {
-		e := st.scen.Supply.Edge(eid)
-		if e.To == p.Target {
-			net += f
-		}
-		if e.From == p.Target {
-			net -= f
-		}
-	}
-	if net < 0 {
-		return 0
-	}
-	return net
-}
-
-// commitFinalRouting merges the routing produced by the final routability
-// test into the accumulated plan routing and clears the residual demand.
-func (st *state) commitFinalRouting(res flow.Result) {
-	if res.Routing != nil {
-		for pid, flows := range res.Routing {
-			st.addRouting(pid, flows)
-		}
-	} else {
-		// The exact test can return no routing only for an empty demand;
-		// the constructive test always returns one when routable. As a
-		// safeguard, recompute constructively.
-		routing, ok := flow.ConstructiveRouting(st.workingInstance())
-		if ok {
-			for pid, flows := range routing {
-				st.addRouting(pid, flows)
-			}
-		}
-	}
-	for _, p := range st.working.Active() {
-		_ = st.working.SetFlow(p.ID, 0)
-	}
 }
 
 // repairDirectLinks implements §IV-E: for every active demand whose
@@ -350,8 +266,26 @@ func (st *state) fallbackRepair() bool {
 	return false
 }
 
+// complete finishes a stalled run: it routes the original demand from
+// scratch on the full network at minimum repair-weighted cost, the run's
+// own repairs free, and repairs every broken element that routing uses. It
+// reports false, repairing nothing, when no repair set routes the demand.
+func (st *state) complete() bool {
+	routing, ok := flow.MinRepairRouting(st.scen, st.repairedNodes, st.repairedEdges)
+	if !ok {
+		return false
+	}
+	st.stats.Completions++
+	for _, flows := range routing {
+		for eid := range flows {
+			st.repairEdge(eid)
+		}
+	}
+	return true
+}
+
 // buildPlan assembles the final plan from the run state.
-func (st *state) buildPlan(start time.Time) *scenario.Plan {
+func (st *state) buildPlan(start time.Time, routed bool) *scenario.Plan {
 	plan := scenario.NewPlan(SolverName)
 	for v, repaired := range st.repairedNodes {
 		if repaired {
@@ -363,9 +297,8 @@ func (st *state) buildPlan(start time.Time) *scenario.Plan {
 			plan.RepairedEdges[graph.EdgeID(e)] = true
 		}
 	}
-	plan.Routing = st.routing.Clone()
 	plan.TotalDemand = st.scen.Demand.TotalFlow()
-	plan.SatisfiedDemand = st.deliveredDemand()
+	plan.Routing, plan.SatisfiedDemand = st.route(routed)
 	plan.Runtime = time.Since(start)
 	if st.stats.HitIteration || st.stats.HitTimeout {
 		plan.Notes = "terminated early (iteration or time limit)"
@@ -373,31 +306,21 @@ func (st *state) buildPlan(start time.Time) *scenario.Plan {
 	return plan
 }
 
-// deliveredDemand computes, per original pair, the net flow delivered to the
-// pair's target by the accumulated routing (capped at the pair's demand).
-func (st *state) deliveredDemand() float64 {
-	total := 0.0
-	for _, p := range st.scen.Demand.Active() {
-		flows := st.routing[p.ID]
-		if len(flows) == 0 {
-			continue
+// route derives the plan's routing and satisfied demand from the scenario
+// and the final repair set alone, routing the original demand from scratch
+// on the repaired network. When the run routed the demand, the greedy
+// constructive router answers, and the exact LP when the greedy order
+// fails. A run that ended short of it — capped, or on an instance no repair
+// set routes — gets per-pair max flows in pair-ID order.
+func (st *state) route(routed bool) (scenario.Routing, float64) {
+	in := st.repairedInstance()
+	if routed {
+		if routing, ok := flow.ConstructiveRouting(in, &st.ws); ok {
+			return routing, in.TotalDemand()
 		}
-		net := 0.0
-		for eid, f := range flows {
-			e := st.scen.Supply.Edge(eid)
-			if e.To == p.Target {
-				net += f
-			}
-			if e.From == p.Target {
-				net -= f
-			}
-		}
-		if net > p.Flow {
-			net = p.Flow
-		}
-		if net > 0 {
-			total += net
+		if res := flow.CheckRoutability(in, flow.Options{Mode: flow.ModeExact}); res.Routable {
+			return res.Routing, in.TotalDemand()
 		}
 	}
-	return total
+	return flow.SequentialRouting(in, &st.ws)
 }

@@ -56,7 +56,7 @@ func TestPanickedStateNotPooled(t *testing.T) {
 	// Under the race detector the pool may drop the Put; a fresh state then
 	// comes back and there is nothing to check.
 	if st := statePool.Get().(*state); st.residual != nil &&
-		(st.scen != nil || st.working != nil || st.routing != nil || st.opts.Progress != nil) {
+		(st.scen != nil || st.working != nil || st.opts.Progress != nil) {
 		t.Fatalf("a pooled state still references its run's inputs")
 	}
 }

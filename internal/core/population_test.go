@@ -4,12 +4,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"netrecovery/internal/core"
 	"netrecovery/internal/demand"
 	"netrecovery/internal/disruption"
+	"netrecovery/internal/flow"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/scenario"
 	"netrecovery/internal/topology"
 )
+
+// ispModes are ISP's two configurations: fast (greedy splits, automatic
+// routability tests) and exact (split LPs, exact routability tests).
+var ispModes = []struct {
+	name string
+	opts core.Options
+}{{"fast", core.FastOptions()}, {"exact", core.Options{Routability: flow.Options{Mode: flow.ModeExact}}}}
 
 // The scenario populations of the serving benchmark's workloads, drawn
 // exactly as perfbench/workloads.go draws them. The benchmark is a module

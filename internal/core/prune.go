@@ -32,8 +32,8 @@ func (st *state) pruneAll() int {
 }
 
 // pruneOne attempts to prune (part of) demand pair p over a bubble of
-// working paths (Theorem 3). It routes the pruned amount, consumes residual
-// capacity and reduces the working demand. It reports whether any amount was
+// working paths (Theorem 3). It consumes the residual capacity the pruned
+// amount uses and reduces the working demand. It reports whether any amount was
 // pruned.
 func (st *state) pruneOne(p demand.Pair) bool {
 	if p.Flow <= epsilon {
@@ -65,7 +65,7 @@ func (st *state) pruneOne(p demand.Pair) bool {
 		return false
 	}
 	// Scale the assignment to the pruned amount and commit it.
-	st.commitFlow(p.ID, st.flowBuf, prunable/value)
+	st.commitFlow(st.flowBuf, prunable/value)
 	if _, err := st.working.Reduce(p.ID, prunable); err != nil {
 		return false
 	}

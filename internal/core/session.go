@@ -29,11 +29,9 @@ import (
 // byte-identical, and split LPs are solved in lp deterministic mode (a pure
 // function of the problem data), so a hit returns the bit-identical value a
 // cold solve would compute — warm plans are equal to cold plans by
-// construction, not by luck. The only permitted divergence is the routing
-// certificate of the final routability test, which may be a different
-// optimal routing when earlier checks were answered from the memo; repairs,
-// satisfied demand and every wire-visible plan field are unaffected (pinned
-// by the session equivalence tests).
+// construction, not by luck. A plan's routing is derived from its final
+// repair set alone, so it is equal too (pinned by the session equivalence
+// tests).
 //
 // A Session is not safe for concurrent use; callers serialise re-plans (the
 // facade PlannerSession and the server session manager both do).
@@ -51,12 +49,10 @@ type Session struct {
 	buf []byte
 }
 
-// routEntry is one memoized exact routability answer. The routing is shared
-// across hits and must be treated as immutable (ISP only reads it).
+// routEntry is one memoized exact routability answer.
 type routEntry struct {
 	routable bool
 	exact    bool
-	routing  scenario.Routing
 }
 
 // SessionStats counts memo activity across the session's solves.
@@ -72,8 +68,7 @@ type SessionStats struct {
 }
 
 // sessionMaxEntries is the default per-memo entry bound. Entries are tens of
-// bytes (split) to a few KB (routability routings); the bound keeps a
-// long-lived session's footprint in the tens of MB worst case.
+// bytes; the bound keeps a long-lived session's footprint to a few MB.
 const sessionMaxEntries = 1 << 16
 
 // NewSession returns an empty warm session.
@@ -100,8 +95,8 @@ func (sess *Session) Solve(ctx context.Context, s *scenario.Scenario, opts Optio
 // topoDigest hashes the solver-relevant topology content (node repair costs;
 // edge endpoints, capacities, repair costs). It is computed once per Solve
 // and folded into every memo key, so sessions never confuse subproblems of
-// different topologies (solvers clone scenarios, so pointer identity is
-// useless here).
+// different topologies (successive scenarios are distinct snapshots, so
+// pointer identity is useless here).
 func (sess *Session) topoDigest(g *graph.Graph) [32]byte {
 	sess.h.Reset()
 	sess.buf = sess.buf[:0]
@@ -220,14 +215,14 @@ func (st *state) checkRoutabilityMemo() flow.Result {
 	key := st.routKey()
 	if e, ok := st.sess.routMemo[key]; ok {
 		st.sess.stats.RoutabilityHits++
-		return flow.Result{Routable: e.routable, Exact: e.exact, Routing: e.routing}
+		return flow.Result{Routable: e.routable, Exact: e.exact}
 	}
 	st.sess.stats.RoutabilityMisses++
 	res := st.tester.Check(st.workingInstance(), st.opts.Routability)
 	if len(st.sess.routMemo) >= st.sess.maxEntries {
 		clear(st.sess.routMemo)
 	}
-	st.sess.routMemo[key] = routEntry{routable: res.Routable, exact: res.Exact, routing: res.Routing}
+	st.sess.routMemo[key] = routEntry{routable: res.Routable, exact: res.Exact}
 	return res
 }
 

@@ -16,9 +16,8 @@ import (
 const epsilon = 1e-7
 
 // state is the mutable per-run state of ISP: the evolving demand graph
-// H^(n), residual capacities c^(n), the broken sets V_B^(n) / E_B^(n), the
-// repair list L^(n) and the routing accumulated by prune actions. Per-element
-// state is dense, indexed by NodeID / EdgeID.
+// H^(n), residual capacities c^(n), the broken sets V_B^(n) / E_B^(n) and the
+// repair list L^(n). Per-element state is dense, indexed by NodeID / EdgeID.
 type state struct {
 	scen *scenario.Scenario
 	opts Options
@@ -28,7 +27,8 @@ type state struct {
 	working *demand.Graph
 	// rootOf maps working-pair IDs (dense, in order of creation) to the
 	// original scenario pair that the flow ultimately serves (splits create
-	// derived pairs that inherit the root).
+	// derived pairs that inherit the root); addWorkingDemand merges only
+	// pairs of one root.
 	rootOf []demand.PairID
 
 	// residual holds c^(n): the residual capacity of every edge, reduced by
@@ -46,10 +46,6 @@ type state struct {
 	repairedEdges []bool
 	numRepaired   int
 
-	// routing accumulates, per original pair, the signed edge flows decided
-	// by prune actions and by the final routability test.
-	routing scenario.Routing
-
 	// tester runs the per-iteration exact routability tests, warm-starting
 	// each LP from the previous iteration's basis.
 	tester *flow.RoutabilityTester
@@ -61,9 +57,9 @@ type state struct {
 	// across iterations; none may be retained past the call that filled it.
 	ws          graph.Workspace // every max-flow and shortest-path kernel call
 	capsBuf     []float64       // usableCaps
-	workCaps    []float64       // workingInstance capacities
+	workCaps    []float64       // workingInstance and repairedInstance capacities
 	pruneCaps   []float64       // pruneOne's bubble-restricted capacities
-	flowBuf     []float64       // max-flow assignments (pruneOne, bestEffortRouting)
+	flowBuf     []float64       // pruneOne's max-flow assignment
 	bubbleSeen  []bool          // findBubble visited set
 	bubbleWall  []bool          // findBubble barrier set
 	bubbleQueue []graph.NodeID  // findBubble BFS queue
@@ -72,9 +68,9 @@ type state struct {
 	barrierBuf  []demand.Pair   // findBubble's active-pair snapshot
 	rankBuf     []demand.Pair   // computeCentrality's demands, read by the split step
 	splitBuf    []demand.Pair   // postSplitRoutable's post-split demands
-	workBuf     []demand.Pair   // workingInstance demands
+	workBuf     []demand.Pair   // workingInstance and repairedInstance demands
 	potBuf      []demand.Pair   // potentialInstance demands
-	workInst    flow.Instance   // reused Instance for workingInstance
+	workInst    flow.Instance   // reused Instance for workingInstance and repairedInstance
 	potInst     flow.Instance   // reused Instance for potentialInstance
 	hashBuf     []demand.Pair   // session memo-key demand snapshot
 
@@ -98,6 +94,10 @@ type Stats struct {
 	FinalRouted  bool
 	HitIteration bool
 	HitTimeout   bool
+	// Completions counts completions: the run stalled with demand unserved
+	// and was finished by routing the original demand on the full network,
+	// beyond the paper's §IV loop (0 or 1 per run).
+	Completions int
 	// Routability reports how the per-iteration LP-backed routability tests
 	// were resolved (warm starts, rebuilds, constructive fallbacks).
 	Routability flow.TesterStats
@@ -125,7 +125,6 @@ func newState(s *scenario.Scenario, opts Options, sess *Session) *state {
 		brokenEdges:   zeroed(st.brokenEdges, m),
 		repairedNodes: zeroed(st.repairedNodes, n),
 		repairedEdges: zeroed(st.repairedEdges, m),
-		routing:       make(scenario.Routing),
 		tester:        st.tester,
 		splitSolver:   st.splitSolver,
 		ws:            st.ws,
@@ -166,7 +165,7 @@ func newState(s *scenario.Scenario, opts Options, sess *Session) *state {
 // only the references to the run's inputs need dropping. A state whose run
 // panicked is never released: its invariants are unknown.
 func (st *state) release() {
-	st.scen, st.sess, st.working, st.routing = nil, nil, nil, nil
+	st.scen, st.sess, st.working = nil, nil, nil
 	st.opts = Options{}
 	st.workInst, st.potInst = flow.Instance{}, flow.Instance{}
 	st.tester.Reset()
@@ -248,6 +247,28 @@ func (st *state) potentialInstance() *flow.Instance {
 	return &st.potInst
 }
 
+// repairedInstance returns the flow instance of the final network: every
+// edge at its full capacity unless it or an endpoint is still broken, and
+// the scenario's original active demand. It is pooled like
+// workingInstance's, whose buffers it shares.
+func (st *state) repairedInstance() *flow.Instance {
+	for i := range st.workCaps {
+		e := st.scen.Supply.Edge(graph.EdgeID(i))
+		c := e.Capacity
+		if st.brokenEdges[i] || st.brokenNodes[e.From] || st.brokenNodes[e.To] {
+			c = 0
+		}
+		st.workCaps[i] = c
+	}
+	st.workBuf = st.scen.Demand.ActiveInto(st.workBuf)
+	st.workInst = flow.Instance{
+		Graph:      st.scen.Supply,
+		Capacities: st.workCaps,
+		Demands:    st.workBuf,
+	}
+	return &st.workInst
+}
+
 // pathMetric returns the edge-length metric of §IV-D at the current
 // iteration: [const + k^e(n) + (k^v_i(n)+k^v_j(n))/2] / c^(n)_ij, where the
 // repair-cost terms vanish for elements already working or already listed
@@ -290,21 +311,17 @@ func (st *state) edgeUsableWorking(e graph.EdgeID) bool {
 	return st.residual[e] > epsilon
 }
 
-// commitFlow routes the flow assignment, scaled by scale, for the original
-// pair behind a working pair and consumes the residual capacity it uses.
-// Scaled flows under the tolerance are dropped.
-func (st *state) commitFlow(workingPair demand.PairID, flows []float64, scale float64) {
-	root := st.rootOf[workingPair]
+// commitFlow consumes the residual capacity that a max-flow assignment,
+// scaled by scale, uses. Scaled flows under the tolerance are dropped.
+func (st *state) commitFlow(flows []float64, scale float64) {
 	for eid, f := range flows {
 		if f == 0 {
 			continue
 		}
-		v := f * scale
-		use := math.Abs(v)
+		use := math.Abs(f * scale)
 		if use <= epsilon {
 			continue
 		}
-		st.routing.AddFlow(root, graph.EdgeID(eid), v)
 		st.residual[eid] -= use
 		if st.residual[eid] < 0 {
 			st.residual[eid] = 0
@@ -312,20 +329,9 @@ func (st *state) commitFlow(workingPair demand.PairID, flows []float64, scale fl
 	}
 }
 
-// addRouting accumulates signed edge flows for the original pair behind the
-// given working pair.
-func (st *state) addRouting(workingPair demand.PairID, flows map[graph.EdgeID]float64) {
-	root := st.rootOf[workingPair]
-	for eid, f := range flows {
-		if math.Abs(f) > epsilon {
-			st.routing.AddFlow(root, eid, f)
-		}
-	}
-}
-
 // addWorkingDemand adds (or merges into) a working demand pair with the
 // given endpoints, flow and root. Merging only happens between pairs sharing
-// the same root so that per-original-pair routing stays well defined.
+// the same root.
 func (st *state) addWorkingDemand(source, target graph.NodeID, flowAmount float64, root demand.PairID) {
 	if flowAmount <= epsilon {
 		return
@@ -335,8 +341,7 @@ func (st *state) addWorkingDemand(source, target graph.NodeID, flowAmount float6
 			continue
 		}
 		// Merge only pairs with the same orientation: merging a reversed
-		// pair would change the net demand vector of the root and break the
-		// routing-aggregation invariant.
+		// pair would change the net demand vector of the root.
 		if p.Source == source && p.Target == target {
 			_ = st.working.SetFlow(p.ID, p.Flow+flowAmount)
 			return

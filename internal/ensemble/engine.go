@@ -196,8 +196,8 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 			be[e] = true
 		}
 		// Samples share the base supply and demand graphs: solvers never
-		// mutate their input scenario (they clone), so only the broken sets
-		// need to be owned per sample.
+		// mutate their input scenario, so only the broken sets need to be
+		// owned per sample.
 		scn := &scenario.Scenario{
 			Supply:      base.Supply,
 			Demand:      base.Demand,

@@ -41,7 +41,7 @@ func AddArcs(prob *lp.Problem, g *graph.Graph, edges []graph.EdgeID, n int) Arcs
 		a.pos[e] = int32(i)
 	}
 	for range 2 * n * len(edges) {
-		_ = prob.AddVariable(0, "")
+		_ = prob.AddVariable(0)
 	}
 	return a
 }

@@ -19,9 +19,10 @@ import (
 // Failure is inconclusive: a smarter joint routing may still exist, which is
 // why the exact LP test is preferred whenever it is affordable. The
 // constructive test exists for instances whose LP would be too large for the
-// dense simplex substrate (very large topologies).
-func ConstructiveRouting(in *Instance) (scenario.Routing, bool) {
-	res := constructiveResult(in.Graph, in.usableInto(nil), in.Demands, nil)
+// dense simplex substrate (very large topologies). ws supplies the max-flow
+// scratch space and may be nil.
+func ConstructiveRouting(in *Instance, ws *graph.Workspace) (scenario.Routing, bool) {
+	res := constructiveResult(in.Graph, in.usableInto(nil), in.Demands, ws)
 	return res.Routing, res.Routable
 }
 
@@ -94,13 +95,11 @@ func routeConstructively(g *graph.Graph, residual []float64, demands []demand.Pa
 }
 
 // SatisfiedAfterRepairs measures the demand scenario s serves once the
-// given elements are repaired, with the greedy sequential router: per active
-// demand pair, in ID order, route min(max-flow, flow) on the capacity that
-// working plus repaired elements have left. It is a lower bound on the
-// exactly-routable demand — sufficient, never optimistic — and cheap enough
-// to evaluate stage by stage. repairedNodes and repairedEdges are indexed by
-// ID (a nil or short slice repairs nothing more); ws supplies the max-flow
-// scratch space and may be nil.
+// given elements are repaired, with the sequential router of
+// SequentialRouting on the capacity that working plus repaired elements
+// have. It is cheap enough to evaluate stage by stage. repairedNodes and
+// repairedEdges are indexed by ID (a nil or short slice repairs nothing
+// more); ws supplies the max-flow scratch space and may be nil.
 func SatisfiedAfterRepairs(s *scenario.Scenario, repairedNodes, repairedEdges []bool, ws *graph.Workspace) float64 {
 	g := s.Supply
 	down := make([]bool, g.NumNodes())
@@ -115,9 +114,26 @@ func SatisfiedAfterRepairs(s *scenario.Scenario, repairedNodes, repairedEdges []
 		}
 		caps[i] = e.Capacity
 	}
+	return routeSequentially(g, caps, s.Demand.Active(), nil, ws)
+}
+
+// SequentialRouting routes the instance's demands one at a time, in their
+// order: each takes min(max-flow, flow) on the usable capacity the earlier
+// ones left. It returns the routing and the routed total, a lower bound on
+// the exactly-routable demand — sufficient, never optimistic. ws supplies
+// the max-flow scratch space and may be nil.
+func SequentialRouting(in *Instance, ws *graph.Workspace) (scenario.Routing, float64) {
+	routing := make(scenario.Routing)
+	return routing, routeSequentially(in.Graph, in.usableInto(nil), in.Demands, routing, ws)
+}
+
+// routeSequentially is the router behind SequentialRouting and
+// SatisfiedAfterRepairs. It consumes caps and records each demand's flow
+// into routing when routing is non-nil.
+func routeSequentially(g *graph.Graph, caps []float64, demands []demand.Pair, routing scenario.Routing, ws *graph.Workspace) float64 {
 	flows := make([]float64, g.NumEdges())
 	total := 0.0
-	for _, p := range s.Demand.Active() {
+	for _, p := range demands {
 		value := g.MaxFlowInto(p.Source, p.Target, caps, flows, ws)
 		routed := math.Min(value, p.Flow)
 		if routed <= capacityEpsilon {
@@ -128,9 +144,13 @@ func SatisfiedAfterRepairs(s *scenario.Scenario, repairedNodes, repairedEdges []
 			if f == 0 {
 				continue
 			}
-			caps[eid] -= math.Abs(f * scale)
+			used := f * scale
+			caps[eid] -= math.Abs(used)
 			if caps[eid] < 0 {
 				caps[eid] = 0
+			}
+			if routing != nil && math.Abs(used) > capacityEpsilon {
+				routing.AddFlow(p.ID, graph.EdgeID(eid), used)
 			}
 		}
 		total += routed

@@ -155,7 +155,7 @@ func TestConstructiveRoutingOrderingAndResiduals(t *testing.T) {
 		demand.Pair{ID: 0, Source: 0, Target: 3, Flow: 9},
 		demand.Pair{ID: 1, Source: 0, Target: 3, Flow: 6},
 	)}
-	routing, ok := ConstructiveRouting(in)
+	routing, ok := ConstructiveRouting(in, nil)
 	if !ok {
 		t.Fatal("constructive routing should succeed (total 15 = max flow)")
 	}
@@ -165,7 +165,7 @@ func TestConstructiveRoutingOrderingAndResiduals(t *testing.T) {
 func TestConstructiveRoutingFailure(t *testing.T) {
 	g := diamond([4]float64{2, 2, 2, 2})
 	in := &Instance{Graph: g, Demands: pairs(demand.Pair{ID: 0, Source: 0, Target: 3, Flow: 10})}
-	if _, ok := ConstructiveRouting(in); ok {
+	if _, ok := ConstructiveRouting(in, nil); ok {
 		t.Error("constructive routing should fail for demand 10 over capacity 4")
 	}
 }

@@ -71,14 +71,14 @@ func MaxSplitUsing(solver *lp.Solver, in *Instance, split demand.Pair, via graph
 	)
 
 	prob.Reserve(1+2*len(usable)*(len(commodities)), len(usable)+in.Graph.NumNodes()*len(commodities))
-	dx := prob.AddBoundedVariable(1, split.Flow, "dx")
+	dx := prob.AddBoundedVariable(1, split.Flow)
 	arcs := AddArcs(prob, in.Graph, usable, len(commodities))
 
 	// Capacity rows.
 	terms := make([]lp.Term, 0, 2*len(commodities))
 	for _, eid := range usable {
 		terms = arcs.LoadTerms(terms[:0], eid)
-		if err := prob.AddConstraint(terms, lp.LessEq, caps[eid], ""); err != nil {
+		if err := prob.AddConstraint(terms, lp.LessEq, caps[eid]); err != nil {
 			return 0, err
 		}
 	}
@@ -109,7 +109,7 @@ func MaxSplitUsing(solver *lp.Solver, in *Instance, split demand.Pair, via graph
 				}
 				continue
 			}
-			if err := prob.AddConstraint(terms, lp.Equal, rhs, ""); err != nil {
+			if err := prob.AddConstraint(terms, lp.Equal, rhs); err != nil {
 				return 0, err
 			}
 		}

@@ -46,7 +46,7 @@ func usableModel(g *graph.Graph, usable []float64, active []demand.Pair) (*lp.Pr
 	var terms []lp.Term
 	for _, e := range arcs.Edges {
 		terms = arcs.LoadTerms(terms[:0], e)
-		_ = prob.AddConstraint(terms, lp.LessEq, usable[e], "")
+		_ = prob.AddConstraint(terms, lp.LessEq, usable[e])
 	}
 	for c, d := range active {
 		for v := range g.NumNodes() {
@@ -61,13 +61,13 @@ func usableModel(g *graph.Graph, usable []float64, active []demand.Pair) (*lp.Pr
 			}
 			if len(terms) == 0 {
 				if math.Abs(rhs) > capacityEpsilon {
-					zero := prob.AddVariable(0, "")
-					_ = prob.AddConstraint([]lp.Term{{Var: zero, Coef: 1}}, lp.Equal, 0, "")
-					_ = prob.AddConstraint([]lp.Term{{Var: zero, Coef: 1}}, lp.Equal, rhs, "")
+					zero := prob.AddVariable(0)
+					_ = prob.AddConstraint([]lp.Term{{Var: zero, Coef: 1}}, lp.Equal, 0)
+					_ = prob.AddConstraint([]lp.Term{{Var: zero, Coef: 1}}, lp.Equal, rhs)
 				}
 				continue
 			}
-			_ = prob.AddConstraint(terms, lp.Equal, rhs, "")
+			_ = prob.AddConstraint(terms, lp.Equal, rhs)
 		}
 	}
 	return prob, arcs

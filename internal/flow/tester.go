@@ -175,7 +175,7 @@ func (t *RoutabilityTester) build(in *Instance, active []demand.Pair) {
 	terms := make([]lp.Term, 0, 2*len(active))
 	for _, e := range t.arcs.Edges {
 		terms = t.arcs.LoadTerms(terms[:0], e)
-		_ = prob.AddConstraint(terms, lp.LessEq, 0, "")
+		_ = prob.AddConstraint(terms, lp.LessEq, 0)
 	}
 	// Conservation rows: outflow - inflow per (commodity, node). Right-hand
 	// sides are installed by refresh. An isolated node keeps its empty row
@@ -184,7 +184,7 @@ func (t *RoutabilityTester) build(in *Instance, active []demand.Pair) {
 	for ci := range active {
 		for v := range t.numNodes {
 			terms = t.arcs.BalanceTerms(terms[:0], ci, graph.NodeID(v))
-			_ = prob.AddConstraint(terms, lp.Equal, 0, "")
+			_ = prob.AddConstraint(terms, lp.Equal, 0)
 		}
 	}
 	t.prob = prob

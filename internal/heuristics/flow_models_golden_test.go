@@ -23,7 +23,7 @@ import (
 // TestGoldenFlowModels: the multi-commodity relaxation's feasibility, cost
 // and MCB/MCW plans, and OPT's decoded plans. A refactor of the flow model
 // layout must leave it untouched.
-const goldenFlowModelsDigest = "c96c14b4673ec3efd8a40b197667574a163db2ac6d92e1237bb28450405583ad"
+const goldenFlowModelsDigest = "99b02ba09680ee4915ed412e4b0e1889e36719d724a10d9951724782a440486f"
 
 // TestGoldenFlowModels pins the two flow models that no other digest
 // covers: the multi-commodity relaxation of problem (8) over seeded

@@ -2,7 +2,10 @@ package heuristics
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -438,5 +441,59 @@ func TestBellCanadaGeographicAllSolvers(t *testing.T) {
 		if err := scenario.VerifyPlan(s, plan); err != nil {
 			t.Errorf("%s verify: %v", name, err)
 		}
+	}
+}
+
+// TestISPSolvesSharedScenario pins that ISP reads its scenario without
+// copying or writing it: fast and exact solves, cold and through a session,
+// leave the fingerprint unchanged, and solves of one shared scenario from
+// several goroutines at once agree with the sequential answer (-race checks
+// them for writes).
+func TestISPSolvesSharedScenario(t *testing.T) {
+	ctx := context.Background()
+	s := invariantScenario(t, "bell-canada", 1)
+	before := s.Fingerprint()
+	solvers := func() []Solver {
+		return []Solver{
+			&ISPSolver{}, &ISPSolver{Options: core.FastOptions()},
+			NewISPSession(Params{}), NewISPSession(Params{Fast: true}),
+		}
+	}
+	want := make([]*scenario.Plan, 0, 4)
+	for _, solver := range solvers() {
+		plan, err := solver.Solve(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Fingerprint() != before {
+			t.Fatalf("%T changed the scenario it solved", solver)
+		}
+		want = append(want, plan)
+	}
+
+	errs := make(chan error, 2*len(want))
+	var wg sync.WaitGroup
+	for range 2 {
+		for i, solver := range solvers() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				plan, err := solver.Solve(ctx, s)
+				if err == nil && (plan.RepairCost(s) != want[i].RepairCost(s) || !reflect.DeepEqual(plan.Routing, want[i].Routing)) {
+					err = fmt.Errorf("%T: a concurrent solve answered differently", solver)
+				}
+				errs <- err
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if s.Fingerprint() != before {
+		t.Fatal("concurrent solves changed the scenario")
 	}
 }

@@ -209,10 +209,10 @@ func buildOptModel(s *scenario.Scenario) *optModel {
 		demands: s.Demand.Active(),
 	}
 	for _, v := range model.nodes {
-		model.binaries = append(model.binaries, prob.AddBoundedVariable(s.Supply.Node(v).RepairCost, 1, ""))
+		model.binaries = append(model.binaries, prob.AddBoundedVariable(s.Supply.Node(v).RepairCost, 1))
 	}
 	for _, e := range model.edges {
-		model.binaries = append(model.binaries, prob.AddBoundedVariable(s.Supply.Edge(e).RepairCost, 1, ""))
+		model.binaries = append(model.binaries, prob.AddBoundedVariable(s.Supply.Edge(e).RepairCost, 1))
 	}
 	model.arcs = flow.AddArcs(prob, s.Supply, nil, len(model.demands))
 
@@ -226,9 +226,9 @@ func buildOptModel(s *scenario.Scenario) *optModel {
 		if s.BrokenEdges[eid] {
 			terms = append(terms, lp.Term{Var: brokenEdge, Coef: -e.Capacity})
 			brokenEdge++
-			_ = prob.AddConstraint(terms, lp.LessEq, 0, "")
+			_ = prob.AddConstraint(terms, lp.LessEq, 0)
 		} else {
-			_ = prob.AddConstraint(terms, lp.LessEq, e.Capacity, "")
+			_ = prob.AddConstraint(terms, lp.LessEq, e.Capacity)
 		}
 	}
 
@@ -247,7 +247,7 @@ func buildOptModel(s *scenario.Scenario) *optModel {
 			continue
 		}
 		terms = append(terms, lp.Term{Var: dv, Coef: -bigM})
-		_ = prob.AddConstraint(terms, lp.LessEq, 0, "")
+		_ = prob.AddConstraint(terms, lp.LessEq, 0)
 	}
 
 	// Flow-conservation rows (constraint 1(d)).
@@ -265,7 +265,7 @@ func buildOptModel(s *scenario.Scenario) *optModel {
 			if len(terms) == 0 {
 				continue
 			}
-			_ = prob.AddConstraint(terms, lp.Equal, rhs, "")
+			_ = prob.AddConstraint(terms, lp.Equal, rhs)
 		}
 	}
 	return model

@@ -73,7 +73,7 @@ func (s *ISPSession) Solve(ctx context.Context, sc *scenario.Scenario) (plan *sc
 			})
 		}
 	}
-	plan, stats, err := s.sess.Solve(ctx, sc.Clone(), opts)
+	plan, stats, err := s.sess.Solve(ctx, sc, opts)
 	if s.onStats != nil && err == nil {
 		s.onStats(ctx, SolveStats{Solver: core.SolverName, Core: &stats})
 	}

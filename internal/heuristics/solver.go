@@ -241,7 +241,7 @@ func (s *ISPSolver) Solve(ctx context.Context, sc *scenario.Scenario) (*scenario
 			})
 		}
 	}
-	plan, stats, err := core.Solve(ctx, sc.Clone(), opts)
+	plan, stats, err := core.Solve(ctx, sc, opts)
 	if s.OnStats != nil && err == nil {
 		s.OnStats(ctx, SolveStats{Solver: core.SolverName, Core: &stats})
 	}

@@ -14,7 +14,7 @@ func benchTransportation(s, d int, seed int64) *Problem {
 	p := New(Minimize)
 	for i := 0; i < s; i++ {
 		for j := 0; j < d; j++ {
-			p.AddVariable(1+rng.Float64()*9, "")
+			p.AddVariable(1 + rng.Float64()*9)
 		}
 	}
 	supply := make([]float64, s)
@@ -32,7 +32,7 @@ func benchTransportation(s, d int, seed int64) *Problem {
 		for j := 0; j < d; j++ {
 			terms[j] = Term{Var: i*d + j, Coef: 1}
 		}
-		if err := p.AddConstraint(terms, LessEq, supply[i], ""); err != nil {
+		if err := p.AddConstraint(terms, LessEq, supply[i]); err != nil {
 			panic(err)
 		}
 	}
@@ -41,7 +41,7 @@ func benchTransportation(s, d int, seed int64) *Problem {
 		for i := 0; i < s; i++ {
 			terms[i] = Term{Var: i*d + j, Coef: 1}
 		}
-		if err := p.AddConstraint(terms, Equal, demandTotals[j], ""); err != nil {
+		if err := p.AddConstraint(terms, Equal, demandTotals[j]); err != nil {
 			panic(err)
 		}
 	}
@@ -132,10 +132,10 @@ func BenchmarkLP_BoundedKnapsack(b *testing.B) {
 	n := 400
 	terms := make([]Term, n)
 	for j := 0; j < n; j++ {
-		p.AddBoundedVariable(rng.Float64()*10, rng.Float64()*5, "")
+		p.AddBoundedVariable(rng.Float64()*10, rng.Float64()*5)
 		terms[j] = Term{Var: j, Coef: 1}
 	}
-	if err := p.AddConstraint(terms, LessEq, 300, ""); err != nil {
+	if err := p.AddConstraint(terms, LessEq, 300); err != nil {
 		b.Fatal(err)
 	}
 	benchSolve(b, p, Options{})

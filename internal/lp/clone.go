@@ -13,7 +13,6 @@ func (p *Problem) CloneStructure() *Problem {
 		objective: append([]float64(nil), p.objective...),
 		upper:     append([]float64(nil), p.upper...),
 		lower:     append([]float64(nil), p.lower...),
-		names:     append([]string(nil), p.names...),
 		rows:      make([]Constraint, len(p.rows)),
 	}
 	for i, r := range p.rows {
@@ -21,7 +20,6 @@ func (p *Problem) CloneStructure() *Problem {
 			Terms: c.copyTerms(r.Terms),
 			Op:    r.Op,
 			RHS:   r.RHS,
-			Name:  r.Name,
 		}
 	}
 	return c

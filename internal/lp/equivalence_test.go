@@ -21,10 +21,10 @@ func randomProblem(rng *rand.Rand) *Problem {
 	for j := 0; j < n; j++ {
 		coef := math.Round((rng.Float64()*20-10)*4) / 4
 		if rng.Intn(3) == 0 {
-			p.AddVariable(coef, "")
+			p.AddVariable(coef)
 		} else {
 			upper := math.Round(rng.Float64()*40) / 4
-			p.AddBoundedVariable(coef, upper, "")
+			p.AddBoundedVariable(coef, upper)
 		}
 	}
 	rows := 1 + rng.Intn(6)
@@ -52,7 +52,7 @@ func randomProblem(rng *rand.Rand) *Problem {
 			op = Equal
 		}
 		rhs := math.Round((rng.Float64()*30-3)*4) / 4
-		if err := p.AddConstraint(terms, op, rhs, ""); err != nil {
+		if err := p.AddConstraint(terms, op, rhs); err != nil {
 			panic(err)
 		}
 	}
@@ -130,8 +130,8 @@ func assertFeasible(t *testing.T, caseNo int, p *Problem, x []float64) {
 // dense path emulates with explicit rows).
 func TestSparseLowerBounds(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddBoundedVariable(2, 10, "x")
-	y := p.AddBoundedVariable(3, 10, "y")
+	x := p.AddBoundedVariable(2, 10)
+	y := p.AddBoundedVariable(3, 10)
 	if err := p.SetBounds(x, 1.5, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,8 @@ func TestSparseLowerBounds(t *testing.T) {
 // lower bound (the dense tableau natively models only x >= 0).
 func TestNegativeLowerBounds(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddBoundedVariable(1, 5, "x")
-	y := p.AddBoundedVariable(2, 5, "y")
+	x := p.AddBoundedVariable(1, 5)
+	y := p.AddBoundedVariable(2, 5)
 	if err := p.SetBounds(x, -5, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +246,8 @@ func TestWarmStartAfterRHSAndBoundChanges(t *testing.T) {
 // the returned basis straight back must re-solve optimally with no pivots.
 func TestWarmStartIdenticalResolve(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVariable(3, "x")
-	y := p.AddVariable(5, "y")
+	x := p.AddVariable(3)
+	y := p.AddVariable(5)
 	mustConstrain(t, p, []Term{{x, 1}}, LessEq, 4)
 	mustConstrain(t, p, []Term{{y, 2}}, LessEq, 12)
 	mustConstrain(t, p, []Term{{x, 3}, {y, 2}}, LessEq, 18)

@@ -34,9 +34,9 @@ func decodeFuzzLP(data []byte) *Problem {
 	for j := 0; j < n; j++ {
 		cost := float64(b.next()%81-40) / 4 // [-10, 10]
 		if b.next()%3 == 0 {
-			p.AddVariable(cost, "")
+			p.AddVariable(cost)
 		} else {
-			p.AddBoundedVariable(cost, float64(b.next()%41)/4, "") // [0, 10]
+			p.AddBoundedVariable(cost, float64(b.next()%41)/4) // [0, 10]
 		}
 	}
 	rows := 1 + b.next()%6
@@ -51,7 +51,7 @@ func decodeFuzzLP(data []byte) *Problem {
 		}
 		op := []ConstraintOp{LessEq, GreaterEq, Equal}[b.next()%3]
 		rhs := float64(b.next()%133-12) / 4 // [-3, 30]
-		if err := p.AddConstraint(terms, op, rhs, ""); err != nil {
+		if err := p.AddConstraint(terms, op, rhs); err != nil {
 			panic(err)
 		}
 	}

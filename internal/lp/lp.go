@@ -92,7 +92,6 @@ type Constraint struct {
 	Terms []Term
 	Op    ConstraintOp
 	RHS   float64
-	Name  string
 }
 
 // Problem is a linear program under construction. Create one with New, add
@@ -102,7 +101,6 @@ type Problem struct {
 	objective []float64
 	upper     []float64 // +Inf when unbounded above
 	lower     []float64 // nil when every lower bound is zero
-	names     []string
 	rows      []Constraint
 
 	// termArena chunk-allocates the Terms storage of constraint rows so that
@@ -123,7 +121,6 @@ func (p *Problem) Reserve(nVars, nRows int) {
 	if want := len(p.objective) + nVars; cap(p.objective) < want {
 		p.objective = append(make([]float64, 0, want), p.objective...)
 		p.upper = append(make([]float64, 0, want), p.upper...)
-		p.names = append(make([]string, 0, want), p.names...)
 		if p.lower != nil {
 			p.lower = append(make([]float64, 0, want), p.lower...)
 		}
@@ -160,20 +157,19 @@ func New(sense Sense) *Problem {
 // AddVariable adds a variable with the given objective coefficient, an
 // implicit lower bound of zero and no upper bound. It returns the variable
 // index.
-func (p *Problem) AddVariable(objCoef float64, name string) int {
-	return p.AddBoundedVariable(objCoef, math.Inf(1), name)
+func (p *Problem) AddVariable(objCoef float64) int {
+	return p.AddBoundedVariable(objCoef, math.Inf(1))
 }
 
 // AddBoundedVariable adds a variable with objective coefficient objCoef and
 // bounds 0 <= x <= upper. It returns the variable index.
-func (p *Problem) AddBoundedVariable(objCoef, upper float64, name string) int {
+func (p *Problem) AddBoundedVariable(objCoef, upper float64) int {
 	idx := len(p.objective)
 	p.objective = append(p.objective, objCoef)
 	p.upper = append(p.upper, upper)
 	if p.lower != nil {
 		p.lower = append(p.lower, 0)
 	}
-	p.names = append(p.names, name)
 	p.version++
 	return idx
 }
@@ -242,17 +238,16 @@ func (p *Problem) NumVariables() int { return len(p.objective) }
 
 // AddConstraint adds a constraint row. Terms referencing unknown variables
 // cause an error. Duplicate variables within a row are summed.
-func (p *Problem) AddConstraint(terms []Term, op ConstraintOp, rhs float64, name string) error {
+func (p *Problem) AddConstraint(terms []Term, op ConstraintOp, rhs float64) error {
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(p.objective) {
-			return fmt.Errorf("lp: constraint %q references unknown variable %d", name, t.Var)
+			return fmt.Errorf("lp: constraint %d references unknown variable %d", len(p.rows), t.Var)
 		}
 	}
 	row := Constraint{
 		Terms: p.copyTerms(terms),
 		Op:    op,
 		RHS:   rhs,
-		Name:  name,
 	}
 	p.rows = append(p.rows, row)
 	p.version++

@@ -12,8 +12,8 @@ func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func TestMaximizeSimple(t *testing.T) {
 	// max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 -> x=2, y=6, obj=36.
 	p := New(Maximize)
-	x := p.AddVariable(3, "x")
-	y := p.AddVariable(5, "y")
+	x := p.AddVariable(3)
+	y := p.AddVariable(5)
 	mustConstrain(t, p, []Term{{x, 1}}, LessEq, 4)
 	mustConstrain(t, p, []Term{{y, 2}}, LessEq, 12)
 	mustConstrain(t, p, []Term{{x, 3}, {y, 2}}, LessEq, 18)
@@ -34,8 +34,8 @@ func TestMinimizeWithEqualityAndGreaterEq(t *testing.T) {
 	// as much as possible on the cheaper variable x: x=10, y=0, but x>=3
 	// already satisfied. Objective 20.
 	p := New(Minimize)
-	x := p.AddVariable(2, "x")
-	y := p.AddVariable(3, "y")
+	x := p.AddVariable(2)
+	y := p.AddVariable(3)
 	mustConstrain(t, p, []Term{{x, 1}, {y, 1}}, Equal, 10)
 	mustConstrain(t, p, []Term{{x, 1}}, GreaterEq, 3)
 	sol := p.Solve()
@@ -50,7 +50,7 @@ func TestMinimizeWithEqualityAndGreaterEq(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	// x <= 1 and x >= 2 simultaneously.
 	p := New(Maximize)
-	x := p.AddVariable(1, "x")
+	x := p.AddVariable(1)
 	mustConstrain(t, p, []Term{{x, 1}}, LessEq, 1)
 	mustConstrain(t, p, []Term{{x, 1}}, GreaterEq, 2)
 	sol := p.Solve()
@@ -61,8 +61,8 @@ func TestInfeasible(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVariable(1, "x")
-	y := p.AddVariable(0, "y")
+	x := p.AddVariable(1)
+	y := p.AddVariable(0)
 	mustConstrain(t, p, []Term{{x, 1}, {y, -1}}, LessEq, 5)
 	sol := p.Solve()
 	if sol.Status != StatusUnbounded {
@@ -73,8 +73,8 @@ func TestUnbounded(t *testing.T) {
 func TestUpperBoundsAsVariableBounds(t *testing.T) {
 	// max x + y with x <= 2.5 (bound), x + y <= 4.
 	p := New(Maximize)
-	x := p.AddBoundedVariable(1, 2.5, "x")
-	y := p.AddVariable(1, "y")
+	x := p.AddBoundedVariable(1, 2.5)
+	y := p.AddVariable(1)
 	mustConstrain(t, p, []Term{{x, 1}, {y, 1}}, LessEq, 4)
 	sol := p.Solve()
 	if sol.Status != StatusOptimal {
@@ -91,7 +91,7 @@ func TestUpperBoundsAsVariableBounds(t *testing.T) {
 func TestNegativeRHSNormalization(t *testing.T) {
 	// -x <= -3  <=>  x >= 3; minimise x -> 3.
 	p := New(Minimize)
-	x := p.AddVariable(1, "x")
+	x := p.AddVariable(1)
 	mustConstrain(t, p, []Term{{x, -1}}, LessEq, -3)
 	sol := p.Solve()
 	if sol.Status != StatusOptimal {
@@ -105,8 +105,8 @@ func TestNegativeRHSNormalization(t *testing.T) {
 func TestEqualityOnlyFeasibility(t *testing.T) {
 	// Pure feasibility problem (zero objective): x + y = 5, x - y = 1.
 	p := New(Minimize)
-	x := p.AddVariable(0, "x")
-	y := p.AddVariable(0, "y")
+	x := p.AddVariable(0)
+	y := p.AddVariable(0)
 	mustConstrain(t, p, []Term{{x, 1}, {y, 1}}, Equal, 5)
 	mustConstrain(t, p, []Term{{x, 1}, {y, -1}}, Equal, 1)
 	sol := p.Solve()
@@ -122,10 +122,10 @@ func TestDegenerateProblem(t *testing.T) {
 	// A classic degenerate LP; the solver must still terminate and find the
 	// optimum (Bland's rule fallback).
 	p := New(Maximize)
-	x1 := p.AddVariable(10, "x1")
-	x2 := p.AddVariable(-57, "x2")
-	x3 := p.AddVariable(-9, "x3")
-	x4 := p.AddVariable(-24, "x4")
+	x1 := p.AddVariable(10)
+	x2 := p.AddVariable(-57)
+	x3 := p.AddVariable(-9)
+	x4 := p.AddVariable(-24)
 	mustConstrain(t, p, []Term{{x1, 0.5}, {x2, -5.5}, {x3, -2.5}, {x4, 9}}, LessEq, 0)
 	mustConstrain(t, p, []Term{{x1, 0.5}, {x2, -1.5}, {x3, -0.5}, {x4, 1}}, LessEq, 0)
 	mustConstrain(t, p, []Term{{x1, 1}}, LessEq, 1)
@@ -142,10 +142,10 @@ func TestTransportationProblem(t *testing.T) {
 	// 2 supplies (10, 15) x 2 demands (12, 13), costs [[2,4],[3,1]].
 	// Optimal: ship 10 from s0->d0, 2 from s1->d0, 13 from s1->d1 = 20+6+13 = 39.
 	p := New(Minimize)
-	x00 := p.AddVariable(2, "x00")
-	x01 := p.AddVariable(4, "x01")
-	x10 := p.AddVariable(3, "x10")
-	x11 := p.AddVariable(1, "x11")
+	x00 := p.AddVariable(2)
+	x01 := p.AddVariable(4)
+	x10 := p.AddVariable(3)
+	x11 := p.AddVariable(1)
 	mustConstrain(t, p, []Term{{x00, 1}, {x01, 1}}, LessEq, 10)
 	mustConstrain(t, p, []Term{{x10, 1}, {x11, 1}}, LessEq, 15)
 	mustConstrain(t, p, []Term{{x00, 1}, {x10, 1}}, Equal, 12)
@@ -164,11 +164,11 @@ func TestMaxFlowAsLP(t *testing.T) {
 	// be 2, expressed as an LP over arc flows.
 	p := New(Maximize)
 	// arcs: s->a, s->b, a->t, b->t
-	sa := p.AddBoundedVariable(0, 1, "sa")
-	sb := p.AddBoundedVariable(0, 1, "sb")
-	at := p.AddBoundedVariable(0, 1, "at")
-	bt := p.AddBoundedVariable(0, 1, "bt")
-	v := p.AddVariable(1, "value")
+	sa := p.AddBoundedVariable(0, 1)
+	sb := p.AddBoundedVariable(0, 1)
+	at := p.AddBoundedVariable(0, 1)
+	bt := p.AddBoundedVariable(0, 1)
+	v := p.AddVariable(1)
 	// Conservation at a and b; value definition at s.
 	mustConstrain(t, p, []Term{{sa, 1}, {at, -1}}, Equal, 0)
 	mustConstrain(t, p, []Term{{sb, 1}, {bt, -1}}, Equal, 0)
@@ -184,14 +184,14 @@ func TestMaxFlowAsLP(t *testing.T) {
 
 func TestAddConstraintUnknownVariable(t *testing.T) {
 	p := New(Minimize)
-	if err := p.AddConstraint([]Term{{Var: 3, Coef: 1}}, LessEq, 1, "bad"); err == nil {
+	if err := p.AddConstraint([]Term{{Var: 3, Coef: 1}}, LessEq, 1); err == nil {
 		t.Error("expected error for unknown variable")
 	}
 }
 
 func TestSettersAndAccessors(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddBoundedVariable(1, 5, "x")
+	x := p.AddBoundedVariable(1, 5)
 	if err := p.SetObjectiveCoef(x, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +239,8 @@ func TestSolutionValueOutOfRange(t *testing.T) {
 
 func TestIterationLimit(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVariable(1, "x")
-	y := p.AddVariable(1, "y")
+	x := p.AddVariable(1)
+	y := p.AddVariable(1)
 	mustConstrain(t, p, []Term{{x, 1}, {y, 1}}, LessEq, 10)
 	sol := p.SolveWithOptions(Options{MaxIterations: -1})
 	// A negative budget means no pivots are allowed; either the solver
@@ -264,13 +264,13 @@ func TestRandomBoundedKnapsackAgainstGreedy(t *testing.T) {
 		for i := 0; i < n; i++ {
 			coefs[i] = rng.Float64() * 10
 			uppers[i] = rng.Float64() * 5
-			p.AddBoundedVariable(coefs[i], uppers[i], "")
+			p.AddBoundedVariable(coefs[i], uppers[i])
 		}
 		terms := make([]Term, n)
 		for i := range terms {
 			terms[i] = Term{Var: i, Coef: 1}
 		}
-		if err := p.AddConstraint(terms, LessEq, budget, "budget"); err != nil {
+		if err := p.AddConstraint(terms, LessEq, budget); err != nil {
 			return false
 		}
 		sol := p.Solve()
@@ -309,7 +309,7 @@ func TestRandomBoundedKnapsackAgainstGreedy(t *testing.T) {
 
 func mustConstrain(t *testing.T, p *Problem, terms []Term, op ConstraintOp, rhs float64) {
 	t.Helper()
-	if err := p.AddConstraint(terms, op, rhs, ""); err != nil {
+	if err := p.AddConstraint(terms, op, rhs); err != nil {
 		t.Fatalf("AddConstraint: %v", err)
 	}
 }

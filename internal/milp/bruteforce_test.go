@@ -30,10 +30,10 @@ func TestBranchAndBoundMatchesBruteForceKnapsack(t *testing.T) {
 		binaries := make([]int, n)
 		terms := make([]lp.Term, n)
 		for i := 0; i < n; i++ {
-			binaries[i] = prob.AddBoundedVariable(values[i], 1, "")
+			binaries[i] = prob.AddBoundedVariable(values[i], 1)
 			terms[i] = lp.Term{Var: binaries[i], Coef: weights[i]}
 		}
-		if err := prob.AddConstraint(terms, lp.LessEq, budget, "w"); err != nil {
+		if err := prob.AddConstraint(terms, lp.LessEq, budget); err != nil {
 			return false
 		}
 		sol := Solve(context.Background(), Problem{LP: prob, Binary: binaries}, Options{MaxNodes: 5000})
@@ -87,7 +87,7 @@ func TestBranchAndBoundMatchesBruteForceSetCover(t *testing.T) {
 		prob := lp.New(lp.Minimize)
 		binaries := make([]int, numSets)
 		for i := 0; i < numSets; i++ {
-			binaries[i] = prob.AddBoundedVariable(costs[i], 1, "")
+			binaries[i] = prob.AddBoundedVariable(costs[i], 1)
 		}
 		for j := 0; j < numElements; j++ {
 			var terms []lp.Term
@@ -96,7 +96,7 @@ func TestBranchAndBoundMatchesBruteForceSetCover(t *testing.T) {
 					terms = append(terms, lp.Term{Var: binaries[i], Coef: 1})
 				}
 			}
-			if err := prob.AddConstraint(terms, lp.GreaterEq, 1, ""); err != nil {
+			if err := prob.AddConstraint(terms, lp.GreaterEq, 1); err != nil {
 				return false
 			}
 		}

@@ -13,10 +13,10 @@ func TestKnapsack(t *testing.T) {
 	// 0/1 knapsack: values 60, 100, 120; weights 10, 20, 30; budget 50.
 	// Optimum = 220 (items 2 and 3).
 	prob := lp.New(lp.Maximize)
-	x1 := prob.AddBoundedVariable(60, 1, "x1")
-	x2 := prob.AddBoundedVariable(100, 1, "x2")
-	x3 := prob.AddBoundedVariable(120, 1, "x3")
-	if err := prob.AddConstraint([]lp.Term{{Var: x1, Coef: 10}, {Var: x2, Coef: 20}, {Var: x3, Coef: 30}}, lp.LessEq, 50, "w"); err != nil {
+	x1 := prob.AddBoundedVariable(60, 1)
+	x2 := prob.AddBoundedVariable(100, 1)
+	x3 := prob.AddBoundedVariable(120, 1)
+	if err := prob.AddConstraint([]lp.Term{{Var: x1, Coef: 10}, {Var: x2, Coef: 20}, {Var: x3, Coef: 30}}, lp.LessEq, 50); err != nil {
 		t.Fatal(err)
 	}
 	sol := Solve(context.Background(), Problem{LP: prob, Binary: []int{x1, x2, x3}}, Options{})
@@ -38,9 +38,9 @@ func TestSetCoverMinimization(t *testing.T) {
 	// Cover elements {1,2,3} with sets A={1,2} cost 3, B={2,3} cost 3,
 	// C={1,2,3} cost 5. Optimum: C alone (5) or A+B (6) -> 5.
 	prob := lp.New(lp.Minimize)
-	a := prob.AddBoundedVariable(3, 1, "A")
-	b := prob.AddBoundedVariable(3, 1, "B")
-	c := prob.AddBoundedVariable(5, 1, "C")
+	a := prob.AddBoundedVariable(3, 1)
+	b := prob.AddBoundedVariable(3, 1)
+	c := prob.AddBoundedVariable(5, 1)
 	cover := func(sets ...int) []lp.Term {
 		terms := make([]lp.Term, len(sets))
 		for i, s := range sets {
@@ -64,8 +64,8 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	// max 5y + x  st  x <= 10, x <= 4 + 6y, y binary.
 	// y=1: x=10 -> 15. y=0: x<=4 -> 4. Optimum 15.
 	prob := lp.New(lp.Maximize)
-	x := prob.AddVariable(1, "x")
-	y := prob.AddBoundedVariable(5, 1, "y")
+	x := prob.AddVariable(1)
+	y := prob.AddBoundedVariable(5, 1)
 	mustAdd(t, prob, []lp.Term{{Var: x, Coef: 1}}, lp.LessEq, 10)
 	mustAdd(t, prob, []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -6}}, lp.LessEq, 4)
 	sol := Solve(context.Background(), Problem{LP: prob, Binary: []int{y}}, Options{})
@@ -79,7 +79,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 
 func TestInfeasibleMILP(t *testing.T) {
 	prob := lp.New(lp.Minimize)
-	x := prob.AddBoundedVariable(1, 1, "x")
+	x := prob.AddBoundedVariable(1, 1)
 	mustAdd(t, prob, []lp.Term{{Var: x, Coef: 1}}, lp.GreaterEq, 2)
 	sol := Solve(context.Background(), Problem{LP: prob, Binary: []int{x}}, Options{})
 	if sol.Status != StatusInfeasible {
@@ -91,10 +91,10 @@ func TestNodeLimitReturnsIncumbentOrLimit(t *testing.T) {
 	// A small problem but with MaxNodes=1 the search cannot finish unless
 	// the relaxation is already integral.
 	prob := lp.New(lp.Maximize)
-	x1 := prob.AddBoundedVariable(3, 1, "x1")
-	x2 := prob.AddBoundedVariable(2, 1, "x2")
-	x3 := prob.AddBoundedVariable(4, 1, "x3")
-	mustAdd(t, prob, []lp.Term{{Var: x1, Coef: 2}, {Var: x2, Coef: 3}, {Var: x3, Coef: 5}}, lp.LessEq, 7, "w")
+	x1 := prob.AddBoundedVariable(3, 1)
+	x2 := prob.AddBoundedVariable(2, 1)
+	x3 := prob.AddBoundedVariable(4, 1)
+	mustAdd(t, prob, []lp.Term{{Var: x1, Coef: 2}, {Var: x2, Coef: 3}, {Var: x3, Coef: 5}}, lp.LessEq, 7)
 	sol := Solve(context.Background(), Problem{LP: prob, Binary: []int{x1, x2, x3}}, Options{MaxNodes: 1})
 	if sol.Status != StatusFeasible && sol.Status != StatusLimit && sol.Status != StatusOptimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -108,9 +108,9 @@ func TestWarmStartPrunes(t *testing.T) {
 	// Knapsack with a warm start equal to the optimum: solver should still
 	// confirm optimality and report the warm-start objective.
 	prob := lp.New(lp.Maximize)
-	x1 := prob.AddBoundedVariable(60, 1, "x1")
-	x2 := prob.AddBoundedVariable(100, 1, "x2")
-	mustAdd(t, prob, []lp.Term{{Var: x1, Coef: 10}, {Var: x2, Coef: 20}}, lp.LessEq, 20, "w")
+	x1 := prob.AddBoundedVariable(60, 1)
+	x2 := prob.AddBoundedVariable(100, 1)
+	mustAdd(t, prob, []lp.Term{{Var: x1, Coef: 10}, {Var: x2, Coef: 20}}, lp.LessEq, 20)
 	sol := Solve(context.Background(), Problem{LP: prob, Binary: []int{x1, x2}}, Options{
 		WarmStart:          []float64{0, 1},
 		WarmStartObjective: 100,
@@ -130,11 +130,11 @@ func TestTimeLimit(t *testing.T) {
 	var binaries []int
 	terms := make([]lp.Term, 0, 12)
 	for i := 0; i < 12; i++ {
-		v := prob.AddBoundedVariable(float64(7+i%5), 1, "")
+		v := prob.AddBoundedVariable(float64(7+i%5), 1)
 		binaries = append(binaries, v)
 		terms = append(terms, lp.Term{Var: v, Coef: float64(3 + i%4)})
 	}
-	mustAdd(t, prob, terms, lp.LessEq, 11, "w")
+	mustAdd(t, prob, terms, lp.LessEq, 11)
 	start := time.Now()
 	sol := Solve(context.Background(), Problem{LP: prob, Binary: binaries}, Options{TimeLimit: time.Nanosecond})
 	if time.Since(start) > 5*time.Second {
@@ -164,7 +164,7 @@ func TestStatusStrings(t *testing.T) {
 func TestPureLPPassthrough(t *testing.T) {
 	// No binary variables: the MILP solver should return the LP optimum.
 	prob := lp.New(lp.Minimize)
-	x := prob.AddVariable(2, "x")
+	x := prob.AddVariable(2)
 	mustAdd(t, prob, []lp.Term{{Var: x, Coef: 1}}, lp.GreaterEq, 4)
 	sol := Solve(context.Background(), Problem{LP: prob}, Options{})
 	if sol.Status != StatusOptimal {
@@ -175,13 +175,9 @@ func TestPureLPPassthrough(t *testing.T) {
 	}
 }
 
-func mustAdd(t *testing.T, p *lp.Problem, terms []lp.Term, op lp.ConstraintOp, rhs float64, name ...string) {
+func mustAdd(t *testing.T, p *lp.Problem, terms []lp.Term, op lp.ConstraintOp, rhs float64) {
 	t.Helper()
-	n := ""
-	if len(name) > 0 {
-		n = name[0]
-	}
-	if err := p.AddConstraint(terms, op, rhs, n); err != nil {
+	if err := p.AddConstraint(terms, op, rhs); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,9 +188,9 @@ func mustAdd(t *testing.T, p *lp.Problem, terms []lp.Term, op lp.ConstraintOp, r
 // silently widening the bound to [1,1].
 func TestFixingOutsideDeclaredBoundsPrunesChild(t *testing.T) {
 	prob := lp.New(lp.Maximize)
-	x := prob.AddBoundedVariable(1, 0.5, "x")
-	y := prob.AddVariable(0, "y")
-	if err := prob.AddConstraint([]lp.Term{{Var: y, Coef: 1}}, lp.LessEq, 1, ""); err != nil {
+	x := prob.AddBoundedVariable(1, 0.5)
+	y := prob.AddVariable(0)
+	if err := prob.AddConstraint([]lp.Term{{Var: y, Coef: 1}}, lp.LessEq, 1); err != nil {
 		t.Fatal(err)
 	}
 	sol := Solve(context.Background(), Problem{LP: prob, Binary: []int{x}}, Options{})
@@ -214,9 +210,9 @@ func TestFixingOutsideDeclaredBoundsPrunesChild(t *testing.T) {
 // with a zero gap.
 func TestIterationLimitedRelaxationNotClaimedOptimal(t *testing.T) {
 	prob := lp.New(lp.Minimize)
-	x := prob.AddBoundedVariable(1, 1, "x")
-	y := prob.AddBoundedVariable(1, 1, "y")
-	if err := prob.AddConstraint([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GreaterEq, 1, ""); err != nil {
+	x := prob.AddBoundedVariable(1, 1)
+	y := prob.AddBoundedVariable(1, 1)
+	if err := prob.AddConstraint([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GreaterEq, 1); err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{

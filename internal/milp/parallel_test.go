@@ -22,13 +22,13 @@ func randomKnapsack(seed int64, n int) Problem {
 	terms := make([]lp.Term, 0, n)
 	budget := 0.0
 	for i := 0; i < n; i++ {
-		v := prob.AddBoundedVariable(float64(1+rng.Intn(9)), 1, "")
+		v := prob.AddBoundedVariable(float64(1+rng.Intn(9)), 1)
 		binaries[i] = v
 		w := float64(1 + rng.Intn(7))
 		terms = append(terms, lp.Term{Var: v, Coef: w})
 		budget += w
 	}
-	if err := prob.AddConstraint(terms, lp.LessEq, math.Floor(budget*0.4), "w"); err != nil {
+	if err := prob.AddConstraint(terms, lp.LessEq, math.Floor(budget*0.4)); err != nil {
 		panic(err)
 	}
 	return Problem{LP: prob, Binary: binaries}

@@ -36,8 +36,8 @@ type Scenario struct {
 	fp *fpState
 }
 
-// Clone returns a deep copy of the scenario. Solvers mutate only their own
-// copies; the experiment harness hands each solver a clone.
+// Clone returns a deep copy of the scenario, which a caller may then mutate
+// freely. Solvers never mutate the scenario they solve.
 func (s *Scenario) Clone() *Scenario {
 	c := &Scenario{
 		Supply:      s.Supply.Clone(),
@@ -117,19 +117,6 @@ func (s *Scenario) EdgeUsable(e graph.EdgeID, repairedNodes map[graph.NodeID]boo
 // The sign convention matches graph.MaxFlowInto's flows: positive along
 // Edge.From -> Edge.To.
 type Routing map[demand.PairID]map[graph.EdgeID]float64
-
-// Clone returns a deep copy of the routing.
-func (r Routing) Clone() Routing {
-	c := make(Routing, len(r))
-	for pid, edges := range r {
-		ce := make(map[graph.EdgeID]float64, len(edges))
-		for eid, f := range edges {
-			ce[eid] = f
-		}
-		c[pid] = ce
-	}
-	return c
-}
 
 // AddFlow accumulates signed flow for a pair on an edge.
 func (r Routing) AddFlow(pid demand.PairID, eid graph.EdgeID, flow float64) {

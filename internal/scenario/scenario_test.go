@@ -115,11 +115,6 @@ func TestRoutingHelpers(t *testing.T) {
 	if load[1] != 9 {
 		t.Errorf("EdgeLoad = %v, want 9 on edge 1", load)
 	}
-	c := r.Clone()
-	c.AddFlow(0, 1, 100)
-	if r[0][1] != 5 {
-		t.Error("Clone shares maps")
-	}
 }
 
 func TestPlanAccounting(t *testing.T) {

@@ -211,11 +211,13 @@ func (srv *Server) retrySolve(ctx context.Context, alg string, solver heuristics
 
 // solveDegraded runs a plan request through the deadline-budgeted fallback
 // chain (heuristics.Chain) with the server's admission slots, breakers and
-// retry policy: each solver rung answers through the cache, and the stale
-// rung looks up an expired entry of either rung's key. Every stage's
-// outcome and timing is annotated on the response; a served plan carries
-// the stage's degradation level. A rung answered from the cache builds
-// nothing; a rung that solves builds the request scenario on first use.
+// retry policy: each solver rung answers its own key through the cache and,
+// on a miss, the key's owning peer (fillOrSolve) within the rung's slice of
+// the deadline, and the stale rung looks up an expired entry of either
+// rung's key. Every stage's outcome and timing is annotated on the
+// response; a served plan carries the stage's degradation level. A rung
+// answered from the cache builds nothing; a rung that fills or solves
+// builds the request scenario on first use.
 func (srv *Server) solveDegraded(ctx context.Context, in *planInput, deadline time.Duration) (*solveOutcome, *httpError) {
 	out := &solveOutcome{}
 	cache := srv.planCache(in.req.Options.NoCache)
@@ -229,7 +231,7 @@ func (srv *Server) solveDegraded(ctx context.Context, in *planInput, deadline ti
 	chain := heuristics.Chain{
 		Primary: heuristics.Rung{Algorithm: in.alg, Params: in.params},
 		Solve: func(ctx context.Context, r heuristics.Rung) (*scenario.Plan, error) {
-			a, err := cache.Solve(ctx, keyOf(r), func(ctx context.Context) (*scenario.Plan, error) {
+			a, status, err := srv.fillOrSolve(ctx, cache, in, keyOf(r), func(ctx context.Context) (*scenario.Plan, error) {
 				if herr := in.build(); herr != nil {
 					return nil, herr
 				}
@@ -243,7 +245,7 @@ func (srv *Server) solveDegraded(ctx context.Context, in *planInput, deadline ti
 				return srv.runSolve(ctx, r.Algorithm, solver, in.s, prioPlan)
 			})
 			if err == nil {
-				out.answer, out.status = a, a.Outcome.String()
+				out.answer, out.status = a, status
 			}
 			return a.Plan, err
 		},

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"netrecovery/internal/cluster"
 	"netrecovery/internal/graph"
@@ -248,28 +249,7 @@ func TestPeerFillCheckedBeforeCached(t *testing.T) {
 	}))
 	defer owner.Close()
 
-	// The ring places the test scenario by the peers' addresses: pick a
-	// requester address that leaves it to the owner.
-	s, err := testScenarioJSON().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cl *cluster.Cluster
-	for i := 0; cl == nil && i < 64; i++ {
-		self := fmt.Sprintf("http://requester-%d.invalid", i)
-		c, err := cluster.New(cluster.Config{Self: self, Peers: []string{self, owner.URL}, ProbeInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.IsOwner(s.Fingerprint()) {
-			c.Close()
-			continue
-		}
-		cl = c
-	}
-	if cl == nil {
-		t.Fatal("every requester address owns the test scenario")
-	}
+	cl := requesterCluster(t, owner.URL)
 	defer cl.Close()
 
 	// The requester's first answer is its own solve: a single-node
@@ -311,5 +291,71 @@ func TestPeerFillCheckedBeforeCached(t *testing.T) {
 	}
 	if v := metricValue(t, metrics, "nrserved_peer_filled_plans_total"); v != 0 {
 		t.Errorf("nrserved_peer_filled_plans_total = %v, want 0", v)
+	}
+}
+
+// requesterCluster returns a two-node cluster of a requester and the owner
+// at ownerURL that leaves the test scenario to the owner: the ring places
+// it by the peers' addresses, so the requester's address is picked to suit.
+func requesterCluster(t *testing.T, ownerURL string) *cluster.Cluster {
+	t.Helper()
+	s, err := testScenarioJSON().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		self := fmt.Sprintf("http://requester-%d.invalid", i)
+		c, err := cluster.New(cluster.Config{Self: self, Peers: []string{self, ownerURL}, ProbeInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.IsOwner(s.Fingerprint()) {
+			return c
+		}
+		c.Close()
+	}
+	t.Fatal("every requester address owns the test scenario")
+	return nil
+}
+
+// TestDeadlineRequestsPeerFill: a request carrying deadline_ms, and any
+// request to a server with a default degradation deadline, answers a local
+// miss from the owner's cache like a plain request does: status peer, at
+// degradation level none, served by the primary rung.
+func TestDeadlineRequestsPeerFill(t *testing.T) {
+	owner := httptest.NewServer(New(Config{}).Handler())
+	defer owner.Close()
+	if code, _ := postPlan(t, owner, planRequestBody(t, "ISP", wire.SolveOptions{Fast: true})); code != http.StatusOK {
+		t.Fatalf("owner solve: status %d", code)
+	}
+	cl := requesterCluster(t, owner.URL)
+	defer cl.Close()
+
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		opts wire.SolveOptions
+	}{
+		{"deadline_ms", Config{Cluster: cl}, wire.SolveOptions{Fast: true, DeadlineMS: 2000}},
+		{"DegradeDeadline", Config{Cluster: cl, DegradeDeadline: 2 * time.Second}, wire.SolveOptions{Fast: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := httptest.NewServer(New(c.cfg).Handler())
+			defer ts.Close()
+			resp, raw := postPlanRaw(t, ts, planRequestBody(t, "ISP", c.opts))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, raw)
+			}
+			var got wire.PlanResponse
+			if err := json.Unmarshal(raw, &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Cache.Status != "peer" {
+				t.Errorf("cache status %q, want peer", got.Cache.Status)
+			}
+			if d := got.Degradation; d == nil || d.Level != "none" || d.ServedBy != "primary" {
+				t.Errorf("degradation %+v, want level none served by primary", d)
+			}
+		})
 	}
 }

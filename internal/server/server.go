@@ -446,41 +446,45 @@ func (srv *Server) solveRequest(ctx context.Context, in *planInput) (*solveOutco
 		return out, herr
 	}
 
-	// In multi-node mode a local miss on a non-owner first asks the
-	// fingerprint's owning peer for its cached plan — a plan computed
-	// anywhere in the fleet becomes a hit everywhere. The fill runs inside
-	// the cache's coalescing leader (so concurrent identical requests
-	// trigger at most one fill) and its result is stored like a local
-	// solve; any fill failure — ejected owner, open breaker, full mailbox,
-	// timeout, the owner not having it, or a plan that fails its check —
-	// falls back to the local solve. NoCache requests never peer-fill:
-	// opting out of the cache means "solve here".
-	cache := srv.planCache(opts.NoCache)
-	peerFilled := false
-	solve := func(ctx context.Context) (*scenario.Plan, error) {
+	a, status, err := srv.fillOrSolve(ctx, srv.planCache(opts.NoCache), in, in.key, func(ctx context.Context) (*scenario.Plan, error) {
+		return srv.solve(ctx, in)
+	})
+	if herr := solveError(err); herr != nil {
+		return nil, herr
+	}
+	out := &solveOutcome{answer: a, status: status}
+	srv.countLookup(lookupPlan, out.status)
+	return out, nil
+}
+
+// fillOrSolve answers key through cache (nil: no cache) and returns the
+// answer with its cache status. In multi-node mode a local miss on a
+// non-owner first asks key's owning peer for its cached plan — a plan
+// computed anywhere in the fleet becomes a hit everywhere — and the status
+// is then "peer". The fill runs under the miss's context inside the cache's
+// coalescing leader, so concurrent identical requests trigger at most one
+// fill, and its result is stored like a local solve. Any fill failure —
+// ejected owner, open breaker, full mailbox, timeout, the owner not having
+// it, or a plan that fails its check — falls back to solve. Requests that
+// opt out of the cache never peer-fill: that means "solve here".
+func (srv *Server) fillOrSolve(ctx context.Context, cache *plancache.Cache, in *planInput, key plancache.Key, solve func(context.Context) (*scenario.Plan, error)) (plancache.Answer, string, error) {
+	filled := false
+	a, err := cache.Solve(ctx, key, func(ctx context.Context) (*scenario.Plan, error) {
 		if cache != nil && srv.cfg.Cluster != nil {
 			if herr := in.build(); herr != nil {
 				return nil, herr
 			}
-			if plan := srv.peerFill(ctx, in); plan != nil {
-				peerFilled = true
+			if plan := srv.peerFill(ctx, in, key); plan != nil {
+				filled = true
 				return plan, nil
 			}
 		}
-		return srv.solve(ctx, in)
+		return solve(ctx)
+	})
+	if filled {
+		return a, "peer", err
 	}
-	a, err := cache.Solve(ctx, in.key, solve)
-	if herr := solveError(err); herr != nil {
-		return nil, herr
-	}
-	out := &solveOutcome{answer: a, status: a.Outcome.String()}
-	if peerFilled {
-		// This request answered from a peer's cache; surface that in the
-		// response's cache metadata.
-		out.status = "peer"
-	}
-	srv.countLookup(lookupPlan, out.status)
-	return out, nil
+	return a, a.Outcome.String(), err
 }
 
 // planCache is the cache a request answers through: none when it opts out.
@@ -491,14 +495,14 @@ func (srv *Server) planCache(noCache bool) *plancache.Cache {
 	return srv.cache
 }
 
-// peerFill asks the owner of the request's key for its cached plan. A plan
-// from another node is checked against the request scenario before it is
-// cached and served: one that repairs an element the scenario does not
-// have broken, or claims demand figures it does not have, is discarded
-// and counted, and the caller solves locally as after any failed fill.
-// The request scenario must be built.
-func (srv *Server) peerFill(ctx context.Context, in *planInput) *scenario.Plan {
-	plan, _, ok := srv.cfg.Cluster.Fill(ctx, in.key)
+// peerFill asks the owner of key, one of the request's cache keys, for its
+// cached plan. A plan from another node is checked against the request
+// scenario before it is cached and served: one that repairs an element the
+// scenario does not have broken, or claims demand figures it does not
+// have, is discarded and counted, and the caller solves locally as after
+// any failed fill. The request scenario must be built.
+func (srv *Server) peerFill(ctx context.Context, in *planInput, key plancache.Key) *scenario.Plan {
+	plan, _, ok := srv.cfg.Cluster.Fill(ctx, key)
 	if !ok {
 		return nil
 	}
@@ -574,6 +578,7 @@ func solveStatsAttrs(ctx context.Context, st heuristics.SolveStats) {
 	if c := st.Core; c != nil {
 		sp.SetInt("isp_iterations", int64(c.Iterations))
 		sp.SetInt("isp_repairs", int64(c.NodeRepairs+c.EdgeRepairs))
+		sp.SetInt("isp_completions", int64(c.Completions))
 		sp.SetInt("lp_calls", int64(c.Routability.Calls))
 		sp.SetInt("lp_rebuilds", int64(c.Routability.Rebuilds))
 		sp.SetInt("lp_warm_starts", int64(c.Routability.WarmStarts))

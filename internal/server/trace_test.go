@@ -230,7 +230,7 @@ func TestSessionSolveSpansCarryStats(t *testing.T) {
 	}
 	for _, det := range dets {
 		sp := findSpan(t, det, "solve")
-		for _, key := range []string{"isp_iterations", "lp_calls"} {
+		for _, key := range []string{"isp_iterations", "isp_completions", "lp_calls"} {
 			if _, ok := spanAttr(sp, key); !ok {
 				t.Errorf("session solve span lacks %s: %+v", key, sp.Attrs)
 			}

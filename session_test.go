@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +51,8 @@ func invariantDeltas(sc *Scenario) [][]Delta {
 // TestSessionWarmMatchesColdInvariants is the session half of the delta
 // property test: on every invariants topology, a warm session's re-plan
 // after each delta batch must be byte-identical (via the wire encoding) to a
-// cold solve of the same resulting scenario.
+// cold solve of the same resulting scenario, and route the demand the same
+// way.
 func TestSessionWarmMatchesColdInvariants(t *testing.T) {
 	for _, topology := range []string{"bell-canada", "grid", "erdos-renyi"} {
 		t.Run(topology, func(t *testing.T) {
@@ -79,6 +81,9 @@ func TestSessionWarmMatchesColdInvariants(t *testing.T) {
 				if string(warmRaw) != string(coldRaw) {
 					t.Errorf("step %d (%v): warm plan diverged from cold:\nwarm %s\ncold %s",
 						i, step, warmRaw, coldRaw)
+				}
+				if !reflect.DeepEqual(warm.inner.Routing, cold.inner.Routing) {
+					t.Errorf("step %d (%v): warm routing diverged from cold", i, step)
 				}
 			}
 			st := sess.Stats()
@@ -142,6 +147,9 @@ func TestSessionRandomDeltaProperty(t *testing.T) {
 		}
 		if string(wirePlanBytes(t, after, warm)) != string(wirePlanBytes(t, after, cold)) {
 			t.Errorf("step %d (%v): warm plan diverged from cold rebuild", step, d)
+		}
+		if !reflect.DeepEqual(warm.inner.Routing, cold.inner.Routing) {
+			t.Errorf("step %d (%v): warm routing diverged from cold rebuild", step, d)
 		}
 	}
 }
