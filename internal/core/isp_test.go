@@ -403,3 +403,38 @@ func TestISPRoutabilityModesAgree(t *testing.T) {
 		t.Logf("constructive mode repaired fewer elements (%d < %d)", consTotal, exactTotal)
 	}
 }
+
+// TestRouteOnceFallsBackToExactLP pins route-once's fallback: on an intact
+// network where the greedy constructive order fails, the plan's routing
+// comes from the exact LP. Demand 0 (s→t, 2 units) has three unit paths,
+// via x, y and w; demand 1 (x→t, 1 unit) can only use the x–t link. The
+// greedy router sends demand 0 over all three paths and leaves demand 1
+// short; the exact routing keeps x–t for demand 1.
+func TestRouteOnceFallsBackToExactLP(t *testing.T) {
+	const s, tt, x, y, w = 0, 1, 2, 3, 4
+	g := graph.New(5, 6)
+	for i := 0; i < 5; i++ {
+		g.AddNode("", float64(i), 0, 1)
+	}
+	for _, e := range [][2]graph.NodeID{{s, x}, {x, tt}, {s, y}, {y, tt}, {s, w}, {w, tt}} {
+		g.MustAddEdge(e[0], e[1], 1, 1)
+	}
+	dg := demand.New()
+	dg.MustAdd(s, tt, 2)
+	dg.MustAdd(x, tt, 1)
+	sc := &scenario.Scenario{Supply: g, Demand: dg, BrokenNodes: map[graph.NodeID]bool{}, BrokenEdges: map[graph.EdgeID]bool{}}
+	if _, ok := flow.ConstructiveRouting(&flow.Instance{Graph: g, Demands: dg.Active()}, nil); ok {
+		t.Fatal("the greedy router routes the instance; the test needs one it fails on")
+	}
+	plan, _, err := Solve(context.Background(), sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyPlan(t, sc, plan)
+	if plan.SatisfiedDemand != 3 {
+		t.Errorf("SatisfiedDemand = %v, want 3", plan.SatisfiedDemand)
+	}
+	if f := plan.Routing[1][1]; math.Abs(f-1) > 1e-9 {
+		t.Errorf("demand 1 carries %v on the x–t link, want 1", f)
+	}
+}

@@ -8,7 +8,9 @@
 // centrality, repairs it if broken, and splits a demand through it so that
 // flow concentrates on the elements already chosen for repair. The algorithm
 // terminates when the residual demand is empty or routable through the
-// working network, returning both the repair list and a routing.
+// working network; a run that stalls before that is completed on the full
+// network. It returns the repair list and a routing derived from that list
+// alone.
 package core
 
 import (

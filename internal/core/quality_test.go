@@ -2,8 +2,6 @@ package core_test
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"testing"
 
 	"netrecovery/internal/core"
@@ -90,8 +88,8 @@ func TestISPQualityCounters(t *testing.T) {
 		}
 		for m, mode := range ispModes {
 			key := set.name + "/" + mode.name
-			if g, w := fmt.Sprintf("%+v", round(got[m])), fmt.Sprintf("%+v", round(wantQuality[key])); g != w {
-				t.Errorf("%s quality = %s, want %s", key, g, w)
+			if got[m] != wantQuality[key] {
+				t.Errorf("%s quality = %+v, want %+v", key, got[m], wantQuality[key])
 			}
 		}
 	}
@@ -102,12 +100,4 @@ func TestISPQualityCounters(t *testing.T) {
 func fullyRepairedRoutes(f family) bool {
 	in := &flow.Instance{Graph: f.g, Demands: f.dg.All()}
 	return flow.CheckRoutability(in, flow.Options{Mode: flow.ModeExact}).Routable
-}
-
-// round rounds the summed costs to 1e-6, below any repair cost and above
-// the summation's rounding error.
-func round(q ispQuality) ispQuality {
-	q.Cost = math.Round(q.Cost*1e6) / 1e6
-	q.Optimum = math.Round(q.Optimum*1e6) / 1e6
-	return q
 }
