@@ -13,10 +13,10 @@ import (
 	"netrecovery/internal/scenario"
 )
 
-// stalledCase is one fleet_mixed scenario on which ISP used to stall with
-// demand unserved: its index in the population, the modes that stalled and
-// its broken IDs. The file also lists the modes whose plan leaked flow
-// (failed VerifyPlan); each of them stalled too.
+// stalledCase is one fleet_mixed scenario on which ISP's loop stalls with
+// demand unserved: its index in the population, the modes that stall and
+// its broken IDs. The file's "leaked" lists the modes whose plan failed
+// VerifyPlan while ISP built its routing leg by leg; each of them stalls.
 type stalledCase struct {
 	Index   int
 	Stalled []string
@@ -50,10 +50,10 @@ func (c stalledCase) scenario(f family) *scenario.Scenario {
 }
 
 // TestStalledRunsComplete replays every fleet_mixed scenario on which fast
-// or exact ISP stalled: no split candidate, no broken element on any
+// or exact ISP's loop stalls: no split candidate, no broken element on any
 // unserved pair's shortest path, and the demand short although the fully
-// repaired network routes it. Each run that stalled now completes, and
-// every plan verifies and satisfies the whole demand.
+// repaired network routes it. Each stalled run completes, and every plan
+// verifies and satisfies the whole demand.
 func TestStalledRunsComplete(t *testing.T) {
 	f := fleetFamily(t)
 	for _, c := range loadStalledCases(t) {
@@ -80,7 +80,7 @@ func TestEveryISPPlanVerifies(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("solves 9,392 scenarios")
 	}
-	fleet := fleetFamily(t)
+	fleet, bell := fleetFamily(t), bellFamily(t)
 	draws := fleet.draws(4096)
 	for _, c := range loadStalledCases(t) {
 		if got, want := draws[c.Index], c.scenario(fleet); got.Fingerprint() != want.Fingerprint() {
@@ -91,7 +91,7 @@ func TestEveryISPPlanVerifies(t *testing.T) {
 		name  string
 		f     family
 		draws []*scenario.Scenario
-	}{{"fleet", fleet, draws}, {"bell", bellFamily(t), bellFamily(t).draws(600)}} {
+	}{{"fleet", fleet, draws}, {"bell", bell, bell.draws(600)}} {
 		if !fullyRepairedRoutes(set.f) {
 			t.Fatalf("%s: the fully repaired network does not route the demand", set.name)
 		}
