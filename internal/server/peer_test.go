@@ -249,12 +249,12 @@ func TestPeerFillCheckedBeforeCached(t *testing.T) {
 	}))
 	defer owner.Close()
 
-	cl := requesterCluster(t, owner.URL)
+	cl, sc := requesterCluster(t, owner.URL)
 	defer cl.Close()
 
 	// The requester's first answer is its own solve: a single-node
 	// server's plan up to the solve's runtime. The second is a hit on it.
-	body := planRequestBody(t, "ISP", wire.SolveOptions{Fast: true})
+	body := planBody(t, sc, "ISP", wire.SolveOptions{Fast: true})
 	local := httptest.NewServer(New(Config{}).Handler())
 	defer local.Close()
 	code, ref := postPlan(t, local, body)
@@ -295,27 +295,32 @@ func TestPeerFillCheckedBeforeCached(t *testing.T) {
 }
 
 // requesterCluster returns a two-node cluster of a requester and the owner
-// at ownerURL that leaves the test scenario to the owner: the ring places
-// it by the peers' addresses, so the requester's address is picked to suit.
-func requesterCluster(t *testing.T, ownerURL string) *cluster.Cluster {
+// at ownerURL, and a variant of the test scenario that the ring leaves to
+// the owner. The ring places a scenario by its fingerprint, so the
+// variants move node a along the x axis, which no solver reads; varying
+// the requester's address instead fails for an owner port whose ring
+// leaves a wide arc around the fixed scenario.
+func requesterCluster(t *testing.T, ownerURL string) (*cluster.Cluster, wire.Scenario) {
 	t.Helper()
-	s, err := testScenarioJSON().Build()
+	const self = "http://requester.invalid"
+	c, err := cluster.New(cluster.Config{Self: self, Peers: []string{self, ownerURL}, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		self := fmt.Sprintf("http://requester-%d.invalid", i)
-		c, err := cluster.New(cluster.Config{Self: self, Peers: []string{self, ownerURL}, ProbeInterval: -1})
+		sc := testScenarioJSON()
+		sc.Nodes[0].X = float64(i)
+		s, err := sc.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !c.IsOwner(s.Fingerprint()) {
-			return c
+			return c, sc
 		}
-		c.Close()
 	}
-	t.Fatal("every requester address owns the test scenario")
-	return nil
+	c.Close()
+	t.Fatal("the requester owns every variant of the test scenario")
+	return nil, wire.Scenario{}
 }
 
 // TestDeadlineRequestsPeerFill: a request carrying deadline_ms, and any
@@ -325,11 +330,11 @@ func requesterCluster(t *testing.T, ownerURL string) *cluster.Cluster {
 func TestDeadlineRequestsPeerFill(t *testing.T) {
 	owner := httptest.NewServer(New(Config{}).Handler())
 	defer owner.Close()
-	if code, _ := postPlan(t, owner, planRequestBody(t, "ISP", wire.SolveOptions{Fast: true})); code != http.StatusOK {
+	cl, sc := requesterCluster(t, owner.URL)
+	defer cl.Close()
+	if code, _ := postPlan(t, owner, planBody(t, sc, "ISP", wire.SolveOptions{Fast: true})); code != http.StatusOK {
 		t.Fatalf("owner solve: status %d", code)
 	}
-	cl := requesterCluster(t, owner.URL)
-	defer cl.Close()
 
 	for _, c := range []struct {
 		name string
@@ -342,7 +347,7 @@ func TestDeadlineRequestsPeerFill(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ts := httptest.NewServer(New(c.cfg).Handler())
 			defer ts.Close()
-			resp, raw := postPlanRaw(t, ts, planRequestBody(t, "ISP", c.opts))
+			resp, raw := postPlanRaw(t, ts, planBody(t, sc, "ISP", c.opts))
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d: %s", resp.StatusCode, raw)
 			}

@@ -96,7 +96,13 @@ func testScenarioJSON() wire.Scenario {
 
 func planRequestBody(t *testing.T, alg string, opts wire.SolveOptions) []byte {
 	t.Helper()
-	raw, err := json.Marshal(wire.PlanRequest{Scenario: testScenarioJSON(), Algorithm: alg, Options: opts})
+	return planBody(t, testScenarioJSON(), alg, opts)
+}
+
+// planBody encodes a plan request for sc.
+func planBody(t *testing.T, sc wire.Scenario, alg string, opts wire.SolveOptions) []byte {
+	t.Helper()
+	raw, err := json.Marshal(wire.PlanRequest{Scenario: sc, Algorithm: alg, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
