@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"netrecovery/internal/core"
+	"netrecovery/internal/flow"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/scenario"
 )
@@ -69,6 +70,26 @@ func TestStalledRunsComplete(t *testing.T) {
 				t.Errorf("%s: completions = %d, want a completion: %t", label, stats.Completions, want)
 			}
 		}
+	}
+}
+
+// TestConstructiveRunsDoNotComplete pins completion's memory contract: a
+// run whose routability options admit no LP (the constructive mode that
+// large topologies use) is left stalled, and its plan of per-pair max flows
+// still verifies.
+func TestConstructiveRunsDoNotComplete(t *testing.T) {
+	c := loadStalledCases(t)[1] // fleet-44, which stalls in both modes
+	s := c.scenario(fleetFamily(t))
+	opts := core.Options{SplitMode: core.SplitGreedy, Routability: flow.Options{Mode: flow.ModeConstructive}}
+	plan, stats, err := core.Solve(context.Background(), s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FinalRouted || stats.Completions != 0 {
+		t.Fatalf("fleet-%d: constructive run routed %t with %d completions, want a stall left as it is", c.Index, stats.FinalRouted, stats.Completions)
+	}
+	if err := scenario.VerifyPlan(s, plan); err != nil {
+		t.Errorf("fleet-%d: plan fails verification: %v", c.Index, err)
 	}
 }
 

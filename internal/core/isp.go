@@ -269,8 +269,14 @@ func (st *state) fallbackRepair() bool {
 // complete finishes a stalled run: it routes the original demand from
 // scratch on the full network at minimum repair-weighted cost, the run's
 // own repairs free, and repairs every broken element that routing uses. It
-// reports false, repairing nothing, when no repair set routes the demand.
+// reports false, repairing nothing, when no repair set routes the demand or
+// the run's routability options do not admit that LP (a constructive run
+// on a large topology, whose dense LP basis would not fit in memory).
 func (st *state) complete() bool {
+	numVars := 2 * st.scen.Supply.NumEdges() * len(st.scen.Demand.Active())
+	if !st.opts.Routability.AdmitsLP(numVars) {
+		return false
+	}
 	routing, ok := flow.MinRepairRouting(st.scen, st.repairedNodes, st.repairedEdges)
 	if !ok {
 		return false
@@ -309,16 +315,17 @@ func (st *state) buildPlan(start time.Time, routed bool) *scenario.Plan {
 // route derives the plan's routing and satisfied demand from the scenario
 // and the final repair set alone, routing the original demand from scratch
 // on the repaired network. When the run routed the demand, the greedy
-// constructive router answers, and the exact LP when the greedy order
-// fails. A run that ended short of it — capped, or on an instance no repair
-// set routes — gets per-pair max flows in pair-ID order.
+// constructive router answers, and the one-shot exact LP, where the run's
+// routability options admit it, when the greedy order fails. A run that
+// ended short of it — capped, or on an instance no repair set routes — gets
+// per-pair max flows in pair-ID order.
 func (st *state) route(routed bool) (scenario.Routing, float64) {
 	in := st.repairedInstance()
 	if routed {
 		if routing, ok := flow.ConstructiveRouting(in, &st.ws); ok {
 			return routing, in.TotalDemand()
 		}
-		if res := flow.CheckRoutability(in, flow.Options{Mode: flow.ModeExact}); res.Routable {
+		if res := flow.CheckRoutability(in, st.opts.Routability); res.Routable {
 			return res.Routing, in.TotalDemand()
 		}
 	}

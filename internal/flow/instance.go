@@ -171,6 +171,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// AdmitsLP reports whether the options admit an exact LP with numVars flow
+// variables: always in ModeExact, up to MaxLPVariables in ModeAuto, never
+// in ModeConstructive.
+func (o Options) AdmitsLP(numVars int) bool {
+	o = o.withDefaults()
+	return o.Mode == ModeExact || o.Mode == ModeAuto && numVars <= o.MaxLPVariables
+}
+
 // Result is the outcome of a routability test.
 type Result struct {
 	// Routable reports whether the demands can be routed simultaneously.

@@ -106,12 +106,7 @@ func (t *RoutabilityTester) check(in *Instance, opts Options, oneShot bool) Resu
 	if !passesSingleCommodityFilter(in.Graph, t.capUsable, active, &t.ws) {
 		return Result{Routable: false, Exact: true}
 	}
-	useExact := opts.Mode == ModeExact
-	if opts.Mode == ModeAuto {
-		numVars := 2 * numUsable(t.capUsable) * len(active)
-		useExact = numVars <= opts.MaxLPVariables
-	}
-	if !useExact {
+	if !opts.AdmitsLP(2 * numUsable(t.capUsable) * len(active)) {
 		t.Stats.Constructive++
 		return t.constructive(in)
 	}
