@@ -317,8 +317,8 @@ func (st *state) buildPlan(start time.Time, routed bool) *scenario.Plan {
 // on the repaired network. When the run routed the demand, the greedy
 // constructive router answers, and the one-shot exact LP, where the run's
 // routability options admit it, when the greedy order fails. A run that
-// ended short of it — capped, or on an instance no repair set routes — gets
-// per-pair max flows in pair-ID order.
+// ended short of it — capped, stalled and not completed, or on an instance
+// no repair set routes — gets per-pair max flows in pair-ID order.
 func (st *state) route(routed bool) (scenario.Routing, float64) {
 	in := st.repairedInstance()
 	if routed {
