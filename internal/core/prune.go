@@ -33,8 +33,8 @@ func (st *state) pruneAll() int {
 
 // pruneOne attempts to prune (part of) demand pair p over a bubble of
 // working paths (Theorem 3). It consumes the residual capacity the pruned
-// amount uses and reduces the working demand. It reports whether any amount was
-// pruned.
+// amount uses and reduces the working demand. It reports whether any amount
+// was pruned.
 func (st *state) pruneOne(p demand.Pair) bool {
 	if p.Flow <= epsilon {
 		return false
