@@ -40,7 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -109,11 +109,16 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 	if *logFormat != "text" && *logFormat != "json" {
 		return fmt.Errorf("bad -log-format %q (want text or json)", *logFormat)
 	}
-	logger := obs.NewLogger(obs.LoggerConfig{
-		W:      stdout,
-		Format: *logFormat,
-		Level:  obs.ParseLevel(*logLevel),
-	})
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", *logLevel)
+	}
+	hopts := &slog.HandlerOptions{Level: level}
+	var encoder slog.Handler = slog.NewTextHandler(stdout, hopts)
+	if *logFormat == "json" {
+		encoder = slog.NewJSONHandler(stdout, hopts)
+	}
+	logger := slog.New(obs.NewLogHandler(encoder))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -123,7 +128,7 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 			return fmt.Errorf("fault profile: %w", err)
 		}
 		faultinject.Arm(profile)
-		logger.Warn(ctx, fmt.Sprintf("nrserved: fault injection armed from %s", *faultProfile))
+		logger.Warn(fmt.Sprintf("nrserved: fault injection armed from %s", *faultProfile))
 	}
 
 	var tracer *obs.Tracer
@@ -159,7 +164,7 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 		}
 		clu.Start()
 		defer clu.Close()
-		logger.Info(ctx, fmt.Sprintf("nrserved cluster mode: %d peers, self %s", clu.Size(), self))
+		logger.Info(fmt.Sprintf("nrserved cluster mode: %d peers, self %s", clu.Size(), self))
 	}
 
 	srv := server.New(server.Config{
@@ -189,9 +194,9 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 		// per-request budget is enforced inside the handler.
 		ReadHeaderTimeout: 10 * time.Second,
 		// Accept errors, TLS handshake failures and handler panics land in
-		// the structured log, rate-limited per second so a port scan or a
-		// misbehaving client cannot flood it.
-		ErrorLog: log.New(logger.LineWriter(obs.LevelWarn, "http-server"), "", 0),
+		// the structured log at warn, rate-limited under their class so a
+		// port scan or a misbehaving client cannot flood it.
+		ErrorLog: slog.NewLogLogger(logger.With("class", "http-server").Handler(), slog.LevelWarn),
 	}
 
 	if *debugAddr != "" {
@@ -207,14 +212,14 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 		debugSrv := &http.Server{
 			Handler:           debugMux(tracer),
 			ReadHeaderTimeout: 10 * time.Second,
-			ErrorLog:          log.New(logger.LineWriter(obs.LevelWarn, "debug-server"), "", 0),
+			ErrorLog:          slog.NewLogLogger(logger.With("class", "debug-server").Handler(), slog.LevelWarn),
 		}
 		go debugSrv.Serve(debugLn)
 		defer debugSrv.Close()
-		logger.Info(ctx, fmt.Sprintf("nrserved debug listener on %s (pprof, traces)", debugLn.Addr()))
+		logger.Info(fmt.Sprintf("nrserved debug listener on %s (pprof, traces)", debugLn.Addr()))
 	}
 
-	logger.Info(ctx, fmt.Sprintf("nrserved listening on %s", ln.Addr()),
+	logger.Info(fmt.Sprintf("nrserved listening on %s", ln.Addr()),
 		"tracing", tracer.Enabled(), "log_format", *logFormat)
 	if ready != nil {
 		ready <- ln.Addr()
@@ -232,17 +237,17 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 	case <-ctx.Done():
 	}
 
-	logger.Info(ctx, "nrserved shutting down", "drain_budget", drain.String())
+	logger.Info("nrserved shutting down", "drain_budget", drain.String())
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		// The drain budget expired with requests still in flight; close
 		// them hard.
 		httpSrv.Close()
-		logger.Error(ctx, "nrserved drain budget expired, closing in-flight requests", "err", err.Error())
+		logger.Error("nrserved drain budget expired, closing in-flight requests", "err", err.Error())
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	logger.Info(ctx, "nrserved drained cleanly")
+	logger.Info("nrserved drained cleanly")
 	return nil
 }
 

@@ -123,6 +123,26 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestBadLogLevel: an unknown -log-level is refused before the daemon
+// starts, as an unknown -log-format is.
+func TestBadLogLevel(t *testing.T) {
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-log-level", "bogus"}, io.Discard, ready)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), `bad -log-level "bogus"`) {
+			t.Fatalf("run = %v, want a bad -log-level error", err)
+		}
+	case addr := <-ready:
+		t.Fatalf("daemon started on %s with -log-level bogus", addr)
+	case <-time.After(10 * time.Second):
+		t.Fatal("run neither failed nor started")
+	}
+}
+
 // TestDaemonClusterMode boots two daemons wired into one ring and checks
 // the cross-node cache path end to end: a plan solved on the fingerprint's
 // owner is served as a peer fill on the other node.

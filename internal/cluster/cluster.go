@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,7 +25,7 @@ import (
 
 // Defaults of the zero Config fields.
 const (
-	// DefaultMailboxSize bounds the pending peer-fill queue per peer.
+	// DefaultMailboxSize bounds the fills waiting for one peer.
 	DefaultMailboxSize = 32
 	// DefaultWorkersPerPeer caps concurrent in-flight fills per peer.
 	DefaultWorkersPerPeer = 4
@@ -55,8 +57,8 @@ type Config struct {
 	// VirtualNodes is the ring's vnode count per peer (0 =
 	// DefaultVirtualNodes).
 	VirtualNodes int
-	// MailboxSize bounds the pending fill queue per peer; a fill finding
-	// the mailbox full falls back to a local solve immediately (0 =
+	// MailboxSize bounds the fills waiting for a peer; a fill finding that
+	// many already waiting falls back to a local solve immediately (0 =
 	// DefaultMailboxSize).
 	MailboxSize int
 	// WorkersPerPeer caps the in-flight fills per peer (0 =
@@ -85,9 +87,9 @@ type Config struct {
 	Client *http.Client
 	// Seed roots the deterministic jitter stream.
 	Seed uint64
-	// Logger, when non-nil, receives ring-membership lifecycle events
-	// (peer ejection after consecutive probe failures, readmission).
-	Logger *obs.Logger
+	// Logger receives ring-membership lifecycle events (peer ejection after
+	// consecutive probe failures, readmission); nil discards them.
+	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -124,6 +126,9 @@ func (c Config) withDefaults() Config {
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
+	}
 	return c
 }
 
@@ -139,8 +144,8 @@ type Stats struct {
 	// Errors counts transport/decode failures, Timeouts fills that hit
 	// their (jittered) deadline. Both fall back to a local solve.
 	Errors, Timeouts uint64
-	// Dropped counts fills refused because the owner's mailbox was full —
-	// the bounded queue shedding load instead of fanning in unboundedly.
+	// Dropped counts fills shed because MailboxSize fills already waited
+	// for the owner — load shed instead of fanned in unboundedly.
 	Dropped uint64
 	// BreakerSkipped counts fills refused by the owner's open circuit
 	// breaker.
@@ -150,25 +155,11 @@ type Stats struct {
 	Ejections, Readmissions uint64
 }
 
-// fillResult is what a peer worker hands back to a waiting fill.
-type fillResult struct {
-	plan  *scenario.Plan
-	age   time.Duration
-	found bool
-	err   error
-}
-
-// fillReq is one queued peer-fill.
-type fillReq struct {
-	ctx  context.Context
-	url  string
-	done chan fillResult // buffered(1); worker never blocks on it
-}
-
 // peer is one remote cluster member.
 type peer struct {
-	addr    string
-	mailbox chan *fillReq
+	// fills bounds the fills to this peer: WorkersPerPeer in flight and
+	// MailboxSize waiting.
+	fills   *degrade.Limiter
 	breaker *degrade.Breaker
 	down    atomic.Bool
 
@@ -176,8 +167,8 @@ type peer struct {
 	probeFails int
 }
 
-// Cluster owns the ring, the peer mailboxes and the health prober. Create
-// with New, start probing with Start, stop everything with Close.
+// Cluster owns the ring, the per-peer fill limiters and the health prober.
+// Create with New, start probing with Start, stop everything with Close.
 type Cluster struct {
 	cfg  Config
 	ring *Ring
@@ -191,27 +182,21 @@ type Cluster struct {
 	ejections, readmissions atomic.Uint64
 	jitterSeq               atomic.Uint64
 
-	stop    chan struct{}
-	stopped sync.Once
+	// closing ends with Close, and with it every waiting or in-flight fill.
+	closing context.Context
+	close   context.CancelFunc
 	wg      sync.WaitGroup
 }
 
-// New builds the cluster from cfg. It validates that Self is a member and
-// spawns the bounded worker pool for every remote peer; call Start to begin
-// health probing and Close to shut everything down.
+// New builds the cluster from cfg. It validates that Self is a member; call
+// Start to begin health probing and Close to shut everything down.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Self address required")
 	}
 	ring := NewRing(cfg.Peers, cfg.VirtualNodes)
-	selfSeen := false
-	for _, p := range ring.Peers() {
-		if p == cfg.Self {
-			selfSeen = true
-		}
-	}
-	if !selfSeen {
+	if !slices.Contains(ring.Peers(), cfg.Self) {
 		return nil, fmt.Errorf("cluster: Self %q not in Peers", cfg.Self)
 	}
 	c := &Cluster{
@@ -219,21 +204,14 @@ func New(cfg Config) (*Cluster, error) {
 		ring:  ring,
 		self:  cfg.Self,
 		peers: make(map[string]*peer),
-		stop:  make(chan struct{}),
 	}
+	c.closing, c.close = context.WithCancel(context.Background())
 	for _, addr := range ring.Peers() {
-		if addr == cfg.Self {
-			continue
-		}
-		p := &peer{
-			addr:    addr,
-			mailbox: make(chan *fillReq, cfg.MailboxSize),
-			breaker: degrade.NewBreaker(cfg.Breaker),
-		}
-		c.peers[addr] = p
-		for w := 0; w < cfg.WorkersPerPeer; w++ {
-			c.wg.Add(1)
-			go c.peerWorker(p)
+		if addr != cfg.Self {
+			c.peers[addr] = &peer{
+				fills:   degrade.NewLimiter(cfg.WorkersPerPeer, cfg.MailboxSize),
+				breaker: degrade.NewBreaker(cfg.Breaker),
+			}
 		}
 	}
 	return c, nil
@@ -291,13 +269,14 @@ func FillURL(base string, key plancache.Key) string {
 		hex.EncodeToString(key.Options[:]))
 }
 
-// Fill attempts a peer-fill of key from its owner. It returns ok=false —
-// telling the caller to solve locally — whenever this node is the owner,
-// the owner is ejected, its breaker is open, its mailbox is full, the fill
-// timed out, errored, or the owner simply does not have the plan cached.
-// Concurrent identical fills on one node are already single-flight: Fill is
-// called from inside the plan cache's coalescing leader, so at most one
-// fill per key is in flight per node.
+// Fill attempts a peer-fill of key from its owner on the calling goroutine.
+// It returns ok=false — telling the caller to solve locally — whenever this
+// node is the owner, the owner is ejected, its breaker is open, its fill
+// queue is full, the fill timed out, errored or was abandoned, or the owner
+// simply does not have the plan cached. Concurrent identical fills on one
+// node are already single-flight: Fill is called from inside the plan
+// cache's coalescing leader, so at most one fill per key is in flight per
+// node.
 //
 // The returned plan is the shared cached value; callers must treat it as
 // immutable.
@@ -310,9 +289,9 @@ func (c *Cluster) Fill(ctx context.Context, key plancache.Key) (plan *scenario.P
 	if p == nil {
 		return nil, 0, false
 	}
-	// The fill span's ctx rides inside fillReq, so the worker's HTTP round
-	// trip can stamp its traceparent on the request — the owner adopts the
-	// trace ID and the two nodes' traces stitch into one.
+	// The fill span's ctx carries the HTTP round trip, which stamps its
+	// traceparent on the request — the owner adopts the trace ID and the
+	// two nodes' traces stitch into one.
 	ctx, sp := obs.StartSpan(ctx, "peer.fill")
 	sp.SetAttr("owner", owner)
 	defer sp.End()
@@ -321,82 +300,66 @@ func (c *Cluster) Fill(ctx context.Context, key plancache.Key) (plan *scenario.P
 		sp.SetAttr("outcome", "breaker_open")
 		return nil, 0, false
 	}
-	req := &fillReq{ctx: ctx, url: FillURL(owner, key), done: make(chan fillResult, 1)}
-	select {
-	case p.mailbox <- req:
-	default:
-		// Bounded mailbox full: shed the fill, solve locally. The breaker
-		// admission is returned without an outcome — queue pressure says
-		// nothing about the peer's health.
+	// Close ends the fill whether it waits for a token or is in flight.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(c.closing, cancel)()
+	_, err := p.fills.Acquire(ctx, 1)
+	if err == nil {
+		c.fills.Add(1)
+		plan, age, err = c.fetch(ctx, FillURL(owner, key))
+		p.fills.Release(1)
+	}
+	// Neither a full queue nor an abandoned fill says anything about the
+	// peer's health: their breaker admission is returned without an
+	// outcome.
+	switch {
+	case errors.Is(err, degrade.ErrShed):
 		p.breaker.Cancel()
 		c.dropped.Add(1)
 		sp.SetAttr("outcome", "mailbox_full")
-		return nil, 0, false
-	}
-	c.fills.Add(1)
-	select {
-	case res := <-req.done:
-		switch {
-		case res.err != nil:
-			if errors.Is(res.err, context.DeadlineExceeded) {
-				c.timeouts.Add(1)
-				sp.SetAttr("outcome", "timeout")
-			} else {
-				c.errs.Add(1)
-				sp.SetAttr("outcome", "error")
-			}
-			sp.SetError(res.err)
-			p.breaker.Record(false)
-			return nil, 0, false
-		case !res.found:
-			c.misses.Add(1)
-			p.breaker.Record(true)
-			sp.SetAttr("outcome", "miss")
-			return nil, 0, false
-		default:
-			c.hits.Add(1)
-			p.breaker.Record(true)
-			sp.SetAttr("outcome", "hit")
-			return res.plan, res.age, true
-		}
-	case <-ctx.Done():
-		// The requester went away; the worker will finish (or time out)
-		// on its own and drop the buffered result.
-		p.breaker.Cancel()
-		sp.SetAttr("outcome", "cancelled")
-		return nil, 0, false
-	case <-c.stop:
+	case err != nil && c.closing.Err() != nil:
 		p.breaker.Cancel()
 		sp.SetAttr("outcome", "shutdown")
-		return nil, 0, false
-	}
-}
-
-// peerWorker drains one peer's mailbox; WorkersPerPeer of them bound the
-// in-flight fills per peer.
-func (c *Cluster) peerWorker(p *peer) {
-	defer c.wg.Done()
-	for {
-		select {
-		case req := <-p.mailbox:
-			req.done <- c.fetch(req)
-		case <-c.stop:
-			return
+	case err != nil && ctx.Err() != nil:
+		p.breaker.Cancel()
+		sp.SetAttr("outcome", "cancelled")
+	case err != nil:
+		if errors.Is(err, context.DeadlineExceeded) {
+			c.timeouts.Add(1)
+			sp.SetAttr("outcome", "timeout")
+		} else {
+			c.errs.Add(1)
+			sp.SetAttr("outcome", "error")
 		}
+		sp.SetError(err)
+		p.breaker.Record(false)
+	case plan == nil:
+		c.misses.Add(1)
+		p.breaker.Record(true)
+		sp.SetAttr("outcome", "miss")
+	default:
+		c.hits.Add(1)
+		p.breaker.Record(true)
+		sp.SetAttr("outcome", "hit")
+		return plan, age, true
 	}
+	return nil, 0, false
 }
 
-// fetch performs one peer-fill HTTP round trip under the jittered timeout.
-func (c *Cluster) fetch(req *fillReq) fillResult {
-	ctx, cancel := context.WithTimeout(req.ctx, c.jitteredTimeout())
+// fetch performs one peer-fill HTTP round trip under the jittered timeout,
+// which starts only now that the fill holds a peer token. A nil plan with
+// a nil error is the owner's miss.
+func (c *Cluster) fetch(ctx context.Context, url string) (*scenario.Plan, time.Duration, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.jitteredTimeout())
 	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, req.url, nil)
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return fillResult{err: err}
+		return nil, 0, err
 	}
 	// Propagate the requester's trace (W3C traceparent) so the owner's
 	// peer-plan handler joins the same trace.
-	if sp := obs.SpanFromContext(req.ctx); sp != nil {
+	if sp := obs.SpanFromContext(ctx); sp != nil {
 		httpReq.Header.Set("traceparent", sp.Traceparent())
 	}
 	resp, err := c.cfg.Client.Do(httpReq)
@@ -404,27 +367,27 @@ func (c *Cluster) fetch(req *fillReq) fillResult {
 		if ctx.Err() != nil {
 			err = ctx.Err()
 		}
-		return fillResult{err: err}
+		return nil, 0, err
 	}
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return fillResult{err: fmt.Errorf("cluster: peer answered %s", resp.Status)}
+		return nil, 0, fmt.Errorf("cluster: peer answered %s", resp.Status)
 	}
 	var pr wire.PeerPlanResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&pr); err != nil {
-		return fillResult{err: fmt.Errorf("cluster: decode peer response: %w", err)}
+		return nil, 0, fmt.Errorf("cluster: decode peer response: %w", err)
 	}
 	if !pr.Found {
-		return fillResult{found: false}
+		return nil, 0, nil
 	}
 	plan, err := pr.BuildPlan()
 	if err != nil {
-		return fillResult{err: fmt.Errorf("cluster: invalid peer plan: %w", err)}
+		return nil, 0, fmt.Errorf("cluster: invalid peer plan: %w", err)
 	}
-	return fillResult{plan: plan, age: time.Duration(pr.AgeMS) * time.Millisecond, found: true}
+	return plan, time.Duration(pr.AgeMS) * time.Millisecond, nil
 }
 
 // Start launches the background health prober (a no-op when probing is
@@ -442,7 +405,7 @@ func (c *Cluster) Start() {
 			select {
 			case <-ticker.C:
 				c.ProbeOnce(context.Background())
-			case <-c.stop:
+			case <-c.closing.Done():
 				return
 			}
 		}
@@ -463,14 +426,14 @@ func (c *Cluster) ProbeOnce(ctx context.Context) {
 			p.probeFails = 0
 			if p.down.CompareAndSwap(true, false) {
 				c.readmissions.Add(1)
-				c.cfg.Logger.Info(ctx, "peer readmitted to ring", "peer", addr)
+				c.cfg.Logger.InfoContext(ctx, "peer readmitted to ring", "peer", addr)
 			}
 			continue
 		}
 		p.probeFails++
 		if p.probeFails >= c.cfg.ProbeFailures && p.down.CompareAndSwap(false, true) {
 			c.ejections.Add(1)
-			c.cfg.Logger.WarnClass(ctx, "peer-eject", "peer ejected from ring",
+			c.cfg.Logger.WarnContext(ctx, "peer ejected from ring", "class", "peer-eject",
 				"peer", addr, "consecutive_failures", p.probeFails)
 		}
 	}
@@ -493,10 +456,10 @@ func (c *Cluster) probe(ctx context.Context, addr string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Close stops the prober and the peer workers. Pending fills are abandoned
-// (their callers' Fill returns ok=false via the stop channel).
+// Close stops the prober and ends every waiting or in-flight fill: its
+// Fill returns ok=false.
 func (c *Cluster) Close() {
-	c.stopped.Do(func() { close(c.stop) })
+	c.close()
 	c.wg.Wait()
 }
 

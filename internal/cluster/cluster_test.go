@@ -193,19 +193,13 @@ func TestFillMailboxFullSheds(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Fill 1 occupies the single worker (blocked in the handler).
+	// Fill 1 holds the peer's single token (blocked in the handler).
 	go c.Fill(ctx, key)
 	<-fp.entered
-	// Fill 2 sits in the 1-slot mailbox.
+	// Fill 2 waits for the token.
 	go c.Fill(ctx, key)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(p.mailbox) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second fill never reached the mailbox")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Fill 3 finds the mailbox full and is shed synchronously.
+	waitUntil(t, "second fill waiting", func() bool { return p.fills.Waiting() == 1 })
+	// Fill 3 finds the waiting bound reached and is shed synchronously.
 	start := time.Now()
 	if _, _, ok := c.Fill(context.Background(), key); ok {
 		t.Fatal("Fill: ok=true with full mailbox")
@@ -218,6 +212,92 @@ func TestFillMailboxFullSheds(t *testing.T) {
 	}
 	close(fp.gate) // release the blocked handler
 	cancel()
+}
+
+// waitUntil polls cond until it holds or a few seconds pass.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// fillAsync runs Fill on its own goroutine and delivers its ok.
+func fillAsync(c *Cluster, ctx context.Context, key plancache.Key) <-chan bool {
+	done := make(chan bool, 1)
+	go func() {
+		_, _, ok := c.Fill(ctx, key)
+		done <- ok
+	}()
+	return done
+}
+
+// TestFillCancelledWhileWaiting: a fill whose requester goes away while it
+// waits for a peer token is neither dispatched nor dropped.
+func TestFillCancelledWhileWaiting(t *testing.T) {
+	fp := newFakePeer(t)
+	fp.mode.Store(modeBlock)
+	defer close(fp.gate)
+	c := newTestCluster(t, fp.srv.URL, func(cfg *Config) {
+		cfg.WorkersPerPeer = 1
+	})
+	key := peerKey(t, c, fp.srv.URL)
+	p := c.peers[fp.srv.URL]
+
+	blocked := fillAsync(c, context.Background(), key)
+	<-fp.entered
+	ctx, cancel := context.WithCancel(context.Background())
+	waiting := fillAsync(c, ctx, key)
+	waitUntil(t, "second fill waiting", func() bool { return p.fills.Waiting() == 1 })
+	cancel()
+	select {
+	case ok := <-waiting:
+		if ok {
+			t.Fatal("cancelled fill: ok=true")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("cancelled fill did not return")
+	}
+	if st := c.Stats(); st.Fills != 1 || st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want fills=1 (the blocked one) dropped=0", st)
+	}
+	if p.fills.Waiting() != 0 || p.fills.InUse() != 1 {
+		t.Fatalf("peer limiter: waiting %d, in use %d; want 0 and 1", p.fills.Waiting(), p.fills.InUse())
+	}
+	fp.gate <- struct{}{}
+	if ok := <-blocked; ok {
+		t.Fatal("blocked fill answered by a miss: ok=true")
+	}
+}
+
+// TestCloseEndsBlockedFill: Close does not wait for a slow owner; the fill
+// blocked in it returns ok=false at once.
+func TestCloseEndsBlockedFill(t *testing.T) {
+	fp := newFakePeer(t)
+	fp.mode.Store(modeBlock)
+	defer close(fp.gate)
+	c := newTestCluster(t, fp.srv.URL, nil)
+	key := peerKey(t, c, fp.srv.URL)
+
+	blocked := fillAsync(c, context.Background(), key)
+	<-fp.entered
+	start := time.Now()
+	c.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a fill blocked in the owner", d)
+	}
+	select {
+	case ok := <-blocked:
+		if ok {
+			t.Fatal("fill ended by Close: ok=true")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("blocked fill did not return within a second of Close")
+	}
 }
 
 func TestProbeEjectAndReadmit(t *testing.T) {

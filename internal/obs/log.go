@@ -2,285 +2,110 @@ package obs
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
+	"log/slog"
 	"sync"
 	"time"
 )
 
-// Level is a log severity.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	}
-	return "unknown"
-}
-
-// ParseLevel maps a flag value to a Level (defaults to info).
-func ParseLevel(s string) Level {
-	switch strings.ToLower(s) {
-	case "debug":
-		return LevelDebug
-	case "warn", "warning":
-		return LevelWarn
-	case "error":
-		return LevelError
-	}
-	return LevelInfo
-}
-
-// Logger is a leveled structured logger emitting one line per event in
-// either logfmt-ish text or JSON. All methods are nil-receiver no-ops so
-// library code can log unconditionally. Context-taking variants attach
-// trace_id/span_id from the current span, correlating log lines with the
-// trace store.
-type Logger struct {
-	mu     sync.Mutex
-	w      io.Writer
-	json   bool
-	level  Level
-	now    func() time.Time
-	limits map[string]*classLimit
-}
-
-// classLimit rate-limits one event class: at most burst lines per
-// window; the first line after a window rolls reports how many were
-// suppressed.
-type classLimit struct {
-	burst      int
-	window     time.Duration
-	windowAt   time.Time
-	emitted    int
-	suppressed int
-}
-
-// LoggerConfig configures NewLogger.
-type LoggerConfig struct {
-	// W is the destination (required).
-	W io.Writer
-	// Format is "json" or "text" (default text).
-	Format string
-	// Level is the minimum severity emitted.
-	Level Level
-	// Now is the timestamp clock (default time.Now).
-	Now func() time.Time
-}
-
-// NewLogger builds a Logger.
-func NewLogger(cfg LoggerConfig) *Logger {
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	return &Logger{
-		w:      cfg.W,
-		json:   cfg.Format == "json",
-		level:  cfg.Level,
-		now:    now,
-		limits: make(map[string]*classLimit),
-	}
-}
-
-// Debug logs at debug level. kv is alternating key, value pairs.
-func (l *Logger) Debug(ctx context.Context, msg string, kv ...any) {
-	l.log(ctx, LevelDebug, "", msg, kv)
-}
-
-// Info logs at info level.
-func (l *Logger) Info(ctx context.Context, msg string, kv ...any) {
-	l.log(ctx, LevelInfo, "", msg, kv)
-}
-
-// Warn logs at warn level.
-func (l *Logger) Warn(ctx context.Context, msg string, kv ...any) {
-	l.log(ctx, LevelWarn, "", msg, kv)
-}
-
-// Error logs at error level.
-func (l *Logger) Error(ctx context.Context, msg string, kv ...any) {
-	l.log(ctx, LevelError, "", msg, kv)
-}
-
-// ErrorClass logs at error level under a rate-limited class: at most 10
-// lines per class per second, with a suppressed=N count reported when
-// the window rolls. Use it for error paths that can fire per-request.
-func (l *Logger) ErrorClass(ctx context.Context, class, msg string, kv ...any) {
-	l.log(ctx, LevelError, class, msg, kv)
-}
-
-// WarnClass logs at warn level under a rate-limited class.
-func (l *Logger) WarnClass(ctx context.Context, class, msg string, kv ...any) {
-	l.log(ctx, LevelWarn, class, msg, kv)
-}
-
+// At most classBurst records of one class are emitted per classWindow.
 const (
 	classBurst  = 10
 	classWindow = time.Second
 )
 
-func (l *Logger) log(ctx context.Context, level Level, class, msg string, kv []any) {
-	if l == nil || level < l.level {
-		return
-	}
-	var traceID, spanID string
-	if ctx != nil {
-		if sp := SpanFromContext(ctx); sp != nil {
-			traceID, spanID = sp.TraceID(), sp.SpanID()
-		}
-	}
+// NewLogHandler wraps h, the serving stack's log encoder. A record logged
+// under a context that carries a span gains the span's trace_id and
+// span_id, which correlate the line with /debug/traces. A record carrying
+// a "class" attribute (its own or one from Logger.With) is rate-limited: at
+// most 10 records per class per second, and the first record after a
+// window rolls carries a "suppressed" count of the records dropped in it.
+// Use a class for lines that can fire per request.
+func NewLogHandler(h slog.Handler) slog.Handler {
+	return &logHandler{next: h, limits: &classLimits{windows: make(map[string]*classLimit)}}
+}
+
+type logHandler struct {
+	next   slog.Handler
+	class  string       // set by WithAttrs
+	limits *classLimits // shared with every handler derived from this one
+}
+
+type classLimits struct {
+	mu      sync.Mutex
+	windows map[string]*classLimit
+}
+
+// classLimit is one class's current window.
+type classLimit struct {
+	start               time.Time
+	emitted, suppressed int
+}
+
+// admit reports whether a record of class logged at t is emitted and, if
+// it is the first after its window rolled, how many the window dropped.
+func (l *classLimits) admit(class string, t time.Time) (suppressed int, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ts := l.now()
-	suppressed := 0
+	w := l.windows[class]
+	if w == nil {
+		w = &classLimit{start: t}
+		l.windows[class] = w
+	}
+	if t.Sub(w.start) >= classWindow {
+		suppressed = w.suppressed
+		*w = classLimit{start: t}
+	}
+	if w.emitted >= classBurst {
+		w.suppressed++
+		return 0, false
+	}
+	w.emitted++
+	return suppressed, true
+}
+
+func (h *logHandler) Enabled(ctx context.Context, level slog.Level) bool {
+	return h.next.Enabled(ctx, level)
+}
+
+func (h *logHandler) Handle(ctx context.Context, r slog.Record) error {
+	class := h.class
+	if class == "" {
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "class" {
+				class = a.Value.String()
+				return false
+			}
+			return true
+		})
+	}
 	if class != "" {
-		lim := l.limits[class]
-		if lim == nil {
-			lim = &classLimit{burst: classBurst, window: classWindow, windowAt: ts}
-			l.limits[class] = lim
+		suppressed, ok := h.limits.admit(class, r.Time)
+		if !ok {
+			return nil
 		}
-		if ts.Sub(lim.windowAt) >= lim.window {
-			suppressed = lim.suppressed
-			lim.windowAt, lim.emitted, lim.suppressed = ts, 0, 0
+		if suppressed > 0 {
+			r.AddAttrs(slog.Int("suppressed", suppressed))
 		}
-		if lim.emitted >= lim.burst {
-			lim.suppressed++
-			return
+	}
+	if sp := SpanFromContext(ctx); sp != nil {
+		r.AddAttrs(slog.String("trace_id", sp.TraceID()), slog.String("span_id", sp.SpanID()))
+	}
+	return h.next.Handle(ctx, r)
+}
+
+func (h *logHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	c := *h
+	for _, a := range attrs {
+		if a.Key == "class" {
+			c.class = a.Value.String()
 		}
-		lim.emitted++
 	}
-	var b []byte
-	if l.json {
-		b = appendJSONLine(b, ts, level, class, msg, traceID, spanID, suppressed, kv)
-	} else {
-		b = appendTextLine(b, ts, level, class, msg, traceID, spanID, suppressed, kv)
-	}
-	l.w.Write(b)
+	c.next = h.next.WithAttrs(attrs)
+	return &c
 }
 
-func appendJSONLine(b []byte, ts time.Time, level Level, class, msg, traceID, spanID string, suppressed int, kv []any) []byte {
-	b = append(b, `{"ts":`...)
-	b = strconv.AppendQuote(b, ts.UTC().Format(time.RFC3339Nano))
-	b = append(b, `,"level":`...)
-	b = strconv.AppendQuote(b, level.String())
-	if class != "" {
-		b = append(b, `,"class":`...)
-		b = strconv.AppendQuote(b, class)
-	}
-	b = append(b, `,"msg":`...)
-	b = strconv.AppendQuote(b, msg)
-	if traceID != "" {
-		b = append(b, `,"trace_id":`...)
-		b = strconv.AppendQuote(b, traceID)
-		b = append(b, `,"span_id":`...)
-		b = strconv.AppendQuote(b, spanID)
-	}
-	if suppressed > 0 {
-		b = append(b, `,"suppressed":`...)
-		b = strconv.AppendInt(b, int64(suppressed), 10)
-	}
-	for i := 0; i+1 < len(kv); i += 2 {
-		b = append(b, ',')
-		b = strconv.AppendQuote(b, fmt.Sprint(kv[i]))
-		b = append(b, ':')
-		b = appendJSONValue(b, kv[i+1])
-	}
-	return append(b, "}\n"...)
-}
-
-func appendJSONValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case float64:
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case bool:
-		return strconv.AppendBool(b, x)
-	default:
-		return strconv.AppendQuote(b, fmt.Sprint(v))
-	}
-}
-
-func appendTextLine(b []byte, ts time.Time, level Level, class, msg, traceID, spanID string, suppressed int, kv []any) []byte {
-	b = append(b, ts.UTC().Format("2006-01-02T15:04:05.000Z")...)
-	b = append(b, ' ')
-	b = append(b, strings.ToUpper(level.String())...)
-	b = append(b, ' ')
-	b = append(b, msg...)
-	if class != "" {
-		b = append(b, " class="...)
-		b = append(b, class...)
-	}
-	if traceID != "" {
-		b = append(b, " trace_id="...)
-		b = append(b, traceID...)
-		b = append(b, " span_id="...)
-		b = append(b, spanID...)
-	}
-	if suppressed > 0 {
-		b = append(b, " suppressed="...)
-		b = strconv.AppendInt(b, int64(suppressed), 10)
-	}
-	for i := 0; i+1 < len(kv); i += 2 {
-		b = append(b, ' ')
-		b = append(b, fmt.Sprint(kv[i])...)
-		b = append(b, '=')
-		b = appendTextValue(b, kv[i+1])
-	}
-	return append(b, '\n')
-}
-
-func appendTextValue(b []byte, v any) []byte {
-	s := fmt.Sprint(v)
-	if strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.AppendQuote(b, s)
-	}
-	return append(b, s...)
-}
-
-// lineWriter adapts the logger to io.Writer for libraries that take a
-// *log.Logger (http.Server.ErrorLog). Each Write becomes one rate-
-// limited line at the configured level and class.
-type lineWriter struct {
-	l     *Logger
-	level Level
-	class string
-}
-
-// LineWriter returns an io.Writer that logs each written line through l
-// at the given level under a rate-limited class. Wrap it in
-// log.New(w, "", 0) to feed http.Server.ErrorLog.
-func (l *Logger) LineWriter(level Level, class string) io.Writer {
-	return &lineWriter{l: l, level: level, class: class}
-}
-
-func (w *lineWriter) Write(p []byte) (int, error) {
-	msg := strings.TrimRight(string(p), "\n")
-	if w.level >= LevelError {
-		w.l.ErrorClass(context.Background(), w.class, msg)
-	} else {
-		w.l.WarnClass(context.Background(), w.class, msg)
-	}
-	return len(p), nil
+func (h *logHandler) WithGroup(name string) slog.Handler {
+	c := *h
+	c.next = h.next.WithGroup(name)
+	return &c
 }

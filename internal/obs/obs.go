@@ -1,7 +1,7 @@
 // Package obs is the serving stack's zero-dependency observability layer:
 // context-propagated request tracing with deterministic span identity,
 // a bounded in-memory trace store with an HTTP debug surface, and a
-// leveled structured logger (see log.go).
+// log/slog handler that correlates log lines with traces (see log.go).
 //
 // The design constraints mirror internal/faultinject: the layer is
 // compiled into every request path but a process with no enabled tracer
@@ -18,6 +18,9 @@ package obs
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/hex"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,7 +183,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		name:    name,
 		start:   t.now(),
 	}
-	putUint64(sp.spanID[:], t.nextID())
+	binary.BigEndian.PutUint64(sp.spanID[:], t.nextID())
 	return context.WithValue(ctx, ctxKeySpan, sp), sp
 }
 
@@ -198,10 +201,10 @@ func StartRoot(ctx context.Context, t *Tracer, name, traceparent string) (contex
 		sp.traceID = tid
 		sp.parent = pid
 	} else {
-		putUint64(sp.traceID[:8], t.nextID())
-		putUint64(sp.traceID[8:], t.nextID())
+		binary.BigEndian.PutUint64(sp.traceID[:8], t.nextID())
+		binary.BigEndian.PutUint64(sp.traceID[8:], t.nextID())
 	}
-	putUint64(sp.spanID[:], t.nextID())
+	binary.BigEndian.PutUint64(sp.spanID[:], t.nextID())
 	sp.trace = &traceRec{traceID: sp.traceID, start: sp.start, rootName: name}
 	return context.WithValue(ctx, ctxKeySpan, sp), sp
 }
@@ -230,7 +233,7 @@ func (s *Span) SetInt(key string, value int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, formatInt(value))
+	s.SetAttr(key, strconv.FormatInt(value, 10))
 }
 
 // SetBool records a boolean attribute. No-op on nil.
@@ -332,43 +335,4 @@ func SnapshotTrace(ctx context.Context) (traceID string, spans []SpanSnapshot) {
 	return hexString(sp.traceID[:]), spans
 }
 
-func putUint64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-}
-
-const hexDigits = "0123456789abcdef"
-
-func hexString(b []byte) string {
-	out := make([]byte, 2*len(b))
-	for i, c := range b {
-		out[2*i] = hexDigits[c>>4]
-		out[2*i+1] = hexDigits[c&0x0f]
-	}
-	return string(out)
-}
-
-func formatInt(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	var buf [21]byte
-	i := len(buf)
-	u := uint64(v)
-	if neg {
-		u = uint64(-v)
-	}
-	for u > 0 {
-		i--
-		buf[i] = byte('0' + u%10)
-		u /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
+func hexString(b []byte) string { return hex.EncodeToString(b) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -267,21 +268,21 @@ func TestTailSubscribe(t *testing.T) {
 
 func TestLoggerFormatsAndCorrelation(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(LoggerConfig{W: &buf, Format: "json", Level: LevelInfo, Now: fixedClock(0)})
+	l := slog.New(NewLogHandler(slog.NewJSONHandler(&buf, nil)))
 	tr := newTestTracer(t, 19)
 	ctx, root := StartRoot(context.Background(), tr, "req", "")
-	l.Info(ctx, "hello", "k", 7, "s", "v v")
-	l.Debug(ctx, "dropped")
+	l.InfoContext(ctx, "hello", "k", 7, "s", "v v")
+	l.DebugContext(ctx, "dropped")
 	root.End()
 
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("log line not JSON: %v\n%s", err, buf.String())
 	}
-	if rec["msg"] != "hello" || rec["level"] != "info" {
+	if rec["msg"] != "hello" || rec["level"] != "INFO" {
 		t.Fatalf("bad line: %v", rec)
 	}
-	if rec["trace_id"] != root.TraceID() {
+	if rec["trace_id"] != root.TraceID() || rec["span_id"] != root.SpanID() {
 		t.Fatalf("trace correlation missing: %v", rec)
 	}
 	if rec["k"] != float64(7) || rec["s"] != "v v" {
@@ -292,48 +293,80 @@ func TestLoggerFormatsAndCorrelation(t *testing.T) {
 	}
 
 	buf.Reset()
-	lt := NewLogger(LoggerConfig{W: &buf, Format: "text", Level: LevelInfo, Now: fixedClock(0)})
-	lt.Warn(context.Background(), "spaced message", "key", "has space")
+	lt := slog.New(NewLogHandler(slog.NewTextHandler(&buf, nil)))
+	lt.Warn("spaced message", "key", "has space")
 	line := buf.String()
-	if !strings.Contains(line, "WARN spaced message") || !strings.Contains(line, `key="has space"`) {
+	if !strings.Contains(line, `level=WARN msg="spaced message"`) || !strings.Contains(line, `key="has space"`) {
 		t.Fatalf("bad text line: %q", line)
 	}
+	if strings.Contains(line, "trace_id") {
+		t.Fatalf("untraced line carries a trace ID: %q", line)
+	}
 
-	// Nil logger: all methods are no-ops.
-	var nilLog *Logger
-	nilLog.Info(context.Background(), "ignored")
-	nilLog.ErrorClass(context.Background(), "c", "ignored")
+	// Logging off: the handler reports nothing enabled, and logging through
+	// it is a no-op.
+	off := slog.New(NewLogHandler(slog.DiscardHandler))
+	if off.Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("discarding logger reports a level enabled")
+	}
+	off.Info("ignored")
+	off.Error("ignored", "class", "c")
+}
+
+// classRecord is an error record of class logged at t.
+func classRecord(t time.Time, class string) slog.Record {
+	r := slog.NewRecord(t, slog.LevelError, "boom", 0)
+	r.AddAttrs(slog.String("class", class))
+	return r
 }
 
 func TestLoggerRateLimit(t *testing.T) {
 	var buf bytes.Buffer
-	clock := fixedClock(0) // frozen: everything lands in one window
-	l := NewLogger(LoggerConfig{W: &buf, Format: "json", Level: LevelInfo, Now: clock})
+	h := NewLogHandler(slog.NewJSONHandler(&buf, nil))
+	t0 := time.Unix(1700000000, 0)
 	for i := 0; i < 50; i++ {
-		l.ErrorClass(context.Background(), "http", "boom")
+		if err := h.Handle(context.Background(), classRecord(t0, "http")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := strings.Count(buf.String(), "\n"); got != classBurst {
 		t.Fatalf("emitted %d lines, want burst %d", got, classBurst)
 	}
-	// Roll the window: the next line must carry the suppressed count.
-	l.mu.Lock()
-	l.limits["http"].windowAt = l.limits["http"].windowAt.Add(-2 * time.Second)
-	l.mu.Unlock()
+	// Another class has its own window.
 	buf.Reset()
-	l.ErrorClass(context.Background(), "http", "boom")
-	if !strings.Contains(buf.String(), `"suppressed":40`) {
+	h.Handle(context.Background(), classRecord(t0, "other"))
+	if strings.Count(buf.String(), "\n") != 1 {
+		t.Fatalf("a second class was limited by the first: %q", buf.String())
+	}
+	// Roll the window: the next line must carry the suppressed count, also
+	// when the class comes from Logger.With.
+	buf.Reset()
+	h.Handle(context.Background(), classRecord(t0.Add(classWindow-time.Nanosecond), "http"))
+	if buf.Len() != 0 {
+		t.Fatalf("line emitted before the window rolled: %s", buf.String())
+	}
+	with := h.WithAttrs([]slog.Attr{slog.String("class", "http")})
+	r := slog.NewRecord(t0.Add(2*classWindow), slog.LevelError, "boom", 0)
+	if err := with.Handle(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"suppressed":41`) {
 		t.Fatalf("suppressed count missing: %s", buf.String())
 	}
 }
 
-func TestLineWriter(t *testing.T) {
+// TestErrorLogLines: a line an http.Server writes to its ErrorLog, built by
+// slog.NewLogLogger over a class logger, lands at warn under the class.
+func TestErrorLogLines(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(LoggerConfig{W: &buf, Format: "text", Level: LevelInfo, Now: fixedClock(0)})
-	w := l.LineWriter(LevelWarn, "http")
-	if _, err := w.Write([]byte("http: TLS handshake error\n")); err != nil {
-		t.Fatal(err)
+	l := slog.New(NewLogHandler(slog.NewTextHandler(&buf, nil)))
+	errorLog := slog.NewLogLogger(l.With("class", "http").Handler(), slog.LevelWarn)
+	errorLog.Print("http: TLS handshake error\n")
+	line := buf.String()
+	if !strings.Contains(line, `level=WARN msg="http: TLS handshake error" class=http`) {
+		t.Fatalf("error log output: %q", line)
 	}
-	if !strings.Contains(buf.String(), "WARN http: TLS handshake error") {
-		t.Fatalf("line writer output: %q", buf.String())
+	if strings.Count(line, "\n") != 1 {
+		t.Fatalf("want one line: %q", line)
 	}
 }

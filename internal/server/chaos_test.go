@@ -422,9 +422,9 @@ func TestPriorityLoadShedding(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.queued.Load() < 3 {
+	for srv.adm.Waiting() < 3 {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %d", srv.queued.Load())
+			t.Fatalf("queue never filled: %d", srv.adm.Waiting())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -700,13 +700,13 @@ func TestEnsembleCancellationDrainsPool(t *testing.T) {
 	// Pool drains: every admission token returned, nothing executing or
 	// queued, once the blocked solver workers observe the cancellation.
 	drained := func() bool {
-		return srv.inFlight.Load() == 0 && len(srv.sem) == 0 && srv.queued.Load() == 0
+		return srv.inFlight.Load() == 0 && srv.adm.InUse() == 0 && srv.adm.Waiting() == 0
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for !drained() {
 		if time.Now().After(deadline) {
 			t.Fatalf("pool did not drain: inFlight=%d sem=%d queued=%d",
-				srv.inFlight.Load(), len(srv.sem), srv.queued.Load())
+				srv.inFlight.Load(), srv.adm.InUse(), srv.adm.Waiting())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

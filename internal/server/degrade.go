@@ -40,59 +40,39 @@ var prioNames = [numPriorities]string{"ensemble", "sweep", "plan", "session"}
 // MaxInFlight when the config does not say otherwise.
 const defaultQueueFactor = 8
 
-// classLimit is how deep into the queue a class may wait.
-func (srv *Server) classLimit(prio int) int64 {
-	return int64(srv.maxQueue) * int64(prio+1) / int64(numPriorities)
-}
-
 // retryAfterSeconds derives the Retry-After hint from the current queue
 // depth: an empty queue suggests retrying in a second, a queue N times the
 // solve capacity suggests N+1 seconds — by then the backlog has drained at
 // least once.
 func (srv *Server) retryAfterSeconds() int {
-	return 1 + int(srv.queued.Load())/cap(srv.sem)
+	return 1 + srv.adm.Waiting()/srv.adm.Size()
 }
 
-// acquireSlot takes one admission token for a solve of the given priority
-// class. The fast path (capacity free) costs one channel send. When the
-// solve must queue, the class's queue-depth limit is checked first: beyond
-// it the request is shed with 429 + Retry-After instead of waiting — the
-// bounded queue sheds the least important work first and never collapses
-// into an unbounded backlog.
-func (srv *Server) acquireSlot(ctx context.Context, prio int) *httpError {
-	_, sp := obs.StartSpan(ctx, "admission.wait")
-	sp.SetAttr("class", prioNames[prio])
-	defer sp.End()
-	select {
-	case srv.sem <- struct{}{}:
-		sp.SetAttr("outcome", "immediate")
-		return nil
-	default:
-	}
-	q := srv.queued.Add(1)
-	if q > srv.classLimit(prio) {
-		srv.queued.Add(-1)
+// admit takes n admission tokens for work of the given priority class and
+// reports how: immediate, queued, shed or cancelled. When the tokens are
+// not free, the class's queue-depth limit (its share of MaxQueue) is
+// checked first: beyond it the work is shed with 429 + Retry-After instead
+// of waiting — the bounded queue sheds the least important work first and
+// never collapses into an unbounded backlog. Admitted work must release its
+// n tokens.
+func (srv *Server) admit(ctx context.Context, n, prio int) (outcome string, herr *httpError) {
+	waited, err := srv.adm.AcquireWithin(ctx, n, srv.maxQueue*(prio+1)/numPriorities)
+	switch {
+	case err == nil && waited:
+		return "queued", nil
+	case err == nil:
+		return "immediate", nil
+	case errors.Is(err, degrade.ErrShed):
 		srv.shed[prio].Add(1)
-		sp.SetAttr("outcome", "shed")
-		return &httpError{
+		return "shed", &httpError{
 			code:       http.StatusTooManyRequests,
-			err:        fmt.Errorf("admission queue full for class %q (%d queued)", prioNames[prio], q-1),
+			err:        fmt.Errorf("admission queue full for class %q (%d queued)", prioNames[prio], srv.adm.Waiting()),
 			retryAfter: srv.retryAfterSeconds(),
 		}
-	}
-	defer srv.queued.Add(-1)
-	select {
-	case srv.sem <- struct{}{}:
-		sp.SetAttr("outcome", "queued")
-		return nil
-	case <-ctx.Done():
-		sp.SetAttr("outcome", "cancelled")
-		return solveError(ctx.Err())
+	default:
+		return "cancelled", solveError(err)
 	}
 }
-
-// releaseSlot returns one admission token.
-func (srv *Server) releaseSlot() { <-srv.sem }
 
 // breakerFor returns (creating on first use) the circuit breaker of one
 // algorithm. Breakers are per-algorithm so a pathological OPT workload
@@ -159,10 +139,15 @@ func (srv *Server) retryPolicy() degrade.RetryPolicy {
 // hold capacity). A client cancellation is recorded as neither success nor
 // failure — the solver was not given a chance to prove itself.
 func (srv *Server) runSolve(ctx context.Context, alg string, solver heuristics.Solver, sc *scenario.Scenario, prio int) (*scenario.Plan, error) {
-	if herr := srv.acquireSlot(ctx, prio); herr != nil {
+	_, sp := obs.StartSpan(ctx, "admission.wait")
+	sp.SetAttr("class", prioNames[prio])
+	outcome, herr := srv.admit(ctx, 1, prio)
+	sp.SetAttr("outcome", outcome)
+	sp.End()
+	if herr != nil {
 		return nil, herr
 	}
-	defer srv.releaseSlot()
+	defer srv.adm.Release(1)
 	br := srv.breakerFor(alg)
 	if !br.Allow() {
 		return nil, srv.breakerOpenError(alg, br)

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 
 	"netrecovery/internal/ensemble"
-	"netrecovery/internal/faultinject"
 	"netrecovery/internal/wire"
 )
 
@@ -27,8 +24,8 @@ func (srv *Server) buildEnsembleSpec(req *wire.EnsembleRequest) (ensemble.Spec, 
 	if err != nil {
 		return ensemble.Spec{}, badRequest("invalid ensemble request: %v", err)
 	}
-	if spec.Workers <= 0 || spec.Workers > cap(srv.sem) {
-		spec.Workers = cap(srv.sem)
+	if spec.Workers <= 0 || spec.Workers > srv.adm.Size() {
+		spec.Workers = srv.adm.Size()
 	}
 	if spec.Workers > spec.Samples && spec.Samples > 0 {
 		spec.Workers = spec.Samples
@@ -41,18 +38,19 @@ func (srv *Server) buildEnsembleSpec(req *wire.EnsembleRequest) (ensemble.Spec, 
 	return spec, nil
 }
 
-// runEnsemble executes a prepared spec with admission accounting: one token
+// runEnsemble executes a prepared spec with admission accounting — one token
 // per pool worker, like /v1/sweep, so ensembles and plan traffic together
-// never exceed MaxInFlight executing solver workers.
-func (srv *Server) runEnsemble(r *http.Request, spec ensemble.Spec) (*ensemble.Report, *httpError) {
+// never exceed MaxInFlight executing solver workers — and returns the wire
+// report.
+func (srv *Server) runEnsemble(r *http.Request, spec ensemble.Spec) (wire.EnsembleResponse, *httpError) {
 	ctx, cancel := srv.requestContext(r)
 	defer cancel()
 	// Ensembles are the lowest priority class: bulk Monte-Carlo work is
 	// the cheapest to shed and retry when the box is contended.
-	if herr := srv.acquireSlots(ctx, spec.Workers, prioEnsemble); herr != nil {
-		return nil, herr
+	if _, herr := srv.admit(ctx, spec.Workers, prioEnsemble); herr != nil {
+		return wire.EnsembleResponse{}, herr
 	}
-	defer srv.releaseSlots(spec.Workers)
+	defer srv.adm.Release(spec.Workers)
 	srv.inFlight.Add(1)
 	defer srv.inFlight.Add(-1)
 
@@ -61,13 +59,13 @@ func (srv *Server) runEnsemble(r *http.Request, spec ensemble.Spec) (*ensemble.R
 	spec.Retry = srv.retryPolicy()
 	rep, err := ensemble.Run(ctx, spec)
 	if err != nil {
-		return nil, solveError(err)
+		return wire.EnsembleResponse{}, solveError(err)
 	}
 	srv.ensembles.Add(1)
 	srv.ensembleSamples.Add(uint64(rep.Samples))
 	srv.ensembleCacheHits.Add(uint64(rep.CacheHits))
 	srv.solves.Add(uint64(rep.Solves))
-	return rep, nil
+	return wire.FromEnsemble(spec.Scenario, rep), nil
 }
 
 // handleEnsemble implements POST /v1/ensemble: draw a Monte-Carlo ensemble
@@ -91,12 +89,12 @@ func (srv *Server) handleEnsemble(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, herr)
 		return
 	}
-	rep, herr := srv.runEnsemble(r, spec)
+	resp, herr := srv.runEnsemble(r, spec)
 	if herr != nil {
 		srv.writeError(w, herr)
 		return
 	}
-	srv.writeJSON(w, http.StatusOK, wire.FromEnsemble(spec.Scenario, rep))
+	srv.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleEnsembleStream implements POST /v1/ensemble/stream: the same request
@@ -121,42 +119,13 @@ func (srv *Server) handleEnsembleStream(w http.ResponseWriter, r *http.Request) 
 		srv.writeError(w, herr)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		srv.writeError(w, &httpError{code: http.StatusInternalServerError, err: errors.New("response writer does not support streaming")})
+	stream := srv.openSSE(w, r, nil)
+	if stream == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	defer stream.close()
+	spec.OnProgress = func(p ensemble.Progress) { stream.emit("progress", p) }
 
-	srv.sseStreams.Add(1)
-	defer srv.sseStreams.Add(-1)
-
-	var mu sync.Mutex
-	emit := func(event string, payload any) {
-		// Injected SSE fault: a stalled/dead ensemble-stream client.
-		if err := faultinject.Fire(r.Context(), faultinject.PointSSE); err != nil {
-			return
-		}
-		raw, err := json.Marshal(payload)
-		if err != nil {
-			return
-		}
-		mu.Lock()
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, raw)
-		flusher.Flush()
-		mu.Unlock()
-	}
-	spec.OnProgress = func(p ensemble.Progress) { emit("progress", p) }
-
-	rep, herr := srv.runEnsemble(r, spec)
-	if herr != nil {
-		srv.errorsTot.Add(1)
-		emit("error", wire.Error{Error: herr.Error()})
-		return
-	}
-	emit("ensemble", wire.FromEnsemble(spec.Scenario, rep))
+	resp, herr := srv.runEnsemble(r, spec)
+	stream.end("ensemble", resp, herr)
 }

@@ -57,10 +57,6 @@ func decodeHex32(s string, dst *[32]byte) bool {
 	if len(s) != 64 {
 		return false
 	}
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return false
-	}
-	copy(dst[:], raw)
-	return true
+	_, err := hex.Decode(dst[:], []byte(s))
+	return err == nil
 }

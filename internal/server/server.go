@@ -125,22 +125,19 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	cache *plancache.Cache
-	sem   chan struct{}
-	// sweepMu serialises multi-token admission acquisition (sweeps take one
-	// token per sweep worker); without it two sweeps could each hold half
-	// the tokens and deadlock waiting for the rest.
-	sweepMu sync.Mutex
-	now     func() time.Time
-	start   time.Time
+	// adm holds MaxInFlight admission tokens: a plan or session solve takes
+	// one, a sweep or ensemble one per worker.
+	adm   *degrade.Limiter
+	now   func() time.Time
+	start time.Time
 
 	// sessMu guards sessions, the registry of open planning sessions.
 	sessMu   sync.Mutex
 	sessions map[string]*session
 
-	// maxQueue bounds the admission queue (see Config.MaxQueue); queued
-	// tracks its current depth; shed counts rejections per priority class.
+	// maxQueue bounds the admission queue (see Config.MaxQueue); shed
+	// counts rejections per priority class.
 	maxQueue int
-	queued   atomic.Int64
 	shed     [numPriorities]atomic.Uint64
 
 	// breakerMu guards breakers, the lazily-built per-algorithm circuit
@@ -201,7 +198,7 @@ func New(cfg Config) *Server {
 	srv := &Server{
 		cfg:      cfg,
 		cache:    cache,
-		sem:      make(chan struct{}, maxInFlight),
+		adm:      degrade.NewLimiter(maxInFlight, maxQueue),
 		now:      now,
 		sessions: make(map[string]*session),
 		maxQueue: maxQueue,
@@ -383,14 +380,6 @@ func (in *planInput) build() *httpError {
 	return nil
 }
 
-// solve runs the requested solver on the request scenario.
-func (srv *Server) solve(ctx context.Context, in *planInput) (*scenario.Plan, error) {
-	if herr := in.build(); herr != nil {
-		return nil, herr
-	}
-	return srv.retrySolve(ctx, in.alg, in.solver, in.s, prioPlan)
-}
-
 // render returns the wire form of an answer's plan: the one its cache entry
 // keeps once any request rendered it, else rendered against the request
 // scenario and kept for every later hit.
@@ -447,7 +436,10 @@ func (srv *Server) solveRequest(ctx context.Context, in *planInput) (*solveOutco
 	}
 
 	a, status, err := srv.fillOrSolve(ctx, srv.planCache(opts.NoCache), in, in.key, func(ctx context.Context) (*scenario.Plan, error) {
-		return srv.solve(ctx, in)
+		if herr := in.build(); herr != nil {
+			return nil, herr
+		}
+		return srv.retrySolve(ctx, in.alg, in.solver, in.s, prioPlan)
 	})
 	if herr := solveError(err); herr != nil {
 		return nil, herr
@@ -606,9 +598,16 @@ func formatFloatAttr(f float64) string {
 	return strconv.FormatFloat(f, 'g', 6, 64)
 }
 
-// buildResponse converts a solve outcome into the wire response, attaching
-// the progressive timeline and (on request) the traced timing breakdown.
-func (srv *Server) buildResponse(ctx context.Context, in *planInput, out *solveOutcome) (wire.PlanResponse, *httpError) {
+// answerPlan answers a decoded plan request through the cache (progress as
+// in newPlanInput) and converts the outcome into the wire response,
+// attaching the progressive timeline and (on request) the traced timing
+// breakdown.
+func (srv *Server) answerPlan(ctx context.Context, req *wire.PlanRequest, progress heuristics.ProgressFunc) (wire.PlanResponse, *httpError) {
+	in := srv.newPlanInput(req, progress)
+	out, herr := srv.solveRequest(ctx, in)
+	if herr != nil {
+		return wire.PlanResponse{}, herr
+	}
 	opts := in.req.Options
 	wp, herr := in.render(out.answer)
 	if herr != nil {
@@ -682,13 +681,7 @@ func (srv *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := srv.requestContext(r)
 	defer cancel()
-	in := srv.newPlanInput(req, nil)
-	out, herr := srv.solveRequest(ctx, in)
-	if herr != nil {
-		srv.writeError(w, herr)
-		return
-	}
-	resp, herr := srv.buildResponse(ctx, in, out)
+	resp, herr := srv.answerPlan(ctx, req, nil)
 	if herr != nil {
 		srv.writeError(w, herr)
 		return
@@ -725,40 +718,13 @@ func (srv *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, herr)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		srv.writeError(w, &httpError{code: http.StatusInternalServerError, err: errors.New("response writer does not support streaming")})
+	stream := srv.openSSE(w, r, nil)
+	if stream == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	srv.sseStreams.Add(1)
-	defer srv.sseStreams.Add(-1)
-
-	// Solver progress callbacks can fire from solver-internal goroutines;
-	// serialise all writes to the stream.
-	var mu sync.Mutex
-	emit := func(event string, payload any) {
-		// The SSE fault point models a stuck or dead client connection:
-		// an injected delay stalls this write, an injected error drops it.
-		if err := faultinject.Fire(r.Context(), faultinject.PointSSE); err != nil {
-			return
-		}
-		raw, err := json.Marshal(payload)
-		if err != nil {
-			return
-		}
-		mu.Lock()
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, raw)
-		flusher.Flush()
-		mu.Unlock()
-	}
+	defer stream.close()
 	progress := func(ev heuristics.ProgressEvent) {
-		emit("progress", progressEvent{
+		stream.emit("progress", progressEvent{
 			Solver:    ev.Solver,
 			Kind:      ev.Kind,
 			Iteration: ev.Iteration,
@@ -771,20 +737,8 @@ func (srv *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := srv.requestContext(r)
 	defer cancel()
-	in := srv.newPlanInput(req, progress)
-	out, herr := srv.solveRequest(ctx, in)
-	if herr != nil {
-		srv.errorsTot.Add(1)
-		emit("error", wire.Error{Error: herr.Error()})
-		return
-	}
-	resp, herr := srv.buildResponse(ctx, in, out)
-	if herr != nil {
-		srv.errorsTot.Add(1)
-		emit("error", wire.Error{Error: herr.Error()})
-		return
-	}
-	emit("plan", resp)
+	resp, herr := srv.answerPlan(ctx, req, progress)
+	stream.end("plan", resp, herr)
 }
 
 // finiteOrZero maps the solver's +-Inf sentinel values (no incumbent yet) to
@@ -819,8 +773,8 @@ func (srv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, badRequest("%v", err))
 		return
 	}
-	if spec.Workers <= 0 || spec.Workers > cap(srv.sem) {
-		spec.Workers = cap(srv.sem)
+	if spec.Workers <= 0 || spec.Workers > srv.adm.Size() {
+		spec.Workers = srv.adm.Size()
 	}
 	if spec.SolverWorkers == 0 {
 		// The engine's zero-default assumes it owns the machine
@@ -830,11 +784,11 @@ func (srv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := srv.requestContext(r)
 	defer cancel()
-	if herr := srv.acquireSlots(ctx, spec.Workers, prioSweep); herr != nil {
+	if _, herr := srv.admit(ctx, spec.Workers, prioSweep); herr != nil {
 		srv.writeError(w, herr)
 		return
 	}
-	defer srv.releaseSlots(spec.Workers)
+	defer srv.adm.Release(spec.Workers)
 	srv.inFlight.Add(1)
 	report, err := sweep.Run(ctx, spec)
 	srv.inFlight.Add(-1)
@@ -843,51 +797,6 @@ func (srv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	srv.writeJSON(w, http.StatusOK, report)
-}
-
-// acquireSlots takes n admission tokens for a bulk run of the given
-// priority class, serialised so that concurrent multi-token acquisitions
-// cannot deadlock holding partial sets. Each token that must wait counts
-// against the class's queue-depth limit, so a bulk run beyond its class
-// budget is shed rather than parked. On context cancellation or shed the
-// tokens already held are returned.
-func (srv *Server) acquireSlots(ctx context.Context, n, prio int) *httpError {
-	srv.sweepMu.Lock()
-	defer srv.sweepMu.Unlock()
-	for i := 0; i < n; i++ {
-		select {
-		case srv.sem <- struct{}{}:
-			continue
-		default:
-		}
-		q := srv.queued.Add(1)
-		if q > srv.classLimit(prio) {
-			srv.queued.Add(-1)
-			srv.shed[prio].Add(1)
-			srv.releaseSlots(i)
-			return &httpError{
-				code:       http.StatusTooManyRequests,
-				err:        fmt.Errorf("admission queue full for class %q (%d queued)", prioNames[prio], q-1),
-				retryAfter: srv.retryAfterSeconds(),
-			}
-		}
-		select {
-		case srv.sem <- struct{}{}:
-			srv.queued.Add(-1)
-		case <-ctx.Done():
-			srv.queued.Add(-1)
-			srv.releaseSlots(i)
-			return solveError(ctx.Err())
-		}
-	}
-	return nil
-}
-
-// releaseSlots returns n admission tokens.
-func (srv *Server) releaseSlots(n int) {
-	for i := 0; i < n; i++ {
-		<-srv.sem
-	}
 }
 
 // handleHealthz implements GET /healthz.
@@ -915,7 +824,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	add("nrserved_errors_total", "Requests answered with an error status.", "counter", float64(srv.errorsTot.Load()))
 	add("nrserved_solves_total", "Solver executions (cache hits and coalesced requests excluded).", "counter", float64(srv.solves.Load()))
 	add("nrserved_inflight_solves", "Solves executing right now.", "gauge", float64(srv.inFlight.Load()))
-	add("nrserved_admission_capacity", "Maximum concurrent solves.", "gauge", float64(cap(srv.sem)))
+	add("nrserved_admission_capacity", "Maximum concurrent solves.", "gauge", float64(srv.adm.Size()))
 	add("nrserved_sse_streams", "Open /v1/plan/stream connections.", "gauge", float64(srv.sseStreams.Load()))
 	add("nrserved_cache_hits_total", "Plan-cache hits.", "counter", float64(st.Hits))
 	add("nrserved_cache_misses_total", "Plan-cache misses (leader solves).", "counter", float64(st.Misses))
@@ -938,7 +847,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	add("nrserved_degrade_exhausted_total", "Plan requests whose fallback chain exhausted every stage.", "counter", float64(srv.degradeExhausted.Load()))
 	add("nrserved_cache_stale_served_total", "Expired cache entries served by the degradation chain.", "counter", float64(st.StaleServed))
 	add("nrserved_cache_unavailable_total", "Cache lookups failed by an (injected) shard fault.", "counter", float64(st.Unavailable))
-	add("nrserved_admission_queued", "Solves waiting for an admission slot.", "gauge", float64(srv.queued.Load()))
+	add("nrserved_admission_queued", "Solves waiting for an admission slot.", "gauge", float64(srv.adm.Waiting()))
 	add("nrserved_admission_queue_capacity", "Admission queue bound (sheds beyond it).", "gauge", float64(srv.maxQueue))
 	add("nrserved_peer_lookups_total", "Peer-fill lookups served on /v1/peer/plan.", "counter", float64(srv.peerLookups.Load()))
 	add("nrserved_peer_served_total", "Peer-fill lookups answered with a cached plan.", "counter", float64(srv.peerServed.Load()))
@@ -1022,7 +931,7 @@ func (srv *Server) resolveWorkers(requested int) int {
 	if srv.cfg.SolverWorkers != 0 {
 		return srv.cfg.SolverWorkers
 	}
-	if w := runtime.GOMAXPROCS(0) / cap(srv.sem); w > 1 {
+	if w := runtime.GOMAXPROCS(0) / srv.adm.Size(); w > 1 {
 		return w
 	}
 	return -1 // negative = sequential, see heuristics.Params.OPTWorkers

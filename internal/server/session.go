@@ -4,14 +4,12 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
-	"netrecovery/internal/faultinject"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
@@ -73,15 +71,6 @@ func (s *session) broadcastLocked(frame []byte) {
 		default:
 		}
 	}
-}
-
-// sseFrame formats one Server-Sent Event.
-func sseFrame(event string, payload any) []byte {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil
-	}
-	return []byte(fmt.Sprintf("event: %s\ndata: %s\n\n", event, raw))
 }
 
 // newSessionID returns a 128-bit random hex session ID.
@@ -402,12 +391,6 @@ func (srv *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, herr)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		srv.writeError(w, &httpError{code: http.StatusInternalServerError, err: errors.New("response writer does not support streaming")})
-		return
-	}
-
 	// Subscribe before the initial snapshot so no update can fall between
 	// snapshot and subscription. Buffer a few frames; overflow is dropped in
 	// broadcastLocked (each frame supersedes the previous).
@@ -428,26 +411,17 @@ func (srv *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	s.subs[ch] = struct{}{}
 	s.mu.Unlock()
 
-	unsubscribe := func() {
+	defer func() {
 		s.mu.Lock()
-		if _, still := s.subs[ch]; still {
-			delete(s.subs, ch)
-		}
+		delete(s.subs, ch) // a closed session already dropped it
 		s.mu.Unlock()
-	}
-	defer unsubscribe()
+	}()
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	if initial != nil {
-		w.Write(initial)
+	stream := srv.openSSE(w, r, initial)
+	if stream == nil {
+		return
 	}
-	flusher.Flush()
-
-	srv.sseStreams.Add(1)
-	defer srv.sseStreams.Add(-1)
+	defer stream.close()
 
 	for {
 		select {
@@ -455,14 +429,9 @@ func (srv *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return // session closed; terminal end frame already sent
 			}
-			// Injected SSE fault: a stalled/dead subscriber connection.
-			if err := faultinject.Fire(r.Context(), faultinject.PointSSE); err != nil {
+			if !stream.write(frame) {
 				return
 			}
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			flusher.Flush()
 		case <-r.Context().Done():
 			return
 		}
