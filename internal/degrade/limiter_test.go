@@ -3,6 +3,8 @@ package degrade
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -28,6 +30,18 @@ func acquireAsync(l *Limiter, ctx context.Context, n int) <-chan error {
 		done <- err
 	}()
 	return done
+}
+
+// result waits a few seconds for an asynchronous acquisition's error.
+func result(t *testing.T, done <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return", what)
+		return nil
+	}
 }
 
 func TestLimiterShedsPastWaitingBound(t *testing.T) {
@@ -56,7 +70,7 @@ func TestLimiterShedsPastWaitingBound(t *testing.T) {
 	}
 
 	l.Release(1)
-	if err := <-queued; err != nil {
+	if err := result(t, queued, "queued acquisition"); err != nil {
 		t.Fatalf("queued acquisition: %v", err)
 	}
 	l.Release(1)
@@ -66,23 +80,20 @@ func TestLimiterShedsPastWaitingBound(t *testing.T) {
 }
 
 // TestLimiterMultiTokenNoDeadlock: two 3-token acquisitions wait on a full
-// 4-token limiter. Tokens released one at a time all go to the head waiter,
-// so one of them completes while the other holds the fourth token, and the
-// second completes once the first releases.
+// 4-token limiter. The released tokens all go to the head waiter until it
+// has three, so one acquisition completes while the other holds the fourth
+// token (had they shared the four, each would hold two and wait forever),
+// and the second completes once the first releases.
 func TestLimiterMultiTokenNoDeadlock(t *testing.T) {
 	l := NewLimiter(4, 4)
-	for i := 0; i < 4; i++ {
-		if _, err := l.Acquire(context.Background(), 1); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := l.Acquire(context.Background(), 4); err != nil {
+		t.Fatal(err)
 	}
 	a := acquireAsync(l, context.Background(), 3)
 	b := acquireAsync(l, context.Background(), 3)
 	waitFor(t, "two waiters", func() bool { return l.Waiting() == 2 })
 
-	for i := 0; i < 4; i++ {
-		l.Release(1)
-	}
+	l.Release(4)
 	var second <-chan error
 	select {
 	case err := <-a:
@@ -102,13 +113,8 @@ func TestLimiterMultiTokenNoDeadlock(t *testing.T) {
 		t.Fatalf("with one acquisition done: in use %d, waiting %d; want 4 and 1", l.InUse(), l.Waiting())
 	}
 	l.Release(3)
-	select {
-	case err := <-second:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("second multi-token acquisition never completed")
+	if err := result(t, second, "second multi-token acquisition"); err != nil {
+		t.Fatal(err)
 	}
 	l.Release(3)
 	if l.InUse() != 0 {
@@ -132,10 +138,10 @@ func TestLimiterCancelReturnsTokens(t *testing.T) {
 	waitFor(t, "a second waiter", func() bool { return l.Waiting() == 2 })
 
 	cancel()
-	if err := <-head; !errors.Is(err, context.Canceled) {
+	if err := result(t, head, "cancelled acquisition"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled acquisition: err=%v, want context.Canceled", err)
 	}
-	if err := <-behind; err != nil {
+	if err := result(t, behind, "acquisition behind the cancelled one"); err != nil {
 		t.Fatalf("acquisition behind the cancelled one: %v", err)
 	}
 	if l.InUse() != 3 || l.Waiting() != 0 {
@@ -145,5 +151,38 @@ func TestLimiterCancelReturnsTokens(t *testing.T) {
 	l.Release(1)
 	if waited, err := l.Acquire(context.Background(), 3); err != nil || waited {
 		t.Fatalf("full acquisition after cancel: waited=%v err=%v, want immediate", waited, err)
+	}
+}
+
+// TestLimiterConcurrentNeverOversubscribes: goroutines acquiring 1 to 3
+// tokens, some under contexts that expire while they wait, never hold more
+// than the limiter's tokens between them, and leave nothing held or
+// waiting.
+func TestLimiterConcurrentNeverOversubscribes(t *testing.T) {
+	const tokens = 4
+	l := NewLimiter(tokens, 64)
+	var held atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				n := 1 + (g+i)%3
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%4)*50*time.Microsecond+time.Microsecond)
+				if _, err := l.Acquire(ctx, n); err == nil {
+					if h := held.Add(int64(n)); h > tokens {
+						t.Errorf("%d tokens held at once, limiter has %d", h, tokens)
+					}
+					held.Add(-int64(n))
+					l.Release(n)
+				}
+				cancel()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if l.InUse() != 0 || l.Waiting() != 0 {
+		t.Fatalf("after every goroutine: in use %d, waiting %d", l.InUse(), l.Waiting())
 	}
 }
