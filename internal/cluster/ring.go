@@ -5,9 +5,9 @@
 // computed anywhere in the fleet becomes a cache hit everywhere.
 //
 // The dataplane discipline is explicit bounds everywhere (no unbounded
-// fan-in): each peer has a fixed-size mailbox of pending fills drained by a
-// capped worker pool, a fill whose mailbox is full falls back to a local
-// solve immediately, per-fill timeouts carry deterministic jitter so
+// fan-in): a per-peer degrade.Limiter caps the fills in flight and those
+// waiting, a fill that finds the wait full falls back to a local solve
+// immediately, per-fill timeouts carry deterministic jitter so
 // synchronized retries cannot align, and every peer sits behind a circuit
 // breaker (internal/degrade) that stops fills to a struggling node before
 // its queue does. Ring membership comes from a static peer list; a

@@ -456,7 +456,7 @@ func (srv *Server) solveRequest(ctx context.Context, in *planInput) (*solveOutco
 // is then "peer". The fill runs under the miss's context inside the cache's
 // coalescing leader, so concurrent identical requests trigger at most one
 // fill, and its result is stored like a local solve. Any fill failure —
-// ejected owner, open breaker, full mailbox, timeout, the owner not having
+// ejected owner, open breaker, full fill queue, timeout, the owner not having
 // it, or a plan that fails its check — falls back to solve. Requests that
 // opt out of the cache never peer-fill: that means "solve here".
 func (srv *Server) fillOrSolve(ctx context.Context, cache *plancache.Cache, in *planInput, key plancache.Key, solve func(context.Context) (*scenario.Plan, error)) (plancache.Answer, string, error) {
