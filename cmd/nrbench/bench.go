@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"netrecovery/internal/core"
-	"netrecovery/internal/degrade"
 	"netrecovery/internal/demand"
 	"netrecovery/internal/disruption"
 	"netrecovery/internal/ensemble"
@@ -384,7 +383,7 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 		},
 	}
 	degradedSolve := func() {
-		res, err := degrade.Execute(ctx, fallbackChain.Stages(), degrade.Options{Deadline: 30 * time.Second})
+		res, err := fallbackChain.Run(ctx, 30*time.Second)
 		if err != nil {
 			panic(err)
 		}

@@ -260,7 +260,7 @@ func solveWithDeadline(ctx context.Context, s *scenario.Scenario, solver heurist
 			return solver.Solve(ctx, s)
 		},
 	}
-	return degrade.Execute(ctx, chain.Stages(), degrade.Options{Deadline: deadline})
+	return chain.Run(ctx, deadline)
 }
 
 // printDegradation summarises the fallback chain after the plan (text mode).
@@ -318,7 +318,7 @@ func printRoutes(w io.Writer, s *scenario.Scenario, plan *scenario.Plan) {
 
 // printStages prints a progressive repair schedule for the plan.
 func printStages(w io.Writer, s *scenario.Scenario, plan *scenario.Plan, budget float64) error {
-	sched, err := progressive.Build(s, plan, progressive.Options{StageBudget: budget})
+	sched, err := progressive.Build(s, plan, budget)
 	if err != nil {
 		return err
 	}

@@ -1,38 +1,17 @@
 package degrade
 
 import (
-	"context"
-	"errors"
-	"strconv"
 	"time"
 
-	"netrecovery/internal/obs"
 	"netrecovery/internal/scenario"
 )
 
-// Level classifies how degraded a served plan is.
-type Level int
-
+// Degradation levels of a served plan, pinned by the wire schema.
 const (
-	// LevelNone: the primary (requested) stage produced the plan.
-	LevelNone Level = iota
-	// LevelFallback: a cheaper solver stage produced the plan.
-	LevelFallback
-	// LevelStale: an expired cache entry was served.
-	LevelStale
+	LevelNone     = "none"     // the primary (requested) stage produced the plan
+	LevelFallback = "fallback" // a cheaper solver stage produced the plan
+	LevelStale    = "stale"    // an expired cache entry was served
 )
-
-func (l Level) String() string {
-	switch l {
-	case LevelNone:
-		return "none"
-	case LevelFallback:
-		return "fallback"
-	case LevelStale:
-		return "stale"
-	}
-	return "unknown"
-}
 
 // Stage outcome strings, pinned by the wire schema and golden tests.
 const (
@@ -43,30 +22,6 @@ const (
 	OutcomeUnavailable = "unavailable" // stage had nothing to serve (stale miss)
 )
 
-// Stage is one rung of the fallback chain.
-type Stage struct {
-	// Name labels the stage in wire timings and metrics ("opt",
-	// "fallback_isp", "stale_cache").
-	Name string
-	// Level is the degradation level a plan served by this stage carries.
-	Level Level
-	// Fraction of the overall deadline granted to this stage. Zero means
-	// "all remaining time". Free stages ignore the deadline entirely.
-	Fraction float64
-	// Retry enables the chain-level retry policy for this stage
-	// (solver stages retry transient faults; cache lookups don't need to).
-	Retry bool
-	// Free marks a stage with no meaningful cost (stale-cache lookup):
-	// it runs with the parent context even after the overall deadline has
-	// been consumed, so a stale entry can still be served at the edge.
-	Free bool
-	// Skip, if non-nil and returning a non-empty reason, marks the stage
-	// skipped without running it (circuit breaker open, cache disabled).
-	Skip func() string
-	// Run executes the stage under its deadline slice.
-	Run func(ctx context.Context) (*scenario.Plan, error)
-}
-
 // StageResult records one stage's outcome for wire timings.
 type StageResult struct {
 	Name     string
@@ -76,158 +31,13 @@ type StageResult struct {
 	Err      error
 }
 
-// Result is a successful chain execution.
+// Result is one fallback-chain run: the served plan (nil when every stage
+// failed), its degradation level, the stage that served it and every
+// stage's outcome in chain order.
 type Result struct {
 	Plan     *scenario.Plan
-	Level    Level
+	Level    string
 	ServedBy string
 	Stages   []StageResult
 	Retries  int // total transient retries across all stages
-}
-
-// Options configures Execute.
-type Options struct {
-	// Deadline is the overall budget split across stages. Required.
-	Deadline time.Duration
-	// Retry is applied to stages with Retry=true.
-	Retry RetryPolicy
-	// Now is the clock; nil means time.Now.
-	Now func() time.Time
-}
-
-// Execute runs stages in order until one serves a plan. Each non-Free
-// stage gets min(its fraction of Deadline, time remaining); once the
-// overall budget is spent, remaining solver stages are marked timeout
-// without running, but Free stages still run (with the parent context) so
-// a stale cache entry can be served even at the deadline edge. If the
-// parent context dies the chain aborts with its error. When every stage
-// fails, Execute returns the accumulated stage results inside a nil-Plan
-// Result alongside errors.Join(ErrExhausted, lastErr).
-func Execute(ctx context.Context, stages []Stage, opts Options) (*Result, error) {
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	start := now()
-	res := &Result{}
-	var lastErr error
-	for _, st := range stages {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if st.Skip != nil {
-			if reason := st.Skip(); reason != "" {
-				res.Stages = append(res.Stages, StageResult{
-					Name:    st.Name,
-					Outcome: OutcomeSkipped,
-					Err:     errors.New(reason),
-				})
-				stageSpanZero(ctx, st.Name, OutcomeSkipped, reason)
-				continue
-			}
-		}
-		remaining := opts.Deadline - now().Sub(start)
-		if !st.Free && remaining <= 0 {
-			res.Stages = append(res.Stages, StageResult{
-				Name:    st.Name,
-				Outcome: OutcomeTimeout,
-				Err:     context.DeadlineExceeded,
-			})
-			lastErr = context.DeadlineExceeded
-			stageSpanZero(ctx, st.Name, OutcomeTimeout, "deadline budget exhausted before stage ran")
-			continue
-		}
-		budget := remaining
-		if st.Fraction > 0 {
-			if slice := time.Duration(st.Fraction * float64(opts.Deadline)); slice < budget {
-				budget = slice
-			}
-		}
-		stageCtx, cancel := ctx, context.CancelFunc(func() {})
-		if !st.Free {
-			stageCtx, cancel = context.WithTimeout(ctx, budget)
-		}
-		// The stage span's ctx flows into st.Run, so solver spans started
-		// inside the stage nest under it.
-		stageCtx, ssp := obs.StartSpan(stageCtx, "stage."+st.Name)
-		ssp.SetAttr("level", st.Level.String())
-		if !st.Free {
-			ssp.SetAttr("budget_ms", strconv.FormatInt(budget.Milliseconds(), 10))
-		}
-		stageStart := now()
-		var plan *scenario.Plan
-		attempts := 1
-		var err error
-		run := func() error {
-			var rerr error
-			plan, rerr = st.Run(stageCtx)
-			return rerr
-		}
-		if st.Retry {
-			attempts, err = opts.Retry.Retry(stageCtx, run)
-			res.Retries += attempts - 1
-		} else {
-			err = run()
-		}
-		cancel()
-		sr := StageResult{
-			Name:     st.Name,
-			Attempts: attempts,
-			Elapsed:  now().Sub(stageStart),
-			Err:      err,
-		}
-		switch {
-		case err == nil && plan != nil:
-			sr.Outcome = OutcomeServed
-			res.Stages = append(res.Stages, sr)
-			res.Plan = plan
-			res.Level = st.Level
-			res.ServedBy = st.Name
-			endStageSpan(ssp, sr)
-			return res, nil
-		case err == nil:
-			// A Free lookup stage may return (nil, nil): nothing to serve.
-			sr.Outcome = OutcomeUnavailable
-			res.Stages = append(res.Stages, sr)
-			lastErr = ErrExhausted
-		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-			sr.Outcome = OutcomeTimeout
-			res.Stages = append(res.Stages, sr)
-			lastErr = err
-		case ctx.Err() != nil:
-			// Parent died mid-stage: abort the whole chain.
-			sr.Outcome = OutcomeError
-			endStageSpan(ssp, sr)
-			return nil, ctx.Err()
-		default:
-			sr.Outcome = OutcomeError
-			res.Stages = append(res.Stages, sr)
-			lastErr = err
-		}
-		endStageSpan(ssp, sr)
-	}
-	return res, errors.Join(ErrExhausted, lastErr)
-}
-
-// endStageSpan lands a stage's result on its span. Outcome strings match
-// the wire timings so a trace and a degradation block read the same way.
-func endStageSpan(sp *obs.Span, sr StageResult) {
-	sp.SetAttr("outcome", sr.Outcome)
-	if sr.Attempts > 1 {
-		sp.SetInt("attempts", int64(sr.Attempts))
-	}
-	if sr.Err != nil && sr.Outcome != OutcomeServed {
-		sp.SetError(sr.Err)
-	}
-	sp.End()
-}
-
-// stageSpanZero records a stage that never ran (skipped, or the budget was
-// already spent) as a zero-length span so the trace shows the whole chain
-// decision, not just the stages that executed.
-func stageSpanZero(ctx context.Context, name, outcome, reason string) {
-	_, sp := obs.StartSpan(ctx, "stage."+name)
-	sp.SetAttr("outcome", outcome)
-	sp.SetAttr("reason", reason)
-	sp.End()
 }

@@ -70,15 +70,16 @@ func TestRetryOnlyTransient(t *testing.T) {
 	}
 
 	calls := 0
-	attempts, err := p.Retry(context.Background(), func() error {
+	want := &scenario.Plan{Solver: "TEST"}
+	plan, attempts, err := p.Retry(context.Background(), func() (*scenario.Plan, error) {
 		calls++
 		if calls < 3 {
-			return transientErr{"flaky"}
+			return nil, transientErr{"flaky"}
 		}
-		return nil
+		return want, nil
 	})
-	if err != nil || attempts != 3 || calls != 3 {
-		t.Fatalf("attempts=%d calls=%d err=%v", attempts, calls, err)
+	if err != nil || attempts != 3 || calls != 3 || plan != want {
+		t.Fatalf("attempts=%d calls=%d plan=%v err=%v", attempts, calls, plan, err)
 	}
 	if len(sleeps) != 2 {
 		t.Fatalf("sleeps = %v, want 2 entries", sleeps)
@@ -93,14 +94,14 @@ func TestRetryOnlyTransient(t *testing.T) {
 	// Permanent errors end the loop immediately.
 	calls = 0
 	perm := errors.New("permanent")
-	attempts, err = p.Retry(context.Background(), func() error { calls++; return perm })
+	_, attempts, err = p.Retry(context.Background(), func() (*scenario.Plan, error) { calls++; return nil, perm })
 	if !errors.Is(err, perm) || attempts != 1 || calls != 1 {
 		t.Fatalf("permanent: attempts=%d calls=%d err=%v", attempts, calls, err)
 	}
 
 	// Exhaustion returns the last transient error.
 	calls = 0
-	attempts, err = p.Retry(context.Background(), func() error { calls++; return transientErr{"always"} })
+	_, attempts, err = p.Retry(context.Background(), func() (*scenario.Plan, error) { calls++; return nil, transientErr{"always"} })
 	if attempts != 3 || calls != 3 || !IsTransient(err) {
 		t.Fatalf("exhaustion: attempts=%d calls=%d err=%v", attempts, calls, err)
 	}
@@ -117,7 +118,7 @@ func TestRetryJitterDeterministic(t *testing.T) {
 				return nil
 			},
 		}
-		p.Retry(context.Background(), func() error { return transientErr{"x"} })
+		p.Retry(context.Background(), func() (*scenario.Plan, error) { return nil, transientErr{"x"} })
 		return sleeps
 	}
 	a, b := run(), run()
@@ -144,7 +145,7 @@ func TestRetryStopsOnContextCancel(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	attempts, err := p.Retry(ctx, func() error { calls++; return transientErr{"x"} })
+	_, attempts, err := p.Retry(ctx, func() (*scenario.Plan, error) { calls++; return nil, transientErr{"x"} })
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("retry did not honor context cancellation")
 	}
@@ -255,175 +256,6 @@ func TestBreakerBlockedDoesNotConsumeProbe(t *testing.T) {
 	b.Record(true)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state = %v", b.State())
-	}
-}
-
-func planWithCost(c float64) *scenario.Plan {
-	return &scenario.Plan{Solver: "TEST", SatisfiedDemand: c}
-}
-
-func TestExecutePrimaryServes(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	res, err := Execute(context.Background(), []Stage{
-		{Name: "opt", Level: LevelNone, Fraction: 0.6, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			now = now.Add(10 * time.Millisecond)
-			return planWithCost(1), nil
-		}},
-		{Name: "fallback_isp", Level: LevelFallback, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			t.Fatal("fallback must not run when primary serves")
-			return nil, nil
-		}},
-	}, Options{Deadline: 100 * time.Millisecond, Now: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Level != LevelNone || res.ServedBy != "opt" {
-		t.Fatalf("res = %+v", res)
-	}
-	if len(res.Stages) != 1 || res.Stages[0].Outcome != OutcomeServed || res.Stages[0].Elapsed != 10*time.Millisecond {
-		t.Fatalf("stages = %+v", res.Stages)
-	}
-}
-
-func TestExecuteFallsThroughOnTimeout(t *testing.T) {
-	res, err := Execute(context.Background(), []Stage{
-		{Name: "opt", Level: LevelNone, Fraction: 0.3, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			<-ctx.Done() // simulate a solve that honors its deadline slice
-			return nil, ctx.Err()
-		}},
-		{Name: "fallback_isp", Level: LevelFallback, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			if _, ok := ctx.Deadline(); !ok {
-				t.Error("fallback stage must carry the remaining deadline")
-			}
-			return planWithCost(2), nil
-		}},
-	}, Options{Deadline: 60 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Level != LevelFallback || res.ServedBy != "fallback_isp" {
-		t.Fatalf("res = %+v", res)
-	}
-	if res.Stages[0].Outcome != OutcomeTimeout {
-		t.Fatalf("stage0 = %+v", res.Stages[0])
-	}
-}
-
-func TestExecuteSkipAndStale(t *testing.T) {
-	stale := planWithCost(3)
-	res, err := Execute(context.Background(), []Stage{
-		{Name: "opt", Level: LevelNone, Skip: func() string { return "breaker open" }},
-		{Name: "fallback_isp", Level: LevelFallback, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			return nil, errors.New("solver exploded")
-		}},
-		{Name: "stale_cache", Level: LevelStale, Free: true, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			return stale, nil
-		}},
-	}, Options{Deadline: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Level != LevelStale || res.Plan != stale {
-		t.Fatalf("res = %+v", res)
-	}
-	want := []string{OutcomeSkipped, OutcomeError, OutcomeServed}
-	for i, o := range want {
-		if res.Stages[i].Outcome != o {
-			t.Fatalf("stage %d outcome = %q, want %q", i, res.Stages[i].Outcome, o)
-		}
-	}
-}
-
-func TestExecuteFreeStageRunsAfterDeadline(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	stale := planWithCost(4)
-	res, err := Execute(context.Background(), []Stage{
-		{Name: "opt", Level: LevelNone, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			now = now.Add(time.Second) // blow the whole budget
-			return nil, context.DeadlineExceeded
-		}},
-		{Name: "fallback_isp", Level: LevelFallback, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			t.Fatal("non-free stage must not run after the budget is spent")
-			return nil, nil
-		}},
-		{Name: "stale_cache", Level: LevelStale, Free: true, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			return stale, nil
-		}},
-	}, Options{Deadline: 100 * time.Millisecond, Now: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Level != LevelStale {
-		t.Fatalf("res = %+v", res)
-	}
-	if res.Stages[1].Outcome != OutcomeTimeout {
-		t.Fatalf("fallback stage = %+v", res.Stages[1])
-	}
-}
-
-func TestExecuteExhaustion(t *testing.T) {
-	boom := errors.New("boom")
-	res, err := Execute(context.Background(), []Stage{
-		{Name: "opt", Level: LevelNone, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			return nil, boom
-		}},
-		{Name: "stale_cache", Level: LevelStale, Free: true, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			return nil, nil // stale miss
-		}},
-	}, Options{Deadline: 50 * time.Millisecond})
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted", err)
-	}
-	if res == nil || len(res.Stages) != 2 || res.Plan != nil {
-		t.Fatalf("res = %+v", res)
-	}
-	if res.Stages[1].Outcome != OutcomeUnavailable {
-		t.Fatalf("stale stage = %+v", res.Stages[1])
-	}
-}
-
-func TestExecuteRetriesTransient(t *testing.T) {
-	calls := 0
-	res, err := Execute(context.Background(), []Stage{
-		{Name: "opt", Level: LevelNone, Retry: true, Run: func(ctx context.Context) (*scenario.Plan, error) {
-			calls++
-			if calls < 3 {
-				return nil, transientErr{"injected"}
-			}
-			return planWithCost(1), nil
-		}},
-	}, Options{
-		Deadline: time.Second,
-		Retry: RetryPolicy{
-			MaxAttempts: 3,
-			Sleep:       func(context.Context, time.Duration) error { return nil },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Retries != 2 || res.Stages[0].Attempts != 3 || res.Level != LevelNone {
-		t.Fatalf("res = %+v stages=%+v", res, res.Stages[0])
-	}
-}
-
-func TestExecuteAbortsOnParentCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	_, err := Execute(ctx, []Stage{
-		{Name: "opt", Level: LevelNone, Run: func(sctx context.Context) (*scenario.Plan, error) {
-			cancel()
-			<-sctx.Done()
-			return nil, sctx.Err()
-		}},
-		{Name: "stale_cache", Level: LevelStale, Free: true, Run: func(context.Context) (*scenario.Plan, error) {
-			t.Fatal("no stage may run after the parent context dies")
-			return nil, nil
-		}},
-	}, Options{Deadline: time.Second})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package degrade implements the serving stack's graceful-degradation
 // toolkit: typed panic errors, bounded retry with deterministic jittered
-// backoff, a per-resource circuit breaker, and a deadline-budgeted fallback
-// chain that runs a request through ordered stages (exact solve → cheaper
-// heuristic → stale-but-served cache entry), each with a slice of the
-// request deadline.
+// backoff, a per-resource circuit breaker, a token limiter with a bounded
+// wait (admission, peer fills), and the outcome types of the
+// deadline-budgeted fallback chain (exact solve → cheaper heuristic →
+// stale-but-served cache entry) that heuristics.Chain runs.
 package degrade
 
 import (
@@ -64,8 +64,8 @@ func IsTransient(err error) bool {
 }
 
 // ErrExhausted marks a fallback chain that ran out of stages without
-// producing a plan. The chain's Execute joins it with the last stage error
-// so callers can both classify (errors.Is) and diagnose.
+// producing a plan. heuristics.Chain.Run joins it with the last stage
+// error so callers can both classify (errors.Is) and diagnose.
 var ErrExhausted = errors.New("degrade: all fallback stages exhausted")
 
 // ErrBreakerOpen is returned (wrapped, naming the resource) when a circuit

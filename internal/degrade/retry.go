@@ -4,10 +4,11 @@ import (
 	"context"
 	"time"
 
+	"netrecovery/internal/scenario"
 	"netrecovery/internal/splitmix"
 )
 
-// RetryPolicy bounds re-attempts of a transient failure with jittered
+// RetryPolicy bounds re-attempts of a solve's transient failure with jittered
 // exponential backoff. The jitter stream is seeded, and the sleeper is
 // injectable, so tests (and the chaos suite) are fully deterministic.
 type RetryPolicy struct {
@@ -67,29 +68,30 @@ func defaultSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Retry runs fn up to MaxAttempts times, sleeping a jittered backoff
+// Retry runs solve up to MaxAttempts times, sleeping a jittered backoff
 // between attempts. Only transient errors (IsTransient) are retried;
 // success, permanent errors, and context death end the loop immediately.
-// It returns the number of attempts made alongside the final error.
-func (p RetryPolicy) Retry(ctx context.Context, fn func() error) (attempts int, err error) {
+// It returns the last attempt's plan and error and the number of attempts
+// made.
+func (p RetryPolicy) Retry(ctx context.Context, solve func() (*scenario.Plan, error)) (plan *scenario.Plan, attempts int, err error) {
 	sleep := p.Sleep
 	if sleep == nil {
 		sleep = defaultSleep
 	}
 	max := p.attempts()
 	for attempts = 1; ; attempts++ {
-		err = fn()
+		plan, err = solve()
 		if err == nil || !IsTransient(err) || attempts >= max {
-			return attempts, err
+			return plan, attempts, err
 		}
 		if ctx.Err() != nil {
-			return attempts, err
+			return plan, attempts, err
 		}
 		if p.OnRetry != nil {
 			p.OnRetry(attempts, err)
 		}
 		if serr := sleep(ctx, p.backoff(attempts-1)); serr != nil {
-			return attempts, err
+			return plan, attempts, err
 		}
 	}
 }

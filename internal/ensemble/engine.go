@@ -241,26 +241,17 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 	err := sweep.ForEach(ctx, spec.Workers, len(uniques), func(ctx context.Context, i int) error {
 		u := uniques[i]
-		solveOnce := func(ctx context.Context) (*scenario.Plan, error) {
-			// A fresh solver per solve: registry factories hand out
-			// independent instances, keeping the pool data-race free.
-			// Registry solvers arrive panic-guarded (heuristics.Guard), so
-			// a solver bug fails this unique's samples, never the run.
-			solver, err := heuristics.New(spec.Algorithm, params)
-			if err != nil {
-				return nil, err
-			}
-			return solver.Solve(ctx, u.scn)
-		}
 		solve := func(ctx context.Context) (*scenario.Plan, error) {
-			var plan *scenario.Plan
-			_, err := spec.Retry.Retry(ctx, func() error {
-				p, serr := solveOnce(ctx)
-				if serr != nil {
-					return serr
+			plan, _, err := spec.Retry.Retry(ctx, func() (*scenario.Plan, error) {
+				// A fresh solver per solve: registry factories hand out
+				// independent instances, keeping the pool data-race free.
+				// Registry solvers arrive panic-guarded (heuristics.Guard),
+				// so a solver bug fails this unique's samples, never the run.
+				solver, err := heuristics.New(spec.Algorithm, params)
+				if err != nil {
+					return nil, err
 				}
-				plan = p
-				return nil
+				return solver.Solve(ctx, u.scn)
 			})
 			return plan, err
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"netrecovery/internal/core"
 	"netrecovery/internal/degrade"
 	"netrecovery/internal/faultinject"
 	"netrecovery/internal/scenario"
@@ -70,22 +71,39 @@ func TestNewReturnsGuardedSolver(t *testing.T) {
 	}
 }
 
+// TestSessionSolveGuarded: a warm ISP solver sits behind the same fault
+// boundary as every registry solver — an injected error or panic stops at
+// the guard (a panic carries the registry's "solver:ISP" op) before the
+// memo sees the solve — and, disarmed, it solves through its memo.
 func TestSessionSolveGuarded(t *testing.T) {
 	faultinject.Arm(faultinject.Profile{Seed: 1, Points: map[faultinject.Point]faultinject.Spec{
 		faultinject.PointSolver: {ErrorRate: 1},
 	}})
 	defer faultinject.Disarm()
 
-	sess := NewISPSession(Params{Fast: true})
+	memo := core.NewSession()
+	sess := NewISPSession(Params{Fast: true}, memo)
 	_, err := sess.Solve(context.Background(), diamondScenario(t, 4))
 	var ie *faultinject.InjectedError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v, want an injected error through the warm session", err)
 	}
 
+	faultinject.Arm(faultinject.Profile{Seed: 1, Points: map[faultinject.Point]faultinject.Spec{
+		faultinject.PointSolver: {PanicRate: 1},
+	}})
+	_, err = sess.Solve(context.Background(), diamondScenario(t, 4))
+	var pe *degrade.PanicError
+	if !errors.As(err, &pe) || pe.Op != "solver:ISP" {
+		t.Fatalf("err = %v, want a recovered panic of op solver:ISP", err)
+	}
+
 	faultinject.Disarm()
 	plan, err := sess.Solve(context.Background(), diamondScenario(t, 4))
 	if err != nil || plan == nil {
 		t.Fatalf("post-disarm session solve: plan=%v err=%v", plan, err)
+	}
+	if n := memo.Stats().Solves; n != 1 {
+		t.Fatalf("memo answered %d solves, want the one past the guard", n)
 	}
 }

@@ -456,7 +456,7 @@ func TestISPSolvesSharedScenario(t *testing.T) {
 	solvers := func() []Solver {
 		return []Solver{
 			&ISPSolver{}, &ISPSolver{Options: core.FastOptions()},
-			NewISPSession(Params{}), NewISPSession(Params{Fast: true}),
+			NewISPSession(Params{}, core.NewSession()), NewISPSession(Params{Fast: true}, core.NewSession()),
 		}
 	}
 	want := make([]*scenario.Plan, 0, 4)

@@ -175,13 +175,7 @@ func init() {
 		Name:        core.SolverName,
 		Description: "Iterative Split and Prune, the paper's polynomial heuristic (recommended)",
 		Scalability: "hundreds of nodes (greedy split mode for larger topologies)",
-	}, func(p Params) Solver {
-		s := &ISPSolver{Progress: p.Progress, OnStats: p.OnStats}
-		if p.Fast {
-			s.Options = core.FastOptions()
-		}
-		return s
-	})
+	}, func(p Params) Solver { return newISP(p) })
 	Register(Info{
 		Name:        OptName,
 		Description: "exact MILP of problem (1) solved by branch and bound",
@@ -220,9 +214,43 @@ type ISPSolver struct {
 	Progress ProgressFunc
 	// OnStats, when set, receives the run's core.Stats after each solve.
 	OnStats StatsFunc
+	// memo, when set, is the warm session state every solve runs through
+	// (NewISPSession).
+	memo *core.Session
 }
 
 var _ Solver = (*ISPSolver)(nil)
+
+// newISP configures ISP from params the way the registry does: fast mode
+// selects the greedy split configuration; OPT knobs are ignored.
+func newISP(p Params) *ISPSolver {
+	s := &ISPSolver{Progress: p.Progress, OnStats: p.OnStats}
+	if p.Fast {
+		s.Options = core.FastOptions()
+	}
+	return s
+}
+
+// NewISPSession returns the registry's ISP solver for params, behind the
+// same Guard as every New solver, running each solve through memo: the
+// warm core.Session state (content-addressed split-LP and routability
+// memos) of one incremental re-planning run. Successive solves of nearby
+// scenarios — the same recovery run evolving by break/repair/demand deltas
+// — answer most of their LP subproblems from the memo instead of
+// re-solving them. Every solve is plan-equivalent to a cold ISP solve of
+// the same scenario with the same options (see core.Session), so the memo
+// is purely a latency optimisation, and a solve the Guard recovered from a
+// panic leaves it sound: the memos are content-addressed, so a re-solve
+// recomputes what the interrupted solve never stored.
+//
+// Like memo, the solver is NOT safe for concurrent use; callers serialise
+// solves (the facade's PlannerSession holds a mutex, the server holds one
+// per HTTP session).
+func NewISPSession(p Params, memo *core.Session) Solver {
+	s := newISP(p)
+	s.memo = memo
+	return Guard(s)
+}
 
 // Name implements Solver.
 func (ISPSolver) Name() string { return core.SolverName }
@@ -241,7 +269,11 @@ func (s *ISPSolver) Solve(ctx context.Context, sc *scenario.Scenario) (*scenario
 			})
 		}
 	}
-	plan, stats, err := core.Solve(ctx, sc, opts)
+	solve := core.Solve
+	if s.memo != nil {
+		solve = s.memo.Solve
+	}
+	plan, stats, err := solve(ctx, sc, opts)
 	if s.OnStats != nil && err == nil {
 		s.OnStats(ctx, SolveStats{Solver: core.SolverName, Core: &stats})
 	}

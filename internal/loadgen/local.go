@@ -11,7 +11,7 @@ import (
 
 // LocalCluster is an in-process nrserved fleet on loopback listeners: N
 // servers, each with its own plan cache, wired into one consistent-hash
-// ring. It backs the multi-node e2e tests and the serve_* benchmark rows
+// ring. It backs loadgen's multi-node e2e tests and nrload's fleet test
 // without shelling out to real processes.
 type LocalCluster struct {
 	// URLs are the node base URLs in construction order.

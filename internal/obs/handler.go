@@ -75,6 +75,8 @@ func (t *Tracer) serveOne(w http.ResponseWriter, id string) {
 	writeDebugJSON(w, http.StatusOK, det)
 }
 
+// serveTail streams each trace summary as it seals until the client goes
+// away: its request context ends or a write fails.
 func (t *Tracer) serveTail(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -98,7 +100,9 @@ func (t *Tracer) serveTail(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return
 			}
-			fmt.Fprintf(w, "event: trace\ndata: %s\n\n", b)
+			if _, err := fmt.Fprintf(w, "event: trace\ndata: %s\n\n", b); err != nil {
+				return // the client is gone
+			}
 			fl.Flush()
 		}
 	}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -263,6 +266,40 @@ func TestTailSubscribe(t *testing.T) {
 		}
 	default:
 		t.Fatal("no tail notification")
+	}
+}
+
+// failingStream is an SSE client that has gone away: headers and flushes
+// succeed, every body write fails. The first flush (the stream is open and
+// subscribed) closes opened.
+type failingStream struct {
+	header http.Header
+	opened chan struct{}
+	once   sync.Once
+}
+
+func (f *failingStream) Header() http.Header       { return f.header }
+func (f *failingStream) WriteHeader(int)           {}
+func (f *failingStream) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+func (f *failingStream) Flush()                    { f.once.Do(func() { close(f.opened) }) }
+
+// TestTailStopsOnWriteError: /debug/traces/tail returns on its first failed
+// write even though the request context never ends.
+func TestTailStopsOnWriteError(t *testing.T) {
+	tr := newTestTracer(t, 23)
+	w := &failingStream{header: http.Header{}, opened: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tr.Handler("/debug/traces").ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces/tail", nil))
+	}()
+	<-w.opened
+	_, root := StartRoot(context.Background(), tr, "req", "")
+	root.End()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("tail kept streaming after a failed write")
 	}
 }
 

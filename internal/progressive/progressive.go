@@ -65,24 +65,16 @@ type Schedule struct {
 	FinalSatisfiedRatio float64
 }
 
-// Options tune the scheduler.
-type Options struct {
-	// StageBudget is the maximum repair cost per stage (the "daily budget"
-	// of the progressive-recovery literature). It must be positive and at
-	// least as large as the most expensive single element of the plan,
-	// otherwise that element could never be scheduled.
-	StageBudget float64
-	// MaxStages bounds the timeline length as a safety net (0 = 10 * number
-	// of elements).
-	MaxStages int
-}
-
-// Build schedules the repairs of the given plan over stages. The plan is not
-// modified; elements already working are ignored. It returns an error when
-// the budget cannot accommodate the largest single repair.
-func Build(s *scenario.Scenario, plan *scenario.Plan, opts Options) (*Schedule, error) {
-	if opts.StageBudget <= 0 {
-		return nil, fmt.Errorf("progressive: stage budget must be positive, got %f", opts.StageBudget)
+// Build schedules the repairs of the given plan over stages of at most
+// stageBudget repair cost each (the "daily budget" of the
+// progressive-recovery literature). The plan is not modified; elements
+// already working are ignored. The budget must be positive and at least as
+// large as the most expensive single repair of the plan, which could never
+// be scheduled otherwise; Build returns an error when it is not. As a
+// safety net the timeline is cut at 10 stages per element, plus one.
+func Build(s *scenario.Scenario, plan *scenario.Plan, stageBudget float64) (*Schedule, error) {
+	if stageBudget <= 0 {
+		return nil, fmt.Errorf("progressive: stage budget must be positive, got %f", stageBudget)
 	}
 	elements := planElements(s, plan)
 	maxCost := 0.0
@@ -91,13 +83,10 @@ func Build(s *scenario.Scenario, plan *scenario.Plan, opts Options) (*Schedule, 
 			maxCost = c
 		}
 	}
-	if maxCost > opts.StageBudget {
-		return nil, fmt.Errorf("progressive: stage budget %.2f is smaller than the most expensive repair %.2f", opts.StageBudget, maxCost)
+	if maxCost > stageBudget {
+		return nil, fmt.Errorf("progressive: stage budget %.2f is smaller than the most expensive repair %.2f", stageBudget, maxCost)
 	}
-	maxStages := opts.MaxStages
-	if maxStages == 0 {
-		maxStages = 10*len(elements) + 1
-	}
+	maxStages := 10*len(elements) + 1
 
 	totalDemand := s.Demand.TotalFlow()
 	rs := &repairSet{
@@ -110,7 +99,7 @@ func Build(s *scenario.Scenario, plan *scenario.Plan, opts Options) (*Schedule, 
 	schedule := &Schedule{}
 	for stageIdx := 1; len(remaining) > 0 && stageIdx <= maxStages; stageIdx++ {
 		stage := Stage{Index: stageIdx}
-		budget := opts.StageBudget
+		budget := stageBudget
 		for budget > 0 && len(remaining) > 0 {
 			pick := pickNext(s, remaining, rs, budget)
 			if pick < 0 {

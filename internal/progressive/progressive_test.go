@@ -37,7 +37,7 @@ func destroyedLine(t *testing.T) (*scenario.Scenario, *scenario.Plan) {
 
 func TestBuildSchedulesEverythingOnce(t *testing.T) {
 	s, plan := destroyedLine(t)
-	sched, err := Build(s, plan, Options{StageBudget: 3})
+	sched, err := Build(s, plan, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestBuildSchedulesEverythingOnce(t *testing.T) {
 
 func TestBuildSatisfactionIsMonotone(t *testing.T) {
 	s, plan := destroyedLine(t)
-	sched, err := Build(s, plan, Options{StageBudget: 2})
+	sched, err := Build(s, plan, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestBuildSatisfactionIsMonotone(t *testing.T) {
 
 func TestBuildLargerBudgetFewerStages(t *testing.T) {
 	s, plan := destroyedLine(t)
-	small, err := Build(s, plan, Options{StageBudget: 2})
+	small, err := Build(s, plan, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Build(s, plan, Options{StageBudget: 100})
+	large, err := Build(s, plan, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,12 @@ func TestBuildLargerBudgetFewerStages(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	s, plan := destroyedLine(t)
-	if _, err := Build(s, plan, Options{StageBudget: 0}); err == nil {
+	if _, err := Build(s, plan, 0); err == nil {
 		t.Error("expected error for non-positive budget")
 	}
 	// Make one repair more expensive than the budget.
 	s.Supply.SetNodeRepairCost(2, 50)
-	if _, err := Build(s, plan, Options{StageBudget: 3}); err == nil {
+	if _, err := Build(s, plan, 3); err == nil {
 		t.Error("expected error when an element exceeds the stage budget")
 	}
 }
@@ -130,7 +130,7 @@ func TestBuildEmptyPlan(t *testing.T) {
 	dg.MustAdd(0, 3, 2)
 	s := &scenario.Scenario{Supply: g, Demand: dg, BrokenNodes: map[graph.NodeID]bool{}, BrokenEdges: map[graph.EdgeID]bool{}}
 	plan := scenario.NewPlan("empty")
-	sched, err := Build(s, plan, Options{StageBudget: 1})
+	sched, err := Build(s, plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestBuildGridScenarioWithISPPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := Build(s, plan, Options{StageBudget: 4})
+	sched, err := Build(s, plan, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

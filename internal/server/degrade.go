@@ -179,19 +179,10 @@ func (srv *Server) runSolve(ctx context.Context, alg string, solver heuristics.S
 
 // retrySolve wraps runSolve in the server's bounded retry-with-backoff.
 func (srv *Server) retrySolve(ctx context.Context, alg string, solver heuristics.Solver, sc *scenario.Scenario, prio int) (*scenario.Plan, error) {
-	var plan *scenario.Plan
-	_, err := srv.retryPolicy().Retry(ctx, func() error {
-		p, serr := srv.runSolve(ctx, alg, solver, sc, prio)
-		if serr != nil {
-			return serr
-		}
-		plan = p
-		return nil
+	plan, _, err := srv.retryPolicy().Retry(ctx, func() (*scenario.Plan, error) {
+		return srv.runSolve(ctx, alg, solver, sc, prio)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return plan, err
 }
 
 // solveDegraded runs a plan request through the deadline-budgeted fallback
@@ -247,16 +238,14 @@ func (srv *Server) solveDegraded(ctx context.Context, in *planInput, deadline ti
 			}
 			return plan
 		},
+		Retry: srv.retryPolicy(),
+		Now:   srv.now,
 	}
 	if cache == nil {
 		chain.NoStale = "cache disabled by request"
 	}
 
-	res, err := degrade.Execute(ctx, chain.Stages(), degrade.Options{
-		Deadline: deadline,
-		Retry:    srv.retryPolicy(),
-		Now:      srv.now,
-	})
+	res, err := chain.Run(ctx, deadline)
 	if err != nil {
 		if errors.Is(err, degrade.ErrExhausted) {
 			srv.degradeExhausted.Add(1)

@@ -825,7 +825,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	add("nrserved_solves_total", "Solver executions (cache hits and coalesced requests excluded).", "counter", float64(srv.solves.Load()))
 	add("nrserved_inflight_solves", "Solves executing right now.", "gauge", float64(srv.inFlight.Load()))
 	add("nrserved_admission_capacity", "Maximum concurrent solves.", "gauge", float64(srv.adm.Size()))
-	add("nrserved_sse_streams", "Open /v1/plan/stream connections.", "gauge", float64(srv.sseStreams.Load()))
+	add("nrserved_sse_streams", "Open SSE streams: /v1/plan/stream, /v1/ensemble/stream and /v1/session/{id}/stream.", "gauge", float64(srv.sseStreams.Load()))
 	add("nrserved_cache_hits_total", "Plan-cache hits.", "counter", float64(st.Hits))
 	add("nrserved_cache_misses_total", "Plan-cache misses (leader solves).", "counter", float64(st.Misses))
 	add("nrserved_cache_coalesced_total", "Requests coalesced onto an in-flight identical solve.", "counter", float64(st.Coalesced))

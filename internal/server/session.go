@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"netrecovery/internal/core"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
@@ -30,9 +31,9 @@ type session struct {
 	id  string
 	alg string
 
-	mu      sync.Mutex
-	ispSess *heuristics.ISPSession // warm ISP state; nil for other algorithms
-	params  heuristics.Params
+	mu     sync.Mutex
+	isp    heuristics.Solver // warm ISP solver; nil for other algorithms
+	params heuristics.Params
 	// digest keys the session's plans in the plan cache (with the current
 	// fingerprint and the algorithm); noCache bypasses the cache.
 	digest   [32]byte
@@ -52,7 +53,7 @@ func (s *session) infoLocked(ttl time.Duration) wire.SessionInfo {
 		ID:          s.id,
 		Algorithm:   s.alg,
 		Fingerprint: s.cur.FingerprintHex(),
-		Warm:        s.ispSess != nil,
+		Warm:        s.isp != nil,
 		Plans:       s.plans,
 		Deltas:      s.deltas,
 		IdleTTLMS:   ttl.Milliseconds(),
@@ -169,10 +170,8 @@ func (srv *Server) lookupSession(r *http.Request) (*session, *httpError) {
 // registry solver per solve.
 func (srv *Server) sessionSolve(ctx context.Context, s *session) (wire.Plan, *httpError) {
 	solve := func(ctx context.Context) (*scenario.Plan, error) {
-		var solver heuristics.Solver
-		if s.ispSess != nil {
-			solver = s.ispSess
-		} else {
+		solver := s.isp
+		if solver == nil {
 			var err error
 			solver, err = heuristics.New(s.alg, s.params)
 			if err != nil {
@@ -233,7 +232,7 @@ func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		subs:     make(map[chan []byte]struct{}),
 	}
 	if alg == "ISP" {
-		s.ispSess = heuristics.NewISPSession(params)
+		s.isp = heuristics.NewISPSession(params, core.NewSession())
 	}
 
 	// Reserve the slot before the initial solve so two concurrent creates

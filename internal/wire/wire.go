@@ -219,7 +219,7 @@ func FromPlan(s *scenario.Scenario, p *scenario.Plan) Plan {
 // repair order within a stage (the order repairs are performed), which is
 // itself deterministic.
 func (wp Plan) WithStages(s *scenario.Scenario, p *scenario.Plan, stageBudget float64) (Plan, error) {
-	sched, err := progressive.Build(s, p, progressive.Options{StageBudget: stageBudget})
+	sched, err := progressive.Build(s, p, stageBudget)
 	if err != nil {
 		return wp, err
 	}
@@ -366,7 +366,7 @@ func FromDegradation(res *degrade.Result, deadline time.Duration) *Degradation {
 		return nil
 	}
 	d := &Degradation{
-		Level:      res.Level.String(),
+		Level:      res.Level,
 		ServedBy:   res.ServedBy,
 		DeadlineMS: deadline.Milliseconds(),
 		Retries:    res.Retries,

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"netrecovery/internal/degrade"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/plancache"
@@ -390,12 +389,12 @@ func (p *Planner) planDegraded(ctx context.Context, sc *scenario.Scenario, param
 	if p.cfg.cache == nil {
 		chain.NoStale = "no cache configured"
 	}
-	res, err := degrade.Execute(ctx, chain.Stages(), degrade.Options{Deadline: p.cfg.deadline})
+	res, err := chain.Run(ctx, p.cfg.deadline)
 	if err != nil {
 		return nil, nil, err
 	}
 	deg := &Degradation{
-		Level:    res.Level.String(),
+		Level:    res.Level,
 		ServedBy: res.ServedBy,
 		Deadline: p.cfg.deadline,
 	}

@@ -27,7 +27,7 @@ type RecoveryStage struct {
 // progressive-recovery extension of Wang, Qiao & Yu; see the progressive
 // package).
 func buildStages(scen *scenario.Scenario, plan *scenario.Plan, stageBudget float64) ([]RecoveryStage, error) {
-	sched, err := progressive.Build(scen, plan, progressive.Options{StageBudget: stageBudget})
+	sched, err := progressive.Build(scen, plan, stageBudget)
 	if err != nil {
 		return nil, err
 	}

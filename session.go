@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"netrecovery/internal/core"
 	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
@@ -122,9 +123,12 @@ type SessionStats struct {
 type PlannerSession struct {
 	mu      sync.Mutex
 	planner *Planner
-	isp     *heuristics.ISPSession // nil when the algorithm has no warm path
-	cur     *scenario.Scenario
-	plans   int
+	// memo is the warm ISP state isp solves through; both are nil when the
+	// algorithm has no warm path.
+	memo  *core.Session
+	isp   heuristics.Solver
+	cur   *scenario.Scenario
+	plans int
 }
 
 // NewSession starts a planning session on the given snapshot. The session
@@ -139,7 +143,8 @@ func (p *Planner) NewSession(sc *Scenario) (*PlannerSession, error) {
 	}
 	s := &PlannerSession{planner: p, cur: sc.inner}
 	if p.cfg.alg == ISP {
-		s.isp = heuristics.NewISPSession(p.params())
+		s.memo = core.NewSession()
+		s.isp = heuristics.NewISPSession(p.params(), s.memo)
 	}
 	return s, nil
 }
@@ -195,10 +200,8 @@ func (s *PlannerSession) Apply(ctx context.Context, deltas ...Delta) (*Plan, err
 
 // planLocked solves the current snapshot; the caller holds s.mu.
 func (s *PlannerSession) planLocked(ctx context.Context) (*Plan, error) {
-	var solver heuristics.Solver
-	if s.isp != nil {
-		solver = s.isp
-	} else {
+	solver := s.isp
+	if solver == nil {
 		var err error
 		solver, err = heuristics.New(string(s.planner.cfg.alg), s.planner.params())
 		if err != nil {
@@ -225,9 +228,9 @@ func (s *PlannerSession) planLocked(ctx context.Context) (*Plan, error) {
 func (s *PlannerSession) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SessionStats{Plans: s.plans, Warm: s.isp != nil}
-	if s.isp != nil {
-		cs := s.isp.Stats()
+	st := SessionStats{Plans: s.plans, Warm: s.memo != nil}
+	if s.memo != nil {
+		cs := s.memo.Stats()
 		st.SplitHits = cs.SplitHits
 		st.SplitMisses = cs.SplitMisses
 		st.RoutabilityHits = cs.RoutabilityHits
